@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -34,17 +35,14 @@ from .experiments import (
     CHSH_MAXIMIZER,
     ChshAngles,
     ConfigError,
-    DEFAULT_CUTOFF,
-    DEFAULT_TOL,
     ESTIMATORS,
+    PIPELINES,
     ExperimentSpec,
     chsh,
     correlation_conditioned,
     correlation_raw,
-    horne_spec,
     run,
     scan,
-    spec_with_angles,
 )
 from .fock import EvolveError
 
@@ -200,78 +198,37 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-_CONFIG_KEYS = {"experiment", "gamma", "theta_a", "theta_b", "phi", "cutoff",
-                "tol", "estimator", "stages", "angles"}
+#: config keys, and the ExperimentSpec field each one sets; the spec holds the
+#: defaults, and the flag of the same name, where there is one, overrides the file
+CONFIG_FIELDS = {"experiment": "name", "gamma": "gamma", "theta_a": "theta_a",
+                 "theta_b": "theta_b", "phi": "phi", "cutoff": "cutoff", "tol": "tol",
+                 "estimator": "estimator", "stages": "custom_stages"}
 
 
-def _merged_settings(args) -> dict:
-    settings = {
-        "experiment": "ideal", "gamma": 0.1, "theta_a": 0.0, "theta_b": 0.0,
-        "phi": 0.0, "cutoff": DEFAULT_CUTOFF, "tol": DEFAULT_TOL,
-        "estimator": "conditioned", "stages": None, "angles": None,
-    }
+def _build_spec(args) -> ExperimentSpec:
+    settings = {}
     if getattr(args, "config", None):
         payload = _load_config(args.config)
-        unknown = set(payload) - _CONFIG_KEYS
+        unknown = payload.keys() - CONFIG_FIELDS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(payload)
-    # flags override file values
-    for key in ("experiment", "gamma", "theta_a", "theta_b", "phi",
-                "cutoff", "tol", "estimator"):
+        # JSON writes integral reals as ints; report them as the floats the flags give
+        settings.update({k: float(v) if type(v) is int and k != "cutoff" else v
+                         for k, v in payload.items()})
+    for key in CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    _validate_settings(settings)
-    return settings
-
-
-def _validate_settings(settings: dict) -> None:
-    if settings["estimator"] not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-    if int(settings["cutoff"]) < 2:
-        raise ConfigError(f"cutoff must be >= 2, got {settings['cutoff']}")
-    if not (float(settings["tol"]) > 0):
-        raise ConfigError(f"tol must be positive, got {settings['tol']}")
-    for key in ("gamma", "theta_a", "theta_b", "phi"):
-        value = settings[key]
-        if not isinstance(value, (int, float)) or not math.isfinite(float(value)):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-
-def _build_spec(settings: dict) -> ExperimentSpec:
-    name = settings["experiment"]
-    gamma = float(settings["gamma"])
-    cutoff = int(settings["cutoff"])
-    tol = float(settings["tol"])
-    estimator = settings["estimator"]
-    if name == "custom":
-        raw_stages = settings.get("stages")
-        if not raw_stages:
-            raise ConfigError("custom experiment requires a 'stages' list in the config")
-        try:
-            stages = tuple((str(n), float(p)) for n, p in raw_stages)
-        except (TypeError, ValueError):
-            raise ConfigError("stages must be a list of [generator, parameter] pairs") from None
-        spec = ExperimentSpec("custom", stages, estimator, gamma, None, cutoff, tol)
-    elif name == "horne":
-        spec = horne_spec(gamma, float(settings["phi"]), estimator, cutoff, tol)
-    elif name in ("ideal", "ou_mandel"):
-        spec = spec_with_angles(name, gamma, float(settings["theta_a"]),
-                                float(settings["theta_b"]), estimator, cutoff, tol)
-    else:
-        raise ConfigError(f"unknown experiment {name!r}")
+    spec = ExperimentSpec(**{CONFIG_FIELDS[k]: v for k, v in settings.items()})
     spec.validate()
     return spec
 
 
 def cmd_run(args) -> int:
-    settings = _merged_settings(args)
-    spec = _build_spec(settings)
+    spec = _build_spec(args)
     state = run(spec)
-    raw = correlation_raw(state, spec.gamma, float(settings["theta_a"]) - float(settings["theta_b"]))
-    cond = correlation_conditioned(state, spec.gamma,
-                                   float(settings["theta_a"]) - float(settings["theta_b"]))
+    raw = correlation_raw(state, spec.gamma, spec.theta_a - spec.theta_b)
+    cond = correlation_conditioned(state, spec.gamma, spec.theta_a - spec.theta_b)
     chosen = cond if spec.estimator == "conditioned" else raw
     payload = {
         "experiment": spec.name,
@@ -300,17 +257,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    settings = _merged_settings(args)
-    if settings["experiment"] == "horne":
-        raise ConfigError("chsh requires a pipeline with analyzer angles (ideal or ou_mandel)")
+    spec = _build_spec(args)
     if args.angles:
-        parts = [float(x) for x in args.angles.split(",")]
+        try:
+            parts = [float(x) for x in args.angles.split(",")]
+        except ValueError:
+            raise ConfigError(f"bad --angles list: {args.angles!r}") from None
         if len(parts) != 4:
             raise ConfigError("--angles requires 'theta_a,theta_a_prime,theta_b,theta_b_prime'")
         angles = ChshAngles(*parts)
     else:
         angles = ChshAngles(*CHSH_MAXIMIZER)
-    spec = _build_spec(settings)
     report = chsh(spec, angles)
     if args.output:
         emit_json(report.to_dict(), args.output)
@@ -337,8 +294,7 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_scan(args) -> int:
-    settings = _merged_settings(args)
-    spec = _build_spec(settings)
+    spec = _build_spec(args)
     grid = _parse_grid(args)
     table = scan(spec, args.axis, grid)
     failed = sum(1 for r in table.rows if r.failed)
@@ -366,7 +322,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    settings = _merged_settings(args)
+    spec = _build_spec(args)
     try:
         cutoffs = [int(x) for x in args.cutoffs.split(",")]
     except ValueError:
@@ -375,10 +331,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError("--cutoffs must be an increasing list of integers >= 2")
     values = []
     for cutoff in cutoffs:
-        local = dict(settings)
-        local["cutoff"] = cutoff
-        spec = _build_spec(local)
-        state = run(spec)
+        state = run(replace(spec, cutoff=cutoff))
         raw = correlation_raw(state, spec.gamma)
         cond = correlation_conditioned(state, spec.gamma)
         values.append({"cutoff": cutoff, "c_raw": raw.value, "c_cond": cond.value,
@@ -393,8 +346,8 @@ def cmd_convergence(args) -> int:
         ratio = 0.0
         extrapolated = values[-1]["c_raw"]
     payload = {
-        "experiment": settings["experiment"],
-        "gamma": settings["gamma"],
+        "experiment": spec.name,
+        "gamma": spec.gamma,
         "rows": values,
         "diffs": diffs,
         "contraction_ratio": ratio,
@@ -419,8 +372,7 @@ def cmd_convergence(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override file values)")
-    parser.add_argument("--experiment", "-e", choices=("ideal", "horne", "ou_mandel", "custom"),
-                        default=None)
+    parser.add_argument("--experiment", "-e", choices=PIPELINES, default=None)
     parser.add_argument("--gamma", type=float, default=None, help="squeeze parameter")
     parser.add_argument("--theta-a", dest="theta_a", type=float, default=None,
                         help="analyzer angle for channel a (radians)")

@@ -34,8 +34,9 @@ dependence an observable rather than an assumption.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +59,20 @@ from .fock import (
 DEFAULT_CUTOFF = 8
 DEFAULT_TOL = 1e-12
 ESTIMATORS = ("raw", "conditioned")
-PIPELINES = ("ideal", "horne", "ou_mandel", "custom")
 
 #: stage parameter of a 50/50 splitter for the half-normalized J generators
 BS_5050 = math.pi / 2
+
+#: stage lists of the named pipelines, built from a spec's parameters
+_RECIPES = {
+    "ideal": lambda s: (("K", s.gamma), ("J_a", 2.0 * s.theta_a), ("J_b", 2.0 * s.theta_b)),
+    "horne": lambda s: (("K_prime", s.gamma), ("J_prime", s.phi), ("J_BS", BS_5050)),
+    "ou_mandel": lambda s: (("K_OM", s.gamma), ("J_a", math.pi / 2), ("J_BS", BS_5050),
+                            ("J_a", 2.0 * s.theta_a), ("J_b", 2.0 * s.theta_b)),
+}
+PIPELINES = (*_RECIPES, "custom")
+#: pipelines that end in analyzer rotations, the only ones that read (theta_a, theta_b)
+ANALYZER_PIPELINES = ("ideal", "ou_mandel")
 
 #: denominators (and projection weights) below this are reported degenerate
 DEGENERATE_EPS = 1e-14
@@ -95,27 +106,61 @@ class ChshAngles:
         return (self.theta_a, self.theta_a_prime, self.theta_b, self.theta_b_prime)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative pipeline description."""
+    """One Bell test: a pipeline name and its physical parameters.
 
-    name: str
-    stages: tuple[tuple[str, float], ...]
+    The named pipelines read ``gamma``, ``theta_a``/``theta_b`` and ``phi``
+    into their stage list; ``custom`` applies ``custom_stages`` instead.
+    Settings derived from a spec (analyzer angles, scan rows, cutoffs) are
+    ``dataclasses.replace`` copies of it.
+    """
+
+    name: str = "ideal"
+    custom_stages: Sequence[tuple[str, float]] = ()
     estimator: str = "conditioned"
     gamma: float = 0.1
-    angles: ChshAngles | None = None
+    theta_a: float = 0.0
+    theta_b: float = 0.0
+    phi: float = 0.0
     cutoff: int = DEFAULT_CUTOFF
     tol: float = DEFAULT_TOL
 
+    @property
+    def stages(self) -> tuple[tuple[str, float], ...]:
+        """(generator name, real parameter) stages, applied left to right."""
+        recipe = _RECIPES.get(self.name)
+        if recipe is None:
+            return tuple((name, float(p)) for name, p in self.custom_stages)
+        return recipe(self)
+
     def validate(self) -> None:
+        """Raise :class:`ConfigError` unless every field is usable."""
         if self.name not in PIPELINES:
             raise ConfigError(f"unknown experiment {self.name!r}; expected one of {PIPELINES}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
-        if self.cutoff < 2:
-            raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
-        if not (self.tol > 0):
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (_is_real(self.cutoff) and isinstance(self.cutoff, Integral) and self.cutoff >= 2):
+            raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
+        if not (_is_real(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
+        for key in ("gamma", "theta_a", "theta_b", "phi"):
+            value = getattr(self, key)
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if self.name == "custom":
+            if not isinstance(self.custom_stages, (list, tuple)) or not self.custom_stages:
+                raise ConfigError("custom experiment requires a non-empty 'stages' list")
+            for stage in self.custom_stages:
+                if not (isinstance(stage, (list, tuple)) and len(stage) == 2
+                        and isinstance(stage[0], str)
+                        and _is_real(stage[1]) and math.isfinite(stage[1])):
+                    raise ConfigError(
+                        f"stages must be [generator, finite number] pairs, got {stage!r}")
         for gen_name, _ in self.stages:
             try:
                 op = catalog(gen_name)
@@ -128,61 +173,28 @@ class ExperimentSpec:
 def ideal_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
                estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
                tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    stages = (("K", gamma), ("J_a", 2.0 * theta_a), ("J_b", 2.0 * theta_b))
-    return ExperimentSpec("ideal", stages, estimator, gamma, None, cutoff, tol)
+    return ExperimentSpec("ideal", (), estimator, gamma, theta_a, theta_b, 0.0, cutoff, tol)
 
 
 def horne_spec(gamma: float, phi: float,
                estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
                tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    stages = (("K_prime", gamma), ("J_prime", phi), ("J_BS", BS_5050))
-    return ExperimentSpec("horne", stages, estimator, gamma, None, cutoff, tol)
+    return ExperimentSpec("horne", (), estimator, gamma, 0.0, 0.0, phi, cutoff, tol)
 
 
 def ou_mandel_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
                    estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
                    tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    stages = (
-        ("K_OM", gamma),
-        ("J_a", math.pi / 2),
-        ("J_BS", BS_5050),
-        ("J_a", 2.0 * theta_a),
-        ("J_b", 2.0 * theta_b),
-    )
-    return ExperimentSpec("ou_mandel", stages, estimator, gamma, None, cutoff, tol)
-
-
-_SPEC_BUILDERS = {"ideal": ideal_spec, "ou_mandel": ou_mandel_spec}
-
-
-def spec_with_angles(name: str, gamma: float, theta_a: float, theta_b: float,
-                     estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
-                     tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    """Single-setting spec for a pipeline that ends in analyzer rotations."""
-    try:
-        builder = _SPEC_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"pipeline {name!r} does not take analyzer angles; expected one of "
-            f"{tuple(_SPEC_BUILDERS)}"
-        ) from None
-    return builder(gamma, theta_a, theta_b, estimator, cutoff, tol)
+    return ExperimentSpec("ou_mandel", (), estimator, gamma, theta_a, theta_b, 0.0, cutoff, tol)
 
 
 # ---------------------------------------------------------------------------
 # pipeline execution
 # ---------------------------------------------------------------------------
 
-_MATRIX_CACHE: dict[tuple[str, int], SparseOperator] = {}
-
-
+@lru_cache(maxsize=None)
 def _stage_operator(name: str, cutoff: int) -> SparseOperator:
-    key = (name, cutoff)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is None:
-        cached = fock.matrix(catalog(name), get_basis(cutoff))
-        _MATRIX_CACHE[key] = cached
-    return cached
+    return fock.matrix(catalog(name), get_basis(cutoff))
 
 
 def run(spec: ExperimentSpec) -> StateVector:
@@ -282,9 +294,10 @@ _ESTIMATOR_FUNCS = {"raw": correlation_raw, "conditioned": correlation_condition
 
 def correlation(spec: ExperimentSpec, theta_a: float, theta_b: float) -> CorrelationReport:
     """Run the pipeline at one analyzer setting and estimate C."""
-    setting = spec_with_angles(spec.name, spec.gamma, theta_a, theta_b,
-                               spec.estimator, spec.cutoff, spec.tol)
-    state = run(setting)
+    if spec.name not in ANALYZER_PIPELINES:
+        raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
+                          f"expected one of {ANALYZER_PIPELINES}")
+    state = run(replace(spec, theta_a=theta_a, theta_b=theta_b))
     return _ESTIMATOR_FUNCS[spec.estimator](state, spec.gamma, theta_a - theta_b)
 
 
@@ -328,7 +341,6 @@ class ChshReport:
 
 def chsh(spec: ExperimentSpec, angles: ChshAngles | None = None) -> ChshReport:
     """Evaluate S = |C(a,b) + C(a,b') + C(a',b) - C(a',b')|."""
-    angles = angles or spec.angles
     if angles is None:
         raise ConfigError("chsh requires four analyzer angles")
     reports = tuple(correlation(spec, ta, tb) for ta, tb in angles.settings())
@@ -446,35 +458,23 @@ class ScanTable:
         }
 
 
-SCAN_AXES = ("delta", "gamma", "phi")
-
-
-def _scan_state(spec: ExperimentSpec, axis: str, value: float) -> StateVector:
-    if spec.name == "custom":
-        raise ConfigError("scans require a named pipeline (ideal, horne or ou_mandel)")
-    if axis == "delta":
-        setting = spec_with_angles(spec.name, spec.gamma, value, 0.0,
-                                   spec.estimator, spec.cutoff, spec.tol)
-    elif axis == "gamma":
-        if spec.name == "horne":
-            setting = horne_spec(value, 0.0, spec.estimator, spec.cutoff, spec.tol)
-        else:
-            setting = spec_with_angles(spec.name, value, 0.0, 0.0,
-                                       spec.estimator, spec.cutoff, spec.tol)
-    elif axis == "phi":
-        setting = horne_spec(spec.gamma, value, spec.estimator, spec.cutoff, spec.tol)
-    else:
-        raise ConfigError(f"unknown scan axis {axis!r}; expected one of {SCAN_AXES}")
-    return run(setting)
+#: the setting of one scan row: a delta row sets (theta_a, theta_b) = (value, 0),
+#: a gamma row also resets the analyzers and phi to 0
+_SCAN_SETTINGS = {
+    "delta": lambda spec, v: replace(spec, theta_a=v, theta_b=0.0),
+    "gamma": lambda spec, v: replace(spec, gamma=v, theta_a=0.0, theta_b=0.0, phi=0.0),
+    "phi": lambda spec, v: replace(spec, phi=v),
+}
+SCAN_AXES = tuple(_SCAN_SETTINGS)
 
 
 def _scan_row(spec: ExperimentSpec, axis: str, value: float) -> ScanRow:
     try:
-        state = _scan_state(spec, axis, value)
-        gamma = value if axis == "gamma" else spec.gamma
+        setting = _SCAN_SETTINGS[axis](spec, value)
+        state = run(setting)
         delta = value if axis == "delta" else float("nan")
-        raw = correlation_raw(state, gamma, delta)
-        cond = correlation_conditioned(state, gamma, delta)
+        raw = correlation_raw(state, setting.gamma, delta)
+        cond = correlation_conditioned(state, setting.gamma, delta)
         return ScanRow(value, raw.value, cond.value, raw.numerator, raw.denominator,
                        raw.leakage, raw.degenerate, cond.degenerate)
     except (EvolveError, ConfigError, ValueError) as exc:
@@ -482,13 +482,12 @@ def _scan_row(spec: ExperimentSpec, axis: str, value: float) -> ScanRow:
                        float("nan"), failed=True, message=str(exc))
 
 
-def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float],
-         max_workers: int | None = None) -> ScanTable:
+def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
     """Map both estimators over a parameter grid.
 
-    Rows are computed independently (thread pool) and assembled in grid
-    order, so the output is deterministic regardless of scheduling.  The
-    grid must be non-empty and strictly monotone.
+    Each row runs a copy of ``spec`` with the scanned field replaced; rows
+    are computed in grid order.  The grid must be non-empty and strictly
+    monotone.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -501,15 +500,12 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float],
     spec.validate()
     if spec.name == "custom":
         raise ConfigError("scans require a named pipeline (ideal, horne or ou_mandel)")
-    if axis == "delta" and spec.name not in _SPEC_BUILDERS:
+    if axis == "delta" and spec.name not in ANALYZER_PIPELINES:
         raise ConfigError(f"axis 'delta' needs analyzer angles; pipeline {spec.name!r} has none")
     if axis == "phi" and spec.name != "horne":
         raise ConfigError(f"axis 'phi' applies to the horne pipeline, not {spec.name!r}")
-    # warm the per-(generator, cutoff) matrix cache once, outside the pool
-    _scan_row(spec, axis, values[0])
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda v: _scan_row(spec, axis, v), values))
-    return ScanTable(axis, spec.name, spec.estimator, spec.gamma, spec.cutoff, tuple(rows))
+    rows = tuple(_scan_row(spec, axis, v) for v in values)
+    return ScanTable(axis, spec.name, spec.estimator, spec.gamma, spec.cutoff, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +567,10 @@ def verify_rotation_identity(gamma: float, theta_a: float, theta_b: float,
     raw_dev = 0.0
     cond_dev = 0.0
     for estimator in ESTIMATORS:
-        base = spec_with_angles("ideal", gamma, theta_a, theta_b, estimator, cutoff)
-        reference = _ESTIMATOR_FUNCS[estimator](run(base), gamma, theta_a - theta_b).value
+        spec = ideal_spec(gamma, estimator=estimator, cutoff=cutoff)
+        reference = correlation(spec, theta_a, theta_b).value
         for s in shifts:
-            shifted = spec_with_angles("ideal", gamma, theta_a + s, theta_b + s,
-                                       estimator, cutoff)
-            value = _ESTIMATOR_FUNCS[estimator](run(shifted), gamma, theta_a - theta_b).value
+            value = correlation(spec, theta_a + s, theta_b + s).value
             dev = abs(value - reference)
             if estimator == "raw":
                 raw_dev = max(raw_dev, dev)
@@ -598,16 +592,11 @@ def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
     """
     if spec.name != "horne":
         raise ConfigError("conjugated form is defined for the horne pipeline")
-    stage_names = [name for name, _ in spec.stages]
-    parameters = {name: value for name, value in spec.stages}
-    if stage_names != ["K_prime", "J_prime", "J_BS"]:
-        raise ConfigError("unexpected horne stage list")
-    bs_angle = parameters["J_BS"]
     j_bs = catalog("J_BS")
-    k_conj = conjugate(j_bs, bs_angle, catalog("K_prime"), tol=1e-15)
-    j_conj = conjugate(j_bs, bs_angle, catalog("J_prime"), tol=1e-15)
+    k_conj = conjugate(j_bs, BS_5050, catalog("K_prime"), tol=1e-15)
+    j_conj = conjugate(j_bs, BS_5050, catalog("J_prime"), tol=1e-15)
     basis = get_basis(spec.cutoff)
     state = vacuum(basis)
-    state = evolve(state, fock.matrix(k_conj, basis), parameters["K_prime"], spec.tol)
-    state = evolve(state, fock.matrix(j_conj, basis), parameters["J_prime"], spec.tol)
+    state = evolve(state, fock.matrix(k_conj, basis), spec.gamma, spec.tol)
+    state = evolve(state, fock.matrix(j_conj, basis), spec.phi, spec.tol)
     return state

@@ -10,7 +10,17 @@ from conftest import GOLDEN_DIR
 import bellsim.algebra as algebra
 import bellsim.fock as fock
 from bellsim.algebra import QuadOp
-from bellsim.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAILED, main
+from bellsim.cli import (
+    CONFIG_FIELDS,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    main,
+)
+from bellsim.experiments import ESTIMATORS, PIPELINES, ExperimentSpec
+
+SCHEMA = GOLDEN_DIR.parent.parent / "docs" / "experiment_config.schema.json"
 
 
 def invoke(capsys, *argv) -> tuple[int, str, str]:
@@ -149,6 +159,7 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
     ("run", "--tol", "-1"),
     ("chsh", "--experiment", "horne"),
     ("chsh", "--angles", "1,2,3"),
+    ("chsh", "--angles", "1,2,x,3"),
     ("scan", "--axis", "delta", "--points", "0"),
     ("scan", "--axis", "delta", "--values", "a,b"),
     ("convergence", "--cutoffs", "8,6"),
@@ -157,7 +168,35 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
 def test_config_errors(capsys, argv):
     code, _, err = invoke(capsys, *argv)
     assert code == EXIT_CONFIG
-    assert "config error" in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"cutoff": "abc"},
+    {"cutoff": 8.9},
+    {"tol": "x"},
+    {"theta_a": True},
+    {"angles": [0.0, 0.8, 0.4, 2.7]},
+    {"experiment": "custom", "stages": [["K", float("nan")]]},
+])
+def test_config_file_errors(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, _, err = invoke(capsys, "run", "--config", str(config))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_config_schema_matches_cli():
+    """The documented config keys, defaults and enums are the ones the CLI takes."""
+    properties = json.loads(SCHEMA.read_text(encoding="utf-8"))["properties"]
+    assert set(properties) == set(CONFIG_FIELDS)
+    defaults = ExperimentSpec()
+    for key, prop in properties.items():
+        if "default" in prop:
+            assert prop["default"] == getattr(defaults, CONFIG_FIELDS[key]), key
+    assert properties["experiment"]["enum"] == list(PIPELINES)
+    assert properties["estimator"]["enum"] == list(ESTIMATORS)
 
 
 def test_unknown_config_key(tmp_path, capsys):

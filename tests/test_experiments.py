@@ -30,7 +30,6 @@ from bellsim.experiments import (
     run,
     scan,
     sigma_rotation_error,
-    spec_with_angles,
     verify_rotation_identity,
 )
 from bellsim.fock import StateVector, fock_state, get_basis, project_pi, vacuum
@@ -82,7 +81,7 @@ def test_bad_estimator_cutoff_tol():
 
 def test_angles_only_for_analyzer_pipelines():
     with pytest.raises(ConfigError):
-        spec_with_angles("horne", 0.1, 0.0, 0.0)
+        correlation(horne_spec(0.1, 0.0), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
