@@ -21,7 +21,6 @@ from .catalog import catalog, dump_catalog, names
 from .fock import (
     EvolveError,
     FockBasis,
-    Projector,
     SparseOperator,
     StateVector,
     evolve,

@@ -327,8 +327,8 @@ def cmd_convergence(args) -> int:
         cutoffs = [int(x) for x in args.cutoffs.split(",")]
     except ValueError:
         raise ConfigError(f"bad --cutoffs list: {args.cutoffs!r}") from None
-    if len(cutoffs) < 2 or any(c < 2 for c in cutoffs) or sorted(cutoffs) != cutoffs:
-        raise ConfigError("--cutoffs must be an increasing list of integers >= 2")
+    if len(cutoffs) < 2 or cutoffs[0] < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ConfigError("--cutoffs must be a strictly increasing list of integers >= 2")
     values = []
     for cutoff in cutoffs:
         state = run(replace(spec, cutoff=cutoff))

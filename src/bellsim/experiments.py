@@ -34,7 +34,7 @@ dependence an observable rather than an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from numbers import Integral, Real
 from typing import Sequence
@@ -49,10 +49,8 @@ from .fock import (
     SparseOperator,
     StateVector,
     evolve,
-    expect_product,
     get_basis,
     leakage,
-    project_pi,
     vacuum,
 )
 
@@ -223,30 +221,23 @@ class CorrelationReport:
     gamma: float
     delta: float
     degenerate: bool = False
-    truncation_sensitive: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "value": self.value,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "leakage": self.leakage,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "degenerate": self.degenerate,
-            "truncation_sensitive": self.truncation_sensitive,
-        }
+        return asdict(self)
 
 
-def _expect_pair(state: StateVector, name_a: str, name_b: str) -> tuple[float, bool]:
-    """<M_a M_b> on a normalized state; flags boundary-heavy intermediates."""
-    cutoff = state.basis.cutoff
-    boundary: list = []
-    value = expect_product(state, [_stage_operator(name_a, cutoff),
-                                   _stage_operator(name_b, cutoff)],
-                           boundary_report=boundary).real
-    return value, bool(boundary)
+def _occupation_sums(amps: np.ndarray, occupations: np.ndarray) -> tuple[float, float]:
+    """<(n1-n2)(n3-n4)> and <(n1+n2)(n3+n4)> over kets with these photon numbers.
+
+    Coincidence counting is diagonal in the Fock basis, so both are sums of
+    |amplitude|^2 weighted by photon numbers.  The channel-b weight is
+    applied first, as in the sparse product <sigma_a sigma_b>, so on the
+    same vector both sums are bit-identical to :func:`fock.expect_product`.
+    """
+    n1, n2, n3, n4 = occupations.T
+    num = np.vdot(amps, (n1 - n2) * ((n3 - n4) * amps))
+    den = np.vdot(amps, (n1 + n2) * ((n3 + n4) * amps))
+    return float(num.real), float(den.real)
 
 
 def correlation_raw(state: StateVector, gamma: float = float("nan"),
@@ -255,38 +246,30 @@ def correlation_raw(state: StateVector, gamma: float = float("nan"),
 
     C = <(n1-n2)(n3-n4)> / <(n1+n2)(n3+n4)>; a vanishing denominator is
     reported as C = 0 with the degenerate flag set (no coincidences).
-    Boundary-heavy intermediates set ``truncation_sensitive`` instead of
-    escaping as warnings.
     """
     state = state.normalized()
-    num, sens_n = _expect_pair(state, "sigma_z_a", "sigma_z_b")
-    den, sens_d = _expect_pair(state, "sigma_0_a", "sigma_0_b")
+    num, den = _occupation_sums(state.amps, state.basis.occupations)
     leak = leakage(state)
-    sensitive = sens_n or sens_d
     if den < DEGENERATE_EPS:
-        return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta,
-                                 degenerate=True, truncation_sensitive=sensitive)
-    return CorrelationReport("raw", num / den, num, den, leak, gamma, delta,
-                             truncation_sensitive=sensitive)
+        return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta, degenerate=True)
+    return CorrelationReport("raw", num / den, num, den, leak, gamma, delta)
 
 
 def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
                             delta: float = float("nan")) -> CorrelationReport:
     """Same ratio after projecting onto one photon per channel.
 
-    On the projected subspace the denominator operator acts as the
-    identity, so the ratio reduces to the +/-1-weighted coincidence
-    average; weight 0 is reported degenerate.
+    On the coincidence kets (n1+n2)(n3+n4) = 1, so the denominator sum is
+    the projection weight and the ratio is the +/-1-weighted coincidence
+    average.  The reported numerator and denominator are those of the
+    renormalized projected state; weight 0 is reported degenerate.
     """
     leak = leakage(state)
-    projected, weight = project_pi(state.normalized())
+    kept = state.basis.coincidence
+    num, weight = _occupation_sums(state.normalized().amps[kept], state.basis.occupations[kept])
     if weight < DEGENERATE_EPS:
         return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta, degenerate=True)
-    normalized = projected.normalized()
-    num, sens_n = _expect_pair(normalized, "sigma_z_a", "sigma_z_b")
-    den, sens_d = _expect_pair(normalized, "sigma_0_a", "sigma_0_b")
-    return CorrelationReport("conditioned", num / den, num, den, leak, gamma, delta,
-                             truncation_sensitive=sens_n or sens_d)
+    return CorrelationReport("conditioned", num / weight, num / weight, 1.0, leak, gamma, delta)
 
 
 _ESTIMATOR_FUNCS = {"raw": correlation_raw, "conditioned": correlation_conditioned}
@@ -422,18 +405,7 @@ class ScanRow:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "c_raw": self.c_raw,
-            "c_cond": self.c_cond,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "leakage": self.leakage,
-            "raw_degenerate": self.raw_degenerate,
-            "cond_degenerate": self.cond_degenerate,
-            "failed": self.failed,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -458,11 +430,11 @@ class ScanTable:
         }
 
 
-#: the setting of one scan row: a delta row sets (theta_a, theta_b) = (value, 0),
-#: a gamma row also resets the analyzers and phi to 0
+#: the setting of one scan row: a delta row sets (theta_a, theta_b) = (value, 0);
+#: gamma and phi rows replace only the scanned field
 _SCAN_SETTINGS = {
     "delta": lambda spec, v: replace(spec, theta_a=v, theta_b=0.0),
-    "gamma": lambda spec, v: replace(spec, gamma=v, theta_a=0.0, theta_b=0.0, phi=0.0),
+    "gamma": lambda spec, v: replace(spec, gamma=v),
     "phi": lambda spec, v: replace(spec, phi=v),
 }
 SCAN_AXES = tuple(_SCAN_SETTINGS)
@@ -486,12 +458,14 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
     """Map both estimators over a parameter grid.
 
     Each row runs a copy of ``spec`` with the scanned field replaced; rows
-    are computed in grid order.  The grid must be non-empty and strictly
-    monotone.
+    are computed in grid order.  The grid must be non-empty, finite and
+    strictly monotone.
     """
     values = [float(v) for v in grid]
     if not values:
         raise ConfigError("scan grid must be non-empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("scan grid values must be finite numbers")
     diffs = np.diff(values)
     if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("scan grid must be strictly monotone")

@@ -32,7 +32,7 @@ from .adjoint import FloatOp
 
 Occupation = tuple[int, int, int, int]
 
-#: kets kept by the one-photon-per-channel projection
+#: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
 PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 MAX_TAYLOR_TERMS = 80
@@ -58,7 +58,12 @@ class FockBasis:
         states.sort(key=lambda occ: (sum(occ), occ))
         self.states: tuple[Occupation, ...] = tuple(states)
         self._index: dict[Occupation, int] = {occ: k for k, occ in enumerate(self.states)}
-        self.totals = np.array([sum(occ) for occ in self.states], dtype=np.int64)
+        #: (dim, 4) photon numbers; row k is ``states[k]``
+        self.occupations = np.array(self.states, dtype=np.int64)
+        self.totals = self.occupations.sum(axis=1)
+        #: basis indices of the PI_KEPT kets, in that order (none below cutoff 2)
+        self.coincidence = np.array([self._index[occ] for occ in PI_KEPT if occ in self._index],
+                                    dtype=np.intp)
 
     @property
     def dim(self) -> int:
@@ -316,15 +321,12 @@ def evolve(state: StateVector, generator, theta: float, tol: float = 1e-12) -> S
     return StateVector(state.basis, v)
 
 
-def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6,
-                   boundary_report: list | None = None) -> complex:
+def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6) -> complex:
     """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application.
 
-    Quartic products are truncation-sensitive, so intermediate vectors
-    putting more than ``boundary_tol`` of their weight within two photons
-    of the cutoff are flagged: appended to ``boundary_report`` when one is
-    supplied (thread-safe), emitted as :class:`TruncationWarning`
-    otherwise.
+    Quartic products are truncation-sensitive, so an intermediate vector
+    putting more than ``boundary_tol`` of its weight within two photons of
+    the cutoff emits a :class:`TruncationWarning`.
     """
     if not ops:
         raise ValueError("expect_product requires at least one operator")
@@ -337,16 +339,13 @@ def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6
         v = sp.mat @ v
         boundary = _shell_weight(state.basis, v)
         if boundary > boundary_tol:
-            if boundary_report is not None:
-                boundary_report.append(boundary)
-            else:
-                warnings.warn(
-                    f"intermediate vector carries {boundary:.2e} weight on the "
-                    f"top two shells (cutoff {state.basis.cutoff}); expectation "
-                    "may be truncation-limited",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
+            warnings.warn(
+                f"intermediate vector carries {boundary:.2e} weight on the "
+                f"top two shells (cutoff {state.basis.cutoff}); expectation "
+                "may be truncation-limited",
+                TruncationWarning,
+                stacklevel=2,
+            )
     return complex(np.vdot(state.amps, v))
 
 
@@ -360,35 +359,12 @@ def leakage(state: StateVector) -> float:
     return _shell_weight(state.basis, state.amps)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """The one-photon-per-channel coincidence projection."""
-
-    kept: tuple[Occupation, ...] = PI_KEPT
-
-    def matrix(self, basis: FockBasis) -> SparseOperator:
-        idx = [basis.index_of(occ) for occ in self.kept]
-        data = np.ones(len(idx))
-        mat = sparse.coo_matrix((data, (idx, idx)), shape=(basis.dim, basis.dim),
-                                dtype=np.complex128).tocsr()
-        return SparseOperator(basis, mat)
-
-    def apply(self, state: StateVector) -> tuple[StateVector, float]:
-        amps = np.zeros_like(state.amps)
-        weight = 0.0
-        for occ in self.kept:
-            k = state.basis.index_of(occ)
-            amps[k] = state.amps[k]
-            weight += abs(state.amps[k]) ** 2
-        return StateVector(state.basis, amps), float(weight)
-
-
-PROJECTOR = Projector()
-
-
 def project_pi(state: StateVector) -> tuple[StateVector, float]:
     """Zero all amplitudes outside the four coincidence kets.
 
     Returns the unnormalized projected state and its squared norm.
     """
-    return PROJECTOR.apply(state)
+    kept = state.basis.coincidence
+    amps = np.zeros_like(state.amps)
+    amps[kept] = state.amps[kept]
+    return StateVector(state.basis, amps), float(np.sum(np.abs(amps[kept]) ** 2))

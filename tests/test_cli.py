@@ -164,6 +164,10 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
     ("scan", "--axis", "delta", "--values", "a,b"),
     ("convergence", "--cutoffs", "8,6"),
     ("convergence", "--cutoffs", "x"),
+    ("scan", "--axis", "delta", "--values", "nan"),
+    ("scan", "--axis", "delta", "--values", "inf"),
+    ("scan", "--axis", "delta", "--start", "nan", "--points", "3"),
+    ("convergence", "--cutoffs", "6,6"),
 ])
 def test_config_errors(capsys, argv):
     code, _, err = invoke(capsys, *argv)

@@ -32,7 +32,8 @@ from bellsim.experiments import (
     sigma_rotation_error,
     verify_rotation_identity,
 )
-from bellsim.fock import StateVector, fock_state, get_basis, project_pi, vacuum
+from bellsim.fock import (
+    StateVector, expect_product, fock_state, get_basis, project_pi, vacuum)
 from bellsim.adjoint import conjugate
 import bellsim.fock as fock
 
@@ -161,6 +162,32 @@ def test_raw_against_diagonal_oracle():
     assert report.value == pytest.approx(num / den, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::bellsim.fock.TruncationWarning")
+@pytest.mark.parametrize("cutoff", [4, 8, 16])
+@pytest.mark.parametrize("name", ["ideal", "ou_mandel", "horne"])
+def test_estimators_match_sparse_products_and_oracle(name, cutoff):
+    """Both estimators' occupation sums against the quartic sparse products
+    <sigma_z_a sigma_z_b>, <sigma_0_a sigma_0_b> and the diagonal oracle."""
+
+    def references(state):
+        num = expect_product(state, [catalog("sigma_z_a"), catalog("sigma_z_b")])
+        den = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
+        return [(num.real, den.real), oracles.correlation_oracle(state)]
+
+    for gamma in (0.1, 0.5, 1.0):
+        for angle in (0.3, math.pi / 4, 1.1):
+            spec = ExperimentSpec(name, gamma=gamma, theta_a=angle, phi=angle, cutoff=cutoff)
+            state = run(spec).normalized()
+            raw = correlation_raw(state)
+            cond = correlation_conditioned(state)
+            assert not (raw.degenerate or cond.degenerate)
+            projected = project_pi(state)[0].normalized()
+            for report, ref_state in ((raw, state), (cond, projected)):
+                for num, den in references(ref_state):
+                    assert report.numerator == pytest.approx(num, abs=1e-12)
+                    assert report.denominator == pytest.approx(den, abs=1e-12)
+
+
 def test_correlation_magnitude_bounded():
     """|C| <= 1 for both estimators: the intensity product dominates the
     difference product pointwise in the occupation basis."""
@@ -283,6 +310,14 @@ def test_gamma_scan_quadratic_convergence():
     deviations = [abs(row.c_raw + 1.0) for row in table.rows]
     ratios = [deviations[k + 1] / deviations[k] for k in range(3)]
     assert all(abs(r - 0.25) < 0.05 for r in ratios)
+
+
+def test_gamma_scan_keeps_analyzer_angles_and_phase():
+    table = scan(ideal_spec(0.1, theta_a=0.3), "gamma", [0.1, 0.2])
+    for row in table.rows:
+        assert row.c_cond == pytest.approx(-math.cos(0.6), abs=1e-9)
+    table = scan(horne_spec(0.1, 1.0), "gamma", [0.1, 0.2])
+    assert not any(row.cond_degenerate for row in table.rows)
 
 
 def test_gamma_deviation_golden():

@@ -14,7 +14,6 @@ from bellsim.fock import (
     PI_KEPT,
     EvolveError,
     FockBasis,
-    Projector,
     StateVector,
     TruncationWarning,
     evolve,
@@ -45,6 +44,8 @@ def test_index_roundtrip():
     for k, occ in enumerate(basis.states):
         assert basis.index_of(occ) == k
         assert basis.state(k) == occ
+        assert tuple(basis.occupations[k]) == occ
+        assert basis.totals[k] == sum(occ)
 
 
 def test_graded_lexicographic_order():
@@ -310,21 +311,18 @@ def test_singlet_correlation_is_minus_one():
 
 def test_quartic_product_on_number_state():
     basis = get_basis(4)
-    state = fock_state(basis, (2, 0, 0, 2))  # top shell: boundary flag expected
-    report: list = []
-    value = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")],
-                           boundary_report=report)
+    state = fock_state(basis, (2, 0, 0, 2))  # top shell: boundary warning expected
+    with pytest.warns(TruncationWarning):
+        value = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
     assert value.real == pytest.approx(4.0)
-    assert report
 
 
+@pytest.mark.filterwarnings("ignore::bellsim.fock.TruncationWarning")
 def test_expectation_matches_diagonal_oracle():
     basis = get_basis(8)
     state = evolve(vacuum(basis), catalog("K"), 0.35)
-    num = expect_product(state, [catalog("sigma_z_a"), catalog("sigma_z_b")],
-                         boundary_report=[]).real
-    den = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")],
-                         boundary_report=[]).real
+    num = expect_product(state, [catalog("sigma_z_a"), catalog("sigma_z_b")]).real
+    den = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")]).real
     onum, oden = oracles.correlation_oracle(state)
     assert num == pytest.approx(onum, abs=1e-12)
     assert den == pytest.approx(oden, abs=1e-12)
@@ -335,14 +333,6 @@ def test_boundary_warning_fires():
     state = fock_state(basis, (2, 0, 2, 0))  # sits on the top shell
     with pytest.warns(TruncationWarning):
         expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
-
-
-def test_boundary_report_collects_instead_of_warning():
-    basis = get_basis(4)
-    state = fock_state(basis, (2, 0, 2, 0))
-    report: list = []
-    expect_product(state, [catalog("sigma_0_a")], boundary_report=report)
-    assert report and report[0] > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +365,19 @@ def test_projected_pair_source_is_singlet():
     assert projected.normalized().fidelity(singlet) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_projector_matrix_properties():
+def test_project_pi_is_idempotent_and_keeps_pi_kept():
     basis = get_basis(5)
-    p = Projector().matrix(basis).mat.toarray()
-    assert np.max(np.abs(p @ p - p)) == 0.0
-    assert np.max(np.abs(p - p.conj().T)) == 0.0
-    assert np.linalg.matrix_rank(p) == 4
-    assert Projector().kept == PI_KEPT
+    rng = np.random.default_rng(7)
+    state = StateVector(basis, rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
+    projected, weight = project_pi(state)
+    twice, weight_twice = project_pi(projected)
+    assert np.array_equal(twice.amps, projected.amps)
+    assert weight_twice == weight
+    kept = {basis.state(k) for k in np.flatnonzero(projected.amps)}
+    assert kept == set(PI_KEPT)
+    assert {basis.state(k) for k in basis.coincidence} == set(PI_KEPT)
+    assert FockBasis(1).coincidence.size == 0
+    assert weight == pytest.approx(sum(abs(state.amplitude(occ)) ** 2 for occ in PI_KEPT),
+                                   rel=1e-15)
+    for occ in PI_KEPT:
+        assert projected.amplitude(occ) == state.amplitude(occ)
