@@ -41,7 +41,7 @@ class FloatOp:
     """A quadratic operator with complex floating-point coefficients.
 
     Produced by :func:`conjugate`; structurally parallel to
-    :class:`~bellsim.algebra.QuadOp` so the Fock layer accepts either.
+    :class:`~bellsim.algebra.QuadOp` so :func:`bellsim.fock.matrix` accepts either.
     """
 
     coeffs: dict[BasisElement, complex] = field(default_factory=dict)

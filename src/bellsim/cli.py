@@ -67,10 +67,17 @@ def _json_ready(value):
     return value
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def emit_json(payload: dict, output: str | None) -> str:
     text = json.dumps(_json_ready(payload), indent=2) + "\n"
     if output:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        _write_output(output, text)
     return text
 
 
@@ -306,7 +313,7 @@ def cmd_scan(args) -> int:
                 row.numerator, row.denominator, row.leakage)))
         text = "\n".join(lines) + "\n"
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8", newline="\n")
+            _write_output(args.output, text)
         else:
             sys.stdout.write(text)
     else:

@@ -159,13 +159,14 @@ class ExperimentSpec:
                         and _is_real(stage[1]) and math.isfinite(stage[1])):
                     raise ConfigError(
                         f"stages must be [generator, finite number] pairs, got {stage!r}")
-        for gen_name, _ in self.stages:
-            try:
-                op = catalog(gen_name)
-            except UnknownGeneratorError as exc:
-                raise ConfigError(str(exc)) from None
-            if not op.is_hermitian():
-                raise ConfigError(f"stage generator {gen_name!r} is not hermitian")
+            # the named pipelines' generators are hermitian catalog constants
+            for gen_name, _ in self.custom_stages:
+                try:
+                    op = catalog(gen_name)
+                except UnknownGeneratorError as exc:
+                    raise ConfigError(str(exc)) from None
+                if not op.is_hermitian():
+                    raise ConfigError(f"stage generator {gen_name!r} is not hermitian")
 
 
 def ideal_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
@@ -266,7 +267,7 @@ def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
     """
     leak = leakage(state)
     kept = state.basis.coincidence
-    num, weight = _occupation_sums(state.normalized().amps[kept], state.basis.occupations[kept])
+    num, weight = _occupation_sums(state.amps[kept] / state.norm(), state.basis.occupations[kept])
     if weight < DEGENERATE_EPS:
         return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta, degenerate=True)
     return CorrelationReport("conditioned", num / weight, num / weight, 1.0, leak, gamma, delta)

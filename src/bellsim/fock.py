@@ -2,7 +2,9 @@
 
 The basis is every occupation tuple (n1, n2, n3, n4) with total photon
 number at most ``cutoff`` (so dim = C(cutoff+4, 4)), ordered by total
-photon number and then lexicographically.  Operators become sparse CSR
+photon number and then lexicographically.  Each state has one integer key,
+its total and n1..n4 as digits in base cutoff+1, which ascends in basis
+order, so index lookups are binary searches.  Operators become sparse CSR
 matrices with the standard sqrt(n) matrix elements; pair creation out of
 the top shell is dropped, which is the sole way truncation enters.  The
 truncated generator of a hermitian operator is still hermitian, so the
@@ -10,6 +12,9 @@ evolution computed here is exactly unitary on the truncated space; the
 *difference from the untruncated dynamics* is certified small by the
 :func:`leakage` diagnostic (weight on the top two shells).
 
+An operator is built once per (generator, cutoff) by :func:`matrix` into
+a :class:`SparseOperator` that stores its 1-norm and hermiticity defect;
+:func:`evolve` takes only such a prebuilt operator and reads both.
 Unitary evolution uses a truncated Taylor series with step splitting and
 an a-posteriori remainder bound; the dense-exponential cross-check lives
 in the test suite as an independent oracle.
@@ -20,8 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import comb, sqrt
+from math import comb
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -47,6 +51,16 @@ class EvolveError(RuntimeError):
     """Taylor evolution failed to certify the requested tolerance."""
 
 
+def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
+    """Search key of each (n1, n2, n3, n4) row: the total photon number, then
+    n1..n4, as digits in base cutoff+1; keys ascend in basis order."""
+    base = cutoff + 1
+    key = occupations.sum(axis=-1)
+    for k in range(4):
+        key = key * base + occupations[..., k]
+    return key
+
+
 class FockBasis:
     """Total-photon-cutoff basis for four bosonic modes."""
 
@@ -54,16 +68,27 @@ class FockBasis:
         if cutoff < 0:
             raise ValueError(f"cutoff must be non-negative, got {cutoff}")
         self.cutoff = cutoff
-        states = [occ for occ in product(range(cutoff + 1), repeat=4) if sum(occ) <= cutoff]
-        states.sort(key=lambda occ: (sum(occ), occ))
-        self.states: tuple[Occupation, ...] = tuple(states)
-        self._index: dict[Occupation, int] = {occ: k for k, occ in enumerate(self.states)}
+        # every (n1..n4) with total <= cutoff, one mode column at a time
+        occ = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(4):
+            counts = cutoff + 1 - occ.sum(axis=1)
+            starts = np.repeat(np.cumsum(counts) - counts, counts)
+            occ = np.column_stack([np.repeat(occ, counts, axis=0), np.arange(starts.size) - starts])
+        keys = _keys(occ, cutoff)
+        order = np.argsort(keys)
         #: (dim, 4) photon numbers; row k is ``states[k]``
-        self.occupations = np.array(self.states, dtype=np.int64)
+        self.occupations = occ[order]
+        #: ascending search keys, one per state (see :func:`_keys`)
+        self.keys = keys[order]
         self.totals = self.occupations.sum(axis=1)
+        self.states: tuple[Occupation, ...] = tuple(map(tuple, self.occupations.tolist()))
         #: basis indices of the PI_KEPT kets, in that order (none below cutoff 2)
-        self.coincidence = np.array([self._index[occ] for occ in PI_KEPT if occ in self._index],
-                                    dtype=np.intp)
+        kept = np.array(PI_KEPT, dtype=np.int64)
+        self.coincidence = self.indices(kept[kept.sum(axis=1) <= cutoff])
+
+    def indices(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis indices of photon-number rows that lie in the basis (unchecked)."""
+        return np.searchsorted(self.keys, _keys(occupations, self.cutoff))
 
     @property
     def dim(self) -> int:
@@ -71,10 +96,9 @@ class FockBasis:
 
     def index_of(self, occ: Sequence[int]) -> int:
         key = tuple(int(n) for n in occ)
-        try:
-            return self._index[key]  # type: ignore[index]
-        except KeyError:
-            raise ValueError(f"occupation {key} outside basis with cutoff {self.cutoff}") from None
+        if len(key) != 4 or min(key) < 0 or sum(key) > self.cutoff:
+            raise ValueError(f"occupation {key} outside basis with cutoff {self.cutoff}")
+        return int(self.indices(np.array(key)))
 
     def state(self, index: int) -> Occupation:
         return self.states[index]
@@ -166,10 +190,15 @@ def fock_state(basis: FockBasis, occ: Sequence[int]) -> StateVector:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """CSR matrix of a quadratic operator on a fixed basis."""
+    """CSR matrix of a quadratic operator on a fixed basis, built by
+    :func:`matrix` together with the invariants :func:`evolve` reads."""
 
     basis: FockBasis
     mat: sparse.csr_matrix
+    #: largest column sum of |entries|
+    one_norm: float
+    #: largest |entry| of mat - mat^dagger
+    hermiticity_defect: float
 
     def apply(self, state: StateVector) -> StateVector:
         if state.basis != self.basis:
@@ -179,124 +208,84 @@ class SparseOperator:
     def expectation(self, state: StateVector) -> complex:
         return complex(np.vdot(state.amps, self.mat @ state.amps))
 
-    def hermiticity_defect(self) -> float:
-        diff = (self.mat - self.mat.getH()).tocoo()
-        return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+
+#: photon-number step of the (mode i, mode j) ladder operators of each element kind
+_LADDER_STEPS = {Kind.PAIR_CREATE: (1, 1), Kind.MIXED: (1, -1), Kind.PAIR_ANNIHILATE: (-1, -1)}
 
 
-def _element_entries(elem, states, index, cutoff):
-    """(rows, cols, vals) of one basis element; out-of-cutoff targets dropped."""
-    rows, cols, vals = [], [], []
+def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of one basis element, columns ascending; targets
+    outside the cutoff or with a zero matrix element are dropped."""
     i, j = elem.i - 1, elem.j - 1
-    for col, occ in enumerate(states):
-        if elem.kind is Kind.PAIR_CREATE:
-            if sum(occ) + 2 > cutoff:
-                continue
-            target = list(occ)
-            if i == j:
-                value = sqrt((occ[i] + 1) * (occ[i] + 2))
-                target[i] += 2
-            else:
-                value = sqrt((occ[i] + 1) * (occ[j] + 1))
-                target[i] += 1
-                target[j] += 1
-        elif elem.kind is Kind.PAIR_ANNIHILATE:
-            if i == j:
-                if occ[i] < 2:
-                    continue
-                value = sqrt(occ[i] * (occ[i] - 1))
-                target = list(occ)
-                target[i] -= 2
-            else:
-                if occ[i] < 1 or occ[j] < 1:
-                    continue
-                value = sqrt(occ[i] * occ[j])
-                target = list(occ)
-                target[i] -= 1
-                target[j] -= 1
-        else:  # MIXED: C_ij = c_i^† c_j + delta_ij/2
-            if i == j:
-                rows.append(col)
-                cols.append(col)
-                vals.append(occ[i] + 0.5)
-                continue
-            if occ[j] < 1:
-                continue
-            value = sqrt(occ[j] * (occ[i] + 1))
-            target = list(occ)
-            target[j] -= 1
-            target[i] += 1
-        rows.append(index[tuple(target)])
-        cols.append(col)
-        vals.append(value)
-    return rows, cols, vals
+    cols = np.arange(basis.dim)
+    if elem.kind is Kind.MIXED and i == j:  # C_ii = c_i^dagger c_i + 1/2
+        return cols, cols, basis.occupations[:, i] + 0.5
+    # right to left: the ladder operator on mode j, then the one on mode i;
+    # each multiplies the integer factor by n+1 (creation) or n (annihilation)
+    steps = _LADDER_STEPS[elem.kind]
+    target = basis.occupations.copy()
+    factor = np.ones(basis.dim, dtype=np.int64)
+    for mode, step in ((j, steps[1]), (i, steps[0])):
+        factor *= target[:, mode] + 1 if step > 0 else target[:, mode]
+        target[:, mode] += step
+    keep = (factor != 0) & (basis.totals + sum(steps) <= basis.cutoff)
+    return basis.indices(target[keep]), cols[keep], np.sqrt(factor[keep])
 
 
 def matrix(op: Union[QuadOp, FloatOp], basis: FockBasis) -> SparseOperator:
-    """Sparse matrix of a quadratic operator (QuadOp or FloatOp)."""
+    """Sparse matrix of a quadratic operator (QuadOp or FloatOp), with its
+    1-norm and hermiticity defect."""
     dim = basis.dim
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    index = basis._index
+    rows = [np.zeros(0, dtype=np.intp)]
+    cols = [np.zeros(0, dtype=np.intp)]
+    vals = [np.zeros(0, dtype=np.complex128)]
     for elem, coeff in op.coeffs.items():
-        c = complex(coeff)
-        r, cl, v = _element_entries(elem, basis.states, index, basis.cutoff)
-        rows.extend(r)
-        cols.extend(cl)
-        vals.extend(c * x for x in v)
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128).tocsr()
+        r, cl, v = _element_entries(elem, basis)
+        rows.append(r)
+        cols.append(cl)
+        vals.append(complex(coeff) * v)
+    mat = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(dim, dim), dtype=np.complex128).tocsr()
     scalar = complex(op.scalar)
     if scalar != 0.0:
         mat = mat + scalar * sparse.identity(dim, dtype=np.complex128, format="csr")
-    return SparseOperator(basis, mat)
+    one_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
+    diff = (mat - mat.getH()).tocoo()
+    defect = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    return SparseOperator(basis, mat, one_norm, defect)
 
 
-def _as_sparse(op, basis: FockBasis) -> SparseOperator:
-    if isinstance(op, SparseOperator):
-        if op.basis != basis:
-            raise ValueError("operator built on a different basis")
-        return op
-    return matrix(op, basis)
-
-
-def _check_generator_hermitian(op, sp: SparseOperator) -> None:
-    if isinstance(op, QuadOp):
-        if not op.is_hermitian():
-            raise ValueError("evolution generator must be hermitian")
-    else:
-        defect = sp.hermiticity_defect()
-        if defect > 1e-10:
-            raise ValueError(f"evolution generator must be hermitian (defect {defect:.2e})")
-
-
-def evolve(state: StateVector, generator, theta: float, tol: float = 1e-12) -> StateVector:
+def evolve(state: StateVector, generator: SparseOperator, theta: float,
+           tol: float = 1e-12) -> StateVector:
     """e^{i theta G} |state> by split-step truncated Taylor summation.
 
-    ``generator`` is a hermitian QuadOp, a FloatOp, or a prebuilt
-    SparseOperator.  The series for each substep is summed until the
-    geometric remainder bound drops below the per-step share of ``tol``;
-    failure to converge within :data:`MAX_TAYLOR_TERMS` raises
-    :class:`EvolveError` (the cutoff is too small for the requested
-    rotation, or ``tol`` is unattainably tight).
+    ``generator`` is a :class:`SparseOperator` on the state's basis, built
+    once per (generator, cutoff) by :func:`matrix` with its 1-norm and
+    hermiticity defect; a defect above 1e-10 raises ``ValueError``.  The
+    series for each substep is summed until the geometric remainder bound
+    drops below the per-step share of ``tol``; failure to converge within
+    :data:`MAX_TAYLOR_TERMS` raises :class:`EvolveError` (the cutoff is too
+    small for the requested rotation, or ``tol`` is unattainably tight).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sp = _as_sparse(generator, state.basis)
-    _check_generator_hermitian(generator, sp)
+    if generator.basis != state.basis:
+        raise ValueError("operator built on a different basis")
+    if generator.hermiticity_defect > 1e-10:
+        raise ValueError("evolution generator must be hermitian "
+                         f"(defect {generator.hermiticity_defect:.2e})")
     if theta == 0.0:
         return StateVector(state.basis, state.amps.copy())
 
-    mat = sp.mat
+    mat = generator.mat
     # 1-norm bound on theta*G decides the number of substeps
-    col_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
-    scale = abs(theta) * col_norm
+    scale = abs(theta) * generator.one_norm
     substeps = max(1, int(np.ceil(scale / 4.0)))
     if substeps > MAX_SUBSTEPS:
         raise EvolveError(f"evolution needs {substeps} substeps; parameter too large")
     h = theta / substeps
     step_tol = tol / substeps
-    h_norm = abs(h) * col_norm
+    h_norm = abs(h) * generator.one_norm
 
     v = state.amps.copy()
     for _ in range(substeps):
@@ -322,7 +311,8 @@ def evolve(state: StateVector, generator, theta: float, tol: float = 1e-12) -> S
 
 
 def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6) -> complex:
-    """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application.
+    """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application
+    of ``matrix(M, basis)`` for each QuadOp/FloatOp M.
 
     Quartic products are truncation-sensitive, so an intermediate vector
     putting more than ``boundary_tol`` of its weight within two photons of
@@ -335,8 +325,7 @@ def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6
         raise ValueError(f"state must be normalized (norm {norm:.3e})")
     v = state.amps
     for op in reversed(list(ops)):
-        sp = _as_sparse(op, state.basis)
-        v = sp.mat @ v
+        v = matrix(op, state.basis).mat @ v
         boundary = _shell_weight(state.basis, v)
         if boundary > boundary_tol:
             warnings.warn(

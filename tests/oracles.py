@@ -5,7 +5,9 @@ evolution: operators are assembled from explicitly constructed dense
 creation/annihilation matrices, exponentials go through scipy's Pade
 implementation, and diagonal expectations are direct occupation sums.
 Agreement between these oracles and the library is what the oracle tests
-certify.
+certify.  The one exception is :func:`column_loop_matrix`, which shares the
+library's matrix-element arithmetic on purpose, to pin the vectorized
+matrix build bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from bellsim.algebra import Kind, QuadOp
 from bellsim.fock import FockBasis, StateVector
@@ -60,6 +63,40 @@ def dense_operator(op, basis: FockBasis) -> np.ndarray:
         total += complex(coeff) * block
     total += complex(op.scalar) * np.eye(dim)
     return total
+
+
+def column_loop_matrix(op, basis: FockBasis) -> scipy.sparse.csr_matrix:
+    """CSR matrix of a QuadOp/FloatOp built one basis column at a time in
+    Python: the reference for the vectorized build, whose arithmetic it
+    shares (each entry is sqrt of an integer product times complex(coeff),
+    triplets in coefficient order and then column order), so the two must
+    agree bit for bit."""
+    rows, cols, vals = [], [], []
+    for elem, coeff in op.coeffs.items():
+        i, j = elem.i - 1, elem.j - 1
+        create_i, create_j = {Kind.PAIR_CREATE: (True, True), Kind.MIXED: (True, False),
+                              Kind.PAIR_ANNIHILATE: (False, False)}[elem.kind]
+        for col, occ in enumerate(basis.states):
+            if elem.kind is Kind.MIXED and i == j:
+                rows.append(col)
+                cols.append(col)
+                vals.append(complex(coeff) * (occ[i] + 0.5))
+                continue
+            target, factor = list(occ), 1
+            for mode, create in ((j, create_j), (i, create_i)):
+                factor *= target[mode] + 1 if create else target[mode]
+                target[mode] += 1 if create else -1
+            if factor and sum(target) <= basis.cutoff:
+                rows.append(basis.index_of(target))
+                cols.append(col)
+                vals.append(complex(coeff) * math.sqrt(factor))
+    dim = basis.dim
+    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim),
+                                  dtype=np.complex128).tocsr()
+    if complex(op.scalar) != 0.0:
+        mat = mat + complex(op.scalar) * scipy.sparse.identity(dim, dtype=np.complex128,
+                                                               format="csr")
+    return mat
 
 
 def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:

@@ -149,17 +149,18 @@ def test_a06_perturbative_states():
     stable = True
     details = []
     for name, generator in families.items():
+        sp = fock.matrix(generator, basis)
         ratios = {}
         for gamma in (0.02, 0.01):
-            state = evolve(vac, generator, gamma)
-            linear = fock.matrix(generator, basis).apply(vac)
+            state = evolve(vac, sp, gamma)
+            linear = sp.apply(vac)
             residual = state.amps - vac.amps - 1j * gamma * linear.amps
             ratios[gamma] = float(np.linalg.norm(residual)) / gamma ** 2
         drift = abs(ratios[0.01] / ratios[0.02] - 1.0)
         bounded = ratios[0.02] < 10.0 and ratios[0.01] < 10.0
         stable = stable and bounded and drift < 0.25
         details.append(f"{name}: r/g^2 = {ratios[0.01]:.3f} (drift {drift:.1%})")
-    state = evolve(vac, catalog("K_OM"), 0.01)
+    state = evolve(vac, fock.matrix(catalog("K_OM"), basis), 0.01)
     amp = state.amplitude((1, 0, 1, 0))
     rel_err = abs(amp - 0.005j) / 0.005
     ok = stable and rel_err < 1e-4
@@ -235,7 +236,7 @@ def test_a10_oracle_equivalence():
         for _ in range(rng.randint(1, 3)):
             g = catalog(rng.choice(list(HAMILTONIAN_GENERATORS)))
             theta = rng.uniform(-0.5, 0.5)
-            state = evolve(state, g, theta, tol=tol)
+            state = evolve(state, fock.matrix(g, basis), theta, tol=tol)
             reference = oracles.dense_evolve(reference, g, theta)
             drift = abs(state.norm() - 1.0)
             budget = tol + leakage(state)

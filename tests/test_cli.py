@@ -175,6 +175,20 @@ def test_config_errors(capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("run",),
+    ("scan", "--axis", "delta", "--points", "3"),
+    ("scan", "--axis", "delta", "--points", "3", "--format", "json"),
+    ("verify-algebra", "--json"),
+])
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.out"
+    code, out, err = invoke(capsys, *argv, "--output", str(target))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {target}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payload", [
     {"cutoff": "abc"},
     {"cutoff": 8.9},

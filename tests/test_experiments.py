@@ -10,10 +10,11 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import oracles
-from bellsim.catalog import catalog
+from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog
 from bellsim.experiments import (
     BS_5050,
     CHSH_MAXIMIZER,
+    _RECIPES,
     ChshAngles,
     ConfigError,
     ExperimentSpec,
@@ -57,6 +58,14 @@ def _load_golden(name: str) -> dict:
 def test_builders_produce_valid_specs():
     for spec in (ideal_spec(0.1, 0.2, -0.1), horne_spec(0.1, 0.5), ou_mandel_spec(0.1)):
         spec.validate()
+
+
+@pytest.mark.parametrize("name", sorted(_RECIPES))
+def test_recipe_generators_are_hermitian_catalog_entries(name):
+    """validate() checks only custom stages; the recipes' generators are constants."""
+    for gen_name, _ in _RECIPES[name](ExperimentSpec(name)):
+        assert gen_name in HAMILTONIAN_GENERATORS
+        assert catalog(gen_name).is_hermitian()
 
 
 def test_unknown_generator_rejected():

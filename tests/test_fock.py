@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bellsim.fock as fock
+from bellsim.adjoint import conjugate
 from bellsim.algebra import A, QuadOp
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog, names
 from bellsim.fock import (
@@ -59,8 +60,11 @@ def test_graded_lexicographic_order():
 
 def test_out_of_basis_occupation():
     basis = FockBasis(2)
-    with pytest.raises(ValueError):
-        basis.index_of((3, 0, 0, 0))
+    # (-3, 2, 3, 0) has total 2, and its base-3 key equals that of (1, 0, 0, 0)
+    for occ in [(3, 0, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 1), (0, 0, 3, -1), (1, 1, 1, 0),
+                (-3, 2, 3, 0), (0, 0, 0), (0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            basis.index_of(occ)
 
 
 def test_negative_cutoff_rejected():
@@ -94,7 +98,7 @@ def test_normalize_zero_vector_rejected():
 
 def test_serialization_roundtrip():
     basis = get_basis(4)
-    state = evolve(vacuum(basis), catalog("K"), 0.3)
+    state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.3)
     records = state.to_records()
     rebuilt = StateVector.from_records(basis, records)
     assert np.max(np.abs(rebuilt.amps - state.amps)) < 1e-12
@@ -132,17 +136,41 @@ def test_singlet_source_on_vacuum():
 
 @pytest.mark.parametrize("name", sorted(names()))
 def test_matrix_against_dense_oracle(name):
-    basis = get_basis(5)
-    lhs = matrix(catalog(name), basis).mat.toarray()
-    rhs = oracles.dense_operator(catalog(name), basis)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # at cutoff 2 pair creation drops out of every shell but the vacuum's
+    for cutoff in (2, 5):
+        basis = get_basis(cutoff)
+        lhs = matrix(catalog(name), basis).mat.toarray()
+        rhs = oracles.dense_operator(catalog(name), basis)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12, cutoff
+
+
+def test_matrix_equals_column_loop_bitwise():
+    conjugated = [conjugate(catalog("J_BS"), math.pi / 2, catalog(n), tol=1e-15)
+                  for n in ("K_prime", "J_prime")]
+    for cutoff in (2, 3, 6):
+        basis = get_basis(cutoff)
+        for op in [catalog(name) for name in sorted(names())] + conjugated:
+            lhs, rhs = matrix(op, basis).mat, oracles.column_loop_matrix(op, basis)
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(lhs, part), getattr(rhs, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cutoff, part)
 
 
 def test_hermitian_operator_gives_hermitian_matrix():
     basis = get_basis(6)
     for name in HAMILTONIAN_GENERATORS:
         sp = matrix(catalog(name), basis)
-        assert sp.hermiticity_defect() < 1e-14, name
+        assert sp.hermiticity_defect < 1e-14, name
+
+
+def test_stored_invariants_match_dense_matrix():
+    basis = get_basis(4)
+    for op in [catalog(name) for name in sorted(names())] + [QuadOp.of(A(1, 2))]:
+        sp = matrix(op, basis)
+        dense = oracles.dense_operator(op, basis)
+        assert sp.one_norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)), rel=1e-14)
+        assert sp.hermiticity_defect == pytest.approx(np.max(np.abs(dense - dense.conj().T)),
+                                                      abs=1e-14)
 
 
 def test_commutation_transfer():
@@ -168,42 +196,49 @@ def test_commutation_transfer():
 
 def test_evolve_zero_angle_is_identity():
     basis = get_basis(4)
-    state = evolve(vacuum(basis), catalog("K"), 0.3)
-    again = evolve(state, catalog("K"), 0.0)
+    k = matrix(catalog("K"), basis)
+    state = evolve(vacuum(basis), k, 0.3)
+    again = evolve(state, k, 0.0)
     assert np.array_equal(again.amps, state.amps)
 
 
 def test_evolve_requires_hermitian():
     basis = get_basis(4)
     with pytest.raises(ValueError):
-        evolve(vacuum(basis), QuadOp.of(A(1, 2)), 0.1)
+        evolve(vacuum(basis), matrix(QuadOp.of(A(1, 2)), basis), 0.1)
+
+
+def test_evolve_rejects_operator_on_other_basis():
+    with pytest.raises(ValueError):
+        evolve(vacuum(get_basis(4)), matrix(catalog("K"), get_basis(5)), 0.1)
 
 
 def test_evolve_requires_positive_tol():
     basis = get_basis(4)
     with pytest.raises(ValueError):
-        evolve(vacuum(basis), catalog("K"), 0.1, tol=-1e-9)
+        evolve(vacuum(basis), matrix(catalog("K"), basis), 0.1, tol=-1e-9)
 
 
 def test_evolve_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
     basis = get_basis(4)
     with pytest.raises(EvolveError):
-        evolve(vacuum(basis), catalog("K"), 0.5)
+        evolve(vacuum(basis), matrix(catalog("K"), basis), 0.5)
 
 
 def test_unitarity_and_reversibility():
     basis = get_basis(8)
     tol = 1e-12
-    state = evolve(vacuum(basis), catalog("K"), 0.4, tol=tol)
+    k = matrix(catalog("K"), basis)
+    state = evolve(vacuum(basis), k, 0.4, tol=tol)
     assert abs(state.norm() - 1.0) <= tol + leakage(state)
-    back = evolve(state, catalog("K"), -0.4, tol=tol)
+    back = evolve(state, k, -0.4, tol=tol)
     assert np.max(np.abs(back.amps - vacuum(basis).amps)) < 10 * tol
 
 
 def test_perturbative_pair_amplitude():
     basis = get_basis(8)
-    state = evolve(vacuum(basis), catalog("K_OM"), 0.01)
+    state = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.01)
     amp = state.amplitude((1, 0, 1, 0))
     assert abs(amp - 0.005j) / 0.005 < 1e-4
     residual = state.amps.copy()
@@ -224,7 +259,7 @@ def test_evolve_matches_dense_exponential():
         for _ in range(rng.randint(1, 3)):
             g = catalog(rng.choice(hermitian_names))
             theta = rng.uniform(-0.5, 0.5)
-            state = evolve(state, g, theta)
+            state = evolve(state, matrix(g, basis), theta)
             reference = oracles.dense_evolve(reference, g, theta)
         assert np.max(np.abs(state.amps - reference.amps)) < 1e-10
 
@@ -235,7 +270,7 @@ def test_two_mode_squeezed_geometric_law():
     ladder no longer perturbs the low ratios."""
     gamma = 0.6
     basis = get_basis(24)
-    state = evolve(vacuum(basis), catalog("K_x_13"), gamma)
+    state = evolve(vacuum(basis), matrix(catalog("K_x_13"), basis), gamma)
     ladder = oracles.tmsv_ladder_amplitudes(gamma, n_max=12)
     oracle_ratio = abs(ladder[1] / ladder[0])
     ratios = []
@@ -249,21 +284,13 @@ def test_two_mode_squeezed_geometric_law():
         assert abs(state.amplitude((n, 0, n, 0)) - amp) < 1e-9
 
 
-def test_evolve_accepts_prebuilt_operator():
-    basis = get_basis(6)
-    sp = matrix(catalog("K"), basis)
-    a = evolve(vacuum(basis), sp, 0.2)
-    b = evolve(vacuum(basis), catalog("K"), 0.2)
-    assert np.max(np.abs(a.amps - b.amps)) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # leakage
 # ---------------------------------------------------------------------------
 
 def test_leakage_value_small_squeeze():
     basis = get_basis(8)
-    state = evolve(vacuum(basis), catalog("K"), 0.2)
+    state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.2)
     # frozen at build time from this computation; the pair ladder decays
     # geometrically so the top shells carry ~5e-8
     assert leakage(state) < 1e-7
@@ -273,7 +300,8 @@ def test_leakage_value_small_squeeze():
 def test_leakage_decreases_with_cutoff():
     values = []
     for cutoff in (6, 8, 10):
-        state = evolve(vacuum(get_basis(cutoff)), catalog("K"), 0.2)
+        basis = get_basis(cutoff)
+        state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.2)
         values.append(leakage(state))
     assert values[0] > values[1] > values[2]
 
@@ -292,7 +320,7 @@ def test_expect_product_requires_normalized():
     basis = get_basis(4)
     state = StateVector(basis, 2.0 * vacuum(basis).amps)
     with pytest.raises(ValueError):
-        expect_product(state, [matrix(catalog("sigma_z_a"), basis)])
+        expect_product(state, [catalog("sigma_z_a")])
 
 
 def test_vacuum_coincidence_vanishes():
@@ -320,7 +348,7 @@ def test_quartic_product_on_number_state():
 @pytest.mark.filterwarnings("ignore::bellsim.fock.TruncationWarning")
 def test_expectation_matches_diagonal_oracle():
     basis = get_basis(8)
-    state = evolve(vacuum(basis), catalog("K"), 0.35)
+    state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.35)
     num = expect_product(state, [catalog("sigma_z_a"), catalog("sigma_z_b")]).real
     den = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")]).real
     onum, oden = oracles.correlation_oracle(state)
@@ -354,7 +382,7 @@ def test_project_double_occupation_excluded():
 
 def test_projected_pair_source_is_singlet():
     basis = get_basis(8)
-    state = evolve(vacuum(basis), catalog("K"), 0.1)
+    state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.1)
     projected, weight = project_pi(state)
     assert weight > 0
     singlet = StateVector(
