@@ -29,6 +29,10 @@ first applies the one-photon-per-channel projection and renormalizes.
 The two agree as the squeeze parameter gamma -> 0 and their measured
 difference is O(gamma^2); the scan and report tooling makes that
 dependence an observable rather than an assumption.
+
+Analyzer settings (``correlation``, CHSH and delta scans) do not re-run the
+pipeline: the source runs once with both analyzers at 0, and every setting
+is contracted from a 2x2 sigma tensor of that state (:class:`AnalyzerSource`).
 """
 
 from __future__ import annotations
@@ -46,11 +50,13 @@ from .adjoint import conjugate
 from .catalog import catalog, UnknownGeneratorError
 from .fock import (
     EvolveError,
+    FockBasis,
     SparseOperator,
     StateVector,
     evolve,
     get_basis,
     leakage,
+    project_pi,
     vacuum,
 )
 
@@ -74,6 +80,12 @@ ANALYZER_PIPELINES = ("ideal", "ou_mandel")
 
 #: denominators (and projection weights) below this are reported degenerate
 DEGENERATE_EPS = 1e-14
+
+#: S must exceed the local bound 2 by more than this to count as a violation.
+#: Float rounding of S is ~1e-15 (at equal angles the exact S is 2), so the
+#: margin keeps dust from deciding the verdict; it is the order of
+#: RotationIdentityReport's shift tolerance.
+VIOLATION_MARGIN = 1e-9
 
 #: CHSH angles frozen from the deterministic grid search + refinement in
 #: tests/golden/chsh_maximizer.json (theta_a, theta_a', theta_b, theta_b')
@@ -191,9 +203,20 @@ def ou_mandel_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
 # pipeline execution
 # ---------------------------------------------------------------------------
 
+#: the Horne source generators conjugated by the 50/50 splitter, under
+#: private names so that their matrices share the stage-operator cache
+_BS_CONJUGATED = {"K_prime@BS": "K_prime", "J_prime@BS": "J_prime"}
+
+
 @lru_cache(maxsize=None)
 def _stage_operator(name: str, cutoff: int) -> SparseOperator:
-    return fock.matrix(catalog(name), get_basis(cutoff))
+    """Matrix of a catalog generator or observable (or of a ``_BS_CONJUGATED``
+    generator) at this cutoff, built once per process."""
+    if name in _BS_CONJUGATED:
+        op = conjugate(catalog("J_BS"), BS_5050, catalog(_BS_CONJUGATED[name]), tol=1e-15)
+    else:
+        op = catalog(name)
+    return fock.matrix(op, get_basis(cutoff))
 
 
 def run(spec: ExperimentSpec) -> StateVector:
@@ -227,17 +250,18 @@ class CorrelationReport:
         return asdict(self)
 
 
-def _occupation_sums(amps: np.ndarray, occupations: np.ndarray) -> tuple[float, float]:
-    """<(n1-n2)(n3-n4)> and <(n1+n2)(n3+n4)> over kets with these photon numbers.
+def _occupation_sums(amps: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """<(n1-n2)(n3-n4)> and <(n1+n2)(n3+n4)> over kets with these
+    ``FockBasis.channel_weights`` columns.
 
     Coincidence counting is diagonal in the Fock basis, so both are sums of
     |amplitude|^2 weighted by photon numbers.  The channel-b weight is
     applied first, as in the sparse product <sigma_a sigma_b>, so on the
     same vector both sums are bit-identical to :func:`fock.expect_product`.
     """
-    n1, n2, n3, n4 = occupations.T
-    num = np.vdot(amps, (n1 - n2) * ((n3 - n4) * amps))
-    den = np.vdot(amps, (n1 + n2) * ((n3 + n4) * amps))
+    z_a, z_b, n_a, n_b = weights
+    num = np.vdot(amps, z_a * (z_b * amps))
+    den = np.vdot(amps, n_a * (n_b * amps))
     return float(num.real), float(den.real)
 
 
@@ -249,7 +273,7 @@ def correlation_raw(state: StateVector, gamma: float = float("nan"),
     reported as C = 0 with the degenerate flag set (no coincidences).
     """
     state = state.normalized()
-    num, den = _occupation_sums(state.amps, state.basis.occupations)
+    num, den = _occupation_sums(state.amps, state.basis.channel_weights)
     leak = leakage(state)
     if den < DEGENERATE_EPS:
         return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta, degenerate=True)
@@ -267,22 +291,108 @@ def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
     """
     leak = leakage(state)
     kept = state.basis.coincidence
-    num, weight = _occupation_sums(state.amps[kept] / state.norm(), state.basis.occupations[kept])
+    num, weight = _occupation_sums(state.amps[kept] / state.norm(),
+                                   state.basis.channel_weights[:, kept])
     if weight < DEGENERATE_EPS:
         return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta, degenerate=True)
     return CorrelationReport("conditioned", num / weight, num / weight, 1.0, leak, gamma, delta)
 
 
-_ESTIMATOR_FUNCS = {"raw": correlation_raw, "conditioned": correlation_conditioned}
+# ---------------------------------------------------------------------------
+# analyzer settings from one source state
+# ---------------------------------------------------------------------------
+
+def _sigma_tensor(amps: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of an amplitude vector.
+
+    The channel-a and channel-b observables are hermitian and commute, so
+    T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal and two sparse products.
+    """
+    z_a, z_b = basis.channel_weights[:2]
+    side_a = np.stack([z_a * amps, _stage_operator("sigma_y_a", basis.cutoff).mat @ amps])
+    side_b = np.stack([z_b * amps, _stage_operator("sigma_y_b", basis.cutoff).mat @ amps])
+    return (side_a.conj() @ side_b.T).real
 
 
-def correlation(spec: ExperimentSpec, theta_a: float, theta_b: float) -> CorrelationReport:
-    """Run the pipeline at one analyzer setting and estimate C."""
+def _analyzer_vector(theta: float) -> np.ndarray:
+    """u(theta): an analyzer at theta, the stage e^{i 2 theta J}, turns
+    sigma_z into cos(2 theta) sigma_z - sin(2 theta) sigma_y."""
+    return np.array([math.cos(2.0 * theta), -math.sin(2.0 * theta)])
+
+
+@dataclass(frozen=True)
+class AnalyzerSource:
+    """An analyzer pipeline's state before the analyzers, reduced to what
+    every setting (theta_a, theta_b) reads.
+
+    The analyzers are passive rotations inside channel a and channel b.  They
+    keep each channel's photon number, so they commute with the coincidence
+    projection and leave the denominator, the coincidence weight and the
+    leakage unchanged, and they turn sigma_z into a combination of sigma_z
+    and sigma_y (checked exactly by :func:`sigma_rotation_error`).  Each
+    estimator's numerator is therefore u(theta_a)^T T u(theta_b) for a 2x2
+    tensor T of the source state.
+    """
+
+    spec: ExperimentSpec
+    leakage: float
+    #: T of the normalized state, and <(n1+n2)(n3+n4)> of it
+    raw_tensor: np.ndarray
+    raw_denominator: float
+    #: T of the normalized coincidence projection (zero when the weight is
+    #: degenerate), and the projection weight
+    cond_tensor: np.ndarray
+    cond_weight: float
+
+    def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
+        """One estimator at one setting, with the degenerate rules of
+        :func:`correlation_raw` and :func:`correlation_conditioned`."""
+        gamma, delta, leak = self.spec.gamma, theta_a - theta_b, self.leakage
+        u_a, u_b = _analyzer_vector(theta_a), _analyzer_vector(theta_b)
+        if estimator == "raw":
+            num, den = float(u_a @ self.raw_tensor @ u_b), self.raw_denominator
+            if den < DEGENERATE_EPS:
+                return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta, degenerate=True)
+            return CorrelationReport("raw", num / den, num, den, leak, gamma, delta)
+        if self.cond_weight < DEGENERATE_EPS:
+            return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta,
+                                     degenerate=True)
+        value = float(u_a @ self.cond_tensor @ u_b)
+        return CorrelationReport("conditioned", value, value, 1.0, leak, gamma, delta)
+
+    def chsh(self, angles: "ChshAngles") -> "ChshReport":
+        spec = self.spec
+        reports = tuple(self.report(spec.estimator, ta, tb) for ta, tb in angles.settings())
+        return ChshReport(reports, angles, spec.estimator, spec.gamma, spec.cutoff)
+
+
+def analyzer_source(spec: ExperimentSpec,
+                    settings: Sequence[tuple[float, float]] = ()) -> AnalyzerSource:
+    """Run ``spec`` once with both analyzers at 0 (``run`` skips those stages)
+    and reduce the state to an :class:`AnalyzerSource`.
+
+    ``settings`` are the (theta_a, theta_b) pairs the caller will evaluate;
+    each is validated with the spec, as a run at that setting would be.
+    """
     if spec.name not in ANALYZER_PIPELINES:
         raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
                           f"expected one of {ANALYZER_PIPELINES}")
-    state = run(replace(spec, theta_a=theta_a, theta_b=theta_b))
-    return _ESTIMATOR_FUNCS[spec.estimator](state, spec.gamma, theta_a - theta_b)
+    for theta_a, theta_b in settings:
+        replace(spec, theta_a=theta_a, theta_b=theta_b).validate()
+    state = run(replace(spec, theta_a=0.0, theta_b=0.0)).normalized()
+    basis = state.basis
+    _, den = _occupation_sums(state.amps, basis.channel_weights)
+    projected, weight = project_pi(state)
+    cond_tensor = np.zeros((2, 2))
+    if weight >= DEGENERATE_EPS:
+        cond_tensor = _sigma_tensor(projected.amps / math.sqrt(weight), basis)
+    return AnalyzerSource(spec, leakage(state), _sigma_tensor(state.amps, basis), den,
+                          cond_tensor, weight)
+
+
+def correlation(spec: ExperimentSpec, theta_a: float, theta_b: float) -> CorrelationReport:
+    """Estimate C at one analyzer setting from the spec's source state."""
+    return analyzer_source(spec, [(theta_a, theta_b)]).report(spec.estimator, theta_a, theta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +414,8 @@ class ChshReport:
 
     @property
     def violation(self) -> bool:
-        return self.s_value > 2.0
+        """S exceeds the local bound 2 by more than :data:`VIOLATION_MARGIN`."""
+        return self.s_value > 2.0 + VIOLATION_MARGIN
 
     def to_dict(self) -> dict:
         return {
@@ -327,22 +438,22 @@ def chsh(spec: ExperimentSpec, angles: ChshAngles | None = None) -> ChshReport:
     """Evaluate S = |C(a,b) + C(a,b') + C(a',b) - C(a',b')|."""
     if angles is None:
         raise ConfigError("chsh requires four analyzer angles")
-    reports = tuple(correlation(spec, ta, tb) for ta, tb in angles.settings())
-    return ChshReport(reports, angles, spec.estimator, spec.gamma, spec.cutoff)
+    return analyzer_source(spec, angles.settings()).chsh(angles)
 
 
 def chsh_grid(spec: ExperimentSpec, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise correlations on an n-point angle grid over [0, pi).
 
     Returns (grid angles, C matrix) where C[i, j] is the estimator value at
-    analyzer angles (grid[i], grid[j]); every entry is produced by a full
-    pipeline run.
+    analyzer angles (grid[i], grid[j]); every entry is contracted from one
+    :class:`AnalyzerSource` of the spec.
     """
+    source = analyzer_source(spec)
     grid = np.arange(n) * math.pi / n
     c = np.empty((n, n))
     for i, ta in enumerate(grid):
         for j, tb in enumerate(grid):
-            c[i, j] = correlation(spec, float(ta), float(tb)).value
+            c[i, j] = source.report(spec.estimator, float(ta), float(tb)).value
     return grid, c
 
 
@@ -367,9 +478,10 @@ def refine_chsh_maximizer(spec: ExperimentSpec, start: ChshAngles,
                           initial_step: float = math.pi / 32,
                           min_step: float = 1e-8) -> tuple[float, ChshAngles]:
     """Deterministic coordinate pattern search around a grid maximizer."""
+    source = analyzer_source(spec, start.settings())
 
     def s_at(values: list[float]) -> float:
-        return chsh(spec, ChshAngles(*values)).s_value
+        return source.chsh(ChshAngles(*values)).s_value
 
     current = list(start.as_tuple())
     best = s_at(current)
@@ -431,36 +543,55 @@ class ScanTable:
         }
 
 
-#: the setting of one scan row: a delta row sets (theta_a, theta_b) = (value, 0);
-#: gamma and phi rows replace only the scanned field
+#: the setting of one gamma or phi row: the scanned field replaced; a delta
+#: row is the analyzer setting (theta_a, theta_b) = (value, 0)
 _SCAN_SETTINGS = {
-    "delta": lambda spec, v: replace(spec, theta_a=v, theta_b=0.0),
     "gamma": lambda spec, v: replace(spec, gamma=v),
     "phi": lambda spec, v: replace(spec, phi=v),
 }
-SCAN_AXES = tuple(_SCAN_SETTINGS)
+SCAN_AXES = ("delta", *_SCAN_SETTINGS)
 
 
-def _scan_row(spec: ExperimentSpec, axis: str, value: float) -> ScanRow:
-    try:
-        setting = _SCAN_SETTINGS[axis](spec, value)
-        state = run(setting)
-        delta = value if axis == "delta" else float("nan")
-        raw = correlation_raw(state, setting.gamma, delta)
-        cond = correlation_conditioned(state, setting.gamma, delta)
-        return ScanRow(value, raw.value, cond.value, raw.numerator, raw.denominator,
-                       raw.leakage, raw.degenerate, cond.degenerate)
-    except (EvolveError, ConfigError, ValueError) as exc:
-        return ScanRow(value, float("nan"), float("nan"), float("nan"), float("nan"),
-                       float("nan"), failed=True, message=str(exc))
+def _scan_row(value: float, raw: CorrelationReport, cond: CorrelationReport) -> ScanRow:
+    return ScanRow(value, raw.value, cond.value, raw.numerator, raw.denominator,
+                   raw.leakage, raw.degenerate, cond.degenerate)
+
+
+def _failed_row(value: float, exc: Exception) -> ScanRow:
+    nan = float("nan")
+    return ScanRow(value, nan, nan, nan, nan, nan, failed=True, message=str(exc))
+
+
+def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[ScanRow, ...]:
+    if axis == "delta":
+        # one source state for every row; if it fails, every row fails with it
+        try:
+            source = analyzer_source(spec)
+        except (EvolveError, ValueError) as exc:
+            return tuple(_failed_row(v, exc) for v in values)
+        return tuple(_scan_row(v, source.report("raw", v, 0.0),
+                               source.report("conditioned", v, 0.0)) for v in values)
+    rows = []
+    for value in values:
+        try:
+            setting = _SCAN_SETTINGS[axis](spec, value)
+            state = run(setting)
+            raw = correlation_raw(state, setting.gamma)
+            cond = correlation_conditioned(state, setting.gamma)
+        except (EvolveError, ValueError) as exc:
+            rows.append(_failed_row(value, exc))
+        else:
+            rows.append(_scan_row(value, raw, cond))
+    return tuple(rows)
 
 
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
     """Map both estimators over a parameter grid.
 
-    Each row runs a copy of ``spec`` with the scanned field replaced; rows
-    are computed in grid order.  The grid must be non-empty, finite and
-    strictly monotone.
+    A gamma or phi row runs a copy of ``spec`` with the scanned field
+    replaced; delta rows are analyzer settings (value, 0) of one
+    :class:`AnalyzerSource`.  Rows are computed in grid order.  The grid
+    must be non-empty, finite and strictly monotone.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -479,7 +610,7 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
         raise ConfigError(f"axis 'delta' needs analyzer angles; pipeline {spec.name!r} has none")
     if axis == "phi" and spec.name != "horne":
         raise ConfigError(f"axis 'phi' applies to the horne pipeline, not {spec.name!r}")
-    rows = tuple(_scan_row(spec, axis, v) for v in values)
+    rows = _scan_rows(spec, axis, values)
     return ScanTable(axis, spec.name, spec.estimator, spec.gamma, spec.cutoff, rows)
 
 
@@ -567,11 +698,7 @@ def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
     """
     if spec.name != "horne":
         raise ConfigError("conjugated form is defined for the horne pipeline")
-    j_bs = catalog("J_BS")
-    k_conj = conjugate(j_bs, BS_5050, catalog("K_prime"), tol=1e-15)
-    j_conj = conjugate(j_bs, BS_5050, catalog("J_prime"), tol=1e-15)
-    basis = get_basis(spec.cutoff)
-    state = vacuum(basis)
-    state = evolve(state, fock.matrix(k_conj, basis), spec.gamma, spec.tol)
-    state = evolve(state, fock.matrix(j_conj, basis), spec.phi, spec.tol)
+    state = vacuum(get_basis(spec.cutoff))
+    state = evolve(state, _stage_operator("K_prime@BS", spec.cutoff), spec.gamma, spec.tol)
+    state = evolve(state, _stage_operator("J_prime@BS", spec.cutoff), spec.phi, spec.tol)
     return state

@@ -81,6 +81,10 @@ class FockBasis:
         #: ascending search keys, one per state (see :func:`_keys`)
         self.keys = keys[order]
         self.totals = self.occupations.sum(axis=1)
+        n1, n2, n3, n4 = self.occupations.T
+        #: (4, dim) rows n1-n2, n3-n4, n1+n2, n3+n4: the eigenvalues of
+        #: sigma_z and sigma_0 in channels a and b
+        self.channel_weights = np.stack([n1 - n2, n3 - n4, n1 + n2, n3 + n4])
         self.states: tuple[Occupation, ...] = tuple(map(tuple, self.occupations.tolist()))
         #: basis indices of the PI_KEPT kets, in that order (none below cutoff 2)
         kept = np.array(PI_KEPT, dtype=np.int64)

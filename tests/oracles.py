@@ -7,18 +7,23 @@ implementation, and diagonal expectations are direct occupation sums.
 Agreement between these oracles and the library is what the oracle tests
 certify.  The one exception is :func:`column_loop_matrix`, which shares the
 library's matrix-element arithmetic on purpose, to pin the vectorized
-matrix build bit for bit.
+matrix build bit for bit.  :func:`correlation_by_run` and
+:func:`chsh_grid_by_runs` use the library's pipeline and estimators, but
+evolve every analyzer setting through its rotation stages, which the
+library's analyzer-setting route never does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from bellsim import experiments
 from bellsim.algebra import Kind, QuadOp
 from bellsim.fock import FockBasis, StateVector
 
@@ -150,3 +155,20 @@ def tmsv_ladder_amplitudes(gamma: float, n_max: int) -> np.ndarray:
     e0 = np.zeros(n_max + 1)
     e0[0] = 1.0
     return scipy.linalg.expm(1j * gamma * h) @ e0
+
+
+def correlation_by_run(spec, theta_a: float, theta_b: float):
+    """C at one analyzer setting by brute force: a full pipeline run with both
+    analyzer stages, then the spec's estimator on the final state."""
+    state = experiments.run(replace(spec, theta_a=theta_a, theta_b=theta_b))
+    estimator = {"raw": experiments.correlation_raw,
+                 "conditioned": experiments.correlation_conditioned}[spec.estimator]
+    return estimator(state, spec.gamma, theta_a - theta_b)
+
+
+def chsh_grid_by_runs(spec, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """``experiments.chsh_grid`` by brute force: one full run per grid setting."""
+    grid = np.arange(n) * math.pi / n
+    c = np.array([[correlation_by_run(spec, float(ta), float(tb)).value for tb in grid]
+                  for ta in grid])
+    return grid, c

@@ -303,6 +303,21 @@ def test_scan_csv_golden(tmp_path, capsys):
             assert float(a) == pytest.approx(float(b), rel=1e-9, abs=1e-12)
 
 
+def test_scan_delta_huge_angle(capsys):
+    code, out, _ = invoke(capsys, "scan", "--axis", "delta", "--values", "0,1e6")
+    assert code == EXIT_OK
+    for line in out.splitlines()[1:3]:
+        parameter, _, c_cond = map(float, line.split(",")[:3])
+        assert c_cond == pytest.approx(-math.cos(2 * parameter), abs=1e-9)
+
+
+def test_scan_delta_source_failure_exit_code(capsys):
+    code, out, _ = invoke(capsys, "scan", "--axis", "delta", "--values", "0,0.5",
+                          "--gamma", "1e9", "--cutoff", "4")
+    assert code == EXIT_NUMERIC
+    assert "2 rows, 2 failed" in out
+
+
 def test_scan_json_format(capsys):
     code, out, _ = invoke(capsys, "scan", "--axis", "gamma", "--values", "0.1,0.2",
                           "--format", "json", "--cutoff", "6")

@@ -12,13 +12,18 @@ from conftest import GOLDEN_DIR
 import oracles
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog
 from bellsim.experiments import (
+    ANALYZER_PIPELINES,
     BS_5050,
     CHSH_MAXIMIZER,
+    ESTIMATORS,
     _RECIPES,
     ChshAngles,
+    ChshReport,
     ConfigError,
+    CorrelationReport,
     ExperimentSpec,
     chsh,
+    chsh_grid,
     chsh_grid_search,
     conjugated_pipeline_state,
     correlation,
@@ -36,6 +41,7 @@ from bellsim.experiments import (
 from bellsim.fock import (
     StateVector, expect_product, fock_state, get_basis, project_pi, vacuum)
 from bellsim.adjoint import conjugate
+import bellsim.experiments as experiments
 import bellsim.fock as fock
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -266,6 +272,21 @@ def test_chsh_equal_angles_no_violation():
     assert not report.violation
 
 
+def test_violation_needs_margin_above_two():
+    """S within float dust of the local bound 2 is no violation."""
+
+    def report(s: float) -> ChshReport:
+        values = (s - 1.5, 0.5, 0.5, -0.5)
+        return ChshReport(tuple(CorrelationReport("conditioned", v, v, 1.0, 0.0, 0.1, 0.0)
+                                for v in values),
+                          ChshAngles(0.0, 0.0, 0.0, 0.0), "conditioned", 0.1, 8)
+
+    assert report(2.0 + 1e-15).s_value > 2.0
+    assert not report(2.0 + 1e-15).violation
+    assert not report(2.0 - 1e-15).violation
+    assert report(2.0 + 1e-6).violation
+
+
 def test_chsh_degenerate_source_scores_zero():
     report = chsh(ideal_spec(0.0), ChshAngles(*CHSH_MAXIMIZER))
     assert report.s_value == 0.0
@@ -294,6 +315,61 @@ def test_chsh_refinement_converges():
     best, angles = refine_chsh_maximizer(ideal_spec(0.1), start,
                                          initial_step=0.02, min_step=1e-7)
     assert best == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
+
+
+#: analyzer settings for the route checks, including negative angles and
+#: angles beyond 2 pi
+_SETTINGS = ((0.0, 0.0), (-0.4, 0.3), (1.1, -2.7), (7.0, 6.5), (-6.9, 13.0))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.1, 0.4])
+@pytest.mark.parametrize("cutoff", [4, 8, 16])
+@pytest.mark.parametrize("name", ANALYZER_PIPELINES)
+def test_analyzer_settings_match_full_runs(name, cutoff, gamma):
+    """Settings contracted from one source state equal a full run through
+    the analyzer stages at each setting."""
+    for estimator in ESTIMATORS:
+        spec = ExperimentSpec(name, estimator=estimator, gamma=gamma, cutoff=cutoff)
+        for theta_a, theta_b in _SETTINGS:
+            report = correlation(spec, theta_a, theta_b)
+            reference = oracles.correlation_by_run(spec, theta_a, theta_b)
+            assert report.degenerate == reference.degenerate
+            assert report.delta == reference.delta
+            for field in ("value", "numerator", "denominator", "leakage"):
+                assert getattr(report, field) == pytest.approx(getattr(reference, field),
+                                                               abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ANALYZER_PIPELINES)
+def test_chsh_grid_matches_full_runs(name):
+    for estimator in ESTIMATORS:
+        spec = ExperimentSpec(name, estimator=estimator, gamma=0.3, cutoff=8)
+        grid, c = chsh_grid(spec, 5)
+        reference_grid, reference = oracles.chsh_grid_by_runs(spec, 5)
+        assert np.array_equal(grid, reference_grid)
+        assert np.max(np.abs(c - reference)) < 1e-10
+
+
+def test_analyzer_settings_run_the_source_once(monkeypatch):
+    calls = []
+    original = experiments.run
+    monkeypatch.setattr(experiments, "run", lambda spec: calls.append(spec) or original(spec))
+    spec = ou_mandel_spec(0.1)
+    chsh(spec, ChshAngles(*CHSH_MAXIMIZER))
+    assert len(calls) == 1
+    table = scan(spec, "delta", np.linspace(0.0, math.pi, 65))
+    assert len(table.rows) == 65 and len(calls) == 2
+    chsh_grid_search(spec, 4)
+    assert len(calls) == 3
+    refine_chsh_maximizer(spec, ChshAngles(*CHSH_MAXIMIZER), initial_step=0.01, min_step=0.005)
+    assert len(calls) == 4
+
+
+def test_chsh_at_huge_angles():
+    """Analyzer angles never pass through evolve, so any finite angle works;
+    a common shift leaves S unchanged."""
+    shifted = ChshAngles(*(1e6 + a for a in CHSH_MAXIMIZER))
+    assert chsh(ideal_spec(0.1), shifted).s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
 
 def test_ou_mandel_chsh_matches_ideal():
@@ -362,6 +438,20 @@ def test_scan_marks_failed_rows():
     assert not table.rows[0].failed
     assert table.rows[1].failed
     assert "substeps" in table.rows[1].message or "tol" in table.rows[1].message
+
+
+def test_delta_scan_at_huge_angle():
+    table = scan(ideal_spec(0.1), "delta", [0.0, 1e6])
+    for row in table.rows:
+        assert not row.failed
+        assert row.c_cond == pytest.approx(-math.cos(2 * row.parameter), abs=1e-9)
+
+
+def test_delta_rows_fail_with_the_source():
+    table = scan(ideal_spec(1e9, cutoff=4), "delta", [0.0, 0.5, 1.0])
+    assert all(row.failed for row in table.rows)
+    messages = {row.message for row in table.rows}
+    assert len(messages) == 1 and "substeps" in messages.pop()
 
 
 def test_scan_rejects_custom_pipeline():
@@ -442,6 +532,17 @@ def test_horne_staged_equals_conjugated():
     staged = run(spec)
     conjugated = conjugated_pipeline_state(spec)
     assert np.max(np.abs(staged.amps - conjugated.amps)) < 1e-9
+
+
+def test_conjugated_generators_built_once(monkeypatch):
+    spec = horne_spec(0.1, 1.3, cutoff=10)
+    conjugated_pipeline_state(spec)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("conjugate called again")
+
+    monkeypatch.setattr(experiments, "conjugate", fail)
+    assert run(spec).fidelity(conjugated_pipeline_state(spec)) >= 1.0 - 1e-12
 
 
 def test_ou_mandel_staged_equals_conjugated_source():

@@ -47,6 +47,8 @@ def test_index_roundtrip():
         assert basis.state(k) == occ
         assert tuple(basis.occupations[k]) == occ
         assert basis.totals[k] == sum(occ)
+        n1, n2, n3, n4 = occ
+        assert tuple(basis.channel_weights[:, k]) == (n1 - n2, n3 - n4, n1 + n2, n3 + n4)
 
 
 def test_graded_lexicographic_order():
