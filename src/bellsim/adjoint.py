@@ -27,6 +27,7 @@ from scipy.linalg import expm
 from .algebra import (
     ALL_ELEMENTS,
     DIM_BASIS,
+    ELEMENT_INDEX,
     SCALAR_SLOT,
     BasisElement,
     QuadOp,
@@ -47,29 +48,12 @@ class FloatOp:
     coeffs: dict[BasisElement, complex] = field(default_factory=dict)
     scalar: complex = 0.0
 
-    def coeff(self, elem: BasisElement) -> complex:
-        return self.coeffs.get(elem, 0.0)
-
-    def terms(self) -> list[tuple[BasisElement, complex]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def max_coeff_distance(self, other) -> float:
-        """Largest coefficient difference against a QuadOp or FloatOp."""
-        elems = set(self.coeffs) | set(other.coeffs)
-        worst = abs(self.scalar - complex(other.scalar))
-        for elem in elems:
-            worst = max(worst, abs(self.coeff(elem) - complex(other.coeff(elem))))
-        return worst
-
-
-_INDEX = {e: k for k, e in enumerate(ALL_ELEMENTS)}
-
 
 def coefficient_vector(op: QuadOp | FloatOp) -> np.ndarray:
     """37-component complex vector of an operator."""
     vec = np.zeros(ADJOINT_DIM, dtype=np.complex128)
     for elem, coeff in op.coeffs.items():
-        vec[_INDEX[elem]] = complex(coeff)
+        vec[ELEMENT_INDEX[elem]] = complex(coeff)
     vec[SCALAR_SLOT] = complex(op.scalar)
     return vec
 
@@ -101,7 +85,7 @@ def ad_matrix(g: QuadOp) -> np.ndarray:
             for be, bc in bracket.coeffs.items():
                 total[be] = total.get(be, 0.0) + complex(gc) * complex(bc)
         for be, value in total.items():
-            mat[_INDEX[be], col] = value
+            mat[ELEMENT_INDEX[be], col] = value
     return mat
 
 

@@ -13,10 +13,8 @@ subalgebra-closure question here is decided exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -121,9 +119,6 @@ class QuadOp:
     @staticmethod
     def of(elem: BasisElement, coeff=ONE) -> "QuadOp":
         return QuadOp.make({elem: CRat.coerce(coeff)})
-
-    def coeff(self, elem: BasisElement) -> CRat:
-        return self.coeffs.get(elem, ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs and self.scalar.is_zero()
@@ -243,75 +238,6 @@ def commutator(x: QuadOp, y: QuadOp) -> QuadOp:
     return total
 
 
-def dagger(x: QuadOp) -> QuadOp:
-    return x.dagger()
-
-
-def hermitian(x: QuadOp) -> bool:
-    return x.is_hermitian()
-
-
-# --------------------------------------------------------------------------
-# exact linear algebra over the 37-dimensional coefficient space
-# --------------------------------------------------------------------------
-
-def coefficient_row(op: QuadOp) -> list[CRat]:
-    row = [ZERO] * (DIM_BASIS + 1)
-    for elem, coeff in op.coeffs.items():
-        row[ELEMENT_INDEX[elem]] = coeff
-    row[SCALAR_SLOT] = op.scalar
-    return row
-
-
-def solve_in_span(target: QuadOp, ops: Sequence[QuadOp]) -> tuple[list[CRat] | None, QuadOp]:
-    """Write ``target`` as an exact rational combination of ``ops``.
-
-    Returns (coefficients, residual).  When the target lies in the span the
-    residual is the zero operator; otherwise coefficients is None and the
-    residual is ``target - projection`` for the best consistent prefix
-    (callers only rely on residual.is_zero()).
-    """
-    cols = [coefficient_row(op) for op in ops]
-    rhs = coefficient_row(target)
-    n = len(ops)
-    rows = DIM_BASIS + 1
-    # Gaussian elimination on the transposed system: find x with sum x_k cols[k] = rhs
-    matrix = [[cols[k][r] for k in range(n)] + [rhs[r]] for r in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    rank_row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank_row, rows):
-            if not matrix[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[rank_row], matrix[pivot] = matrix[pivot], matrix[rank_row]
-        inv = ONE / matrix[rank_row][col]
-        matrix[rank_row] = [v * inv for v in matrix[rank_row]]
-        for r in range(rows):
-            if r != rank_row and not matrix[r][col].is_zero():
-                factor = matrix[r][col]
-                matrix[r] = [v - factor * p for v, p in zip(matrix[r], matrix[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    # inconsistent if a zero row has nonzero rhs
-    for r in range(rank_row, rows):
-        if not matrix[r][n].is_zero():
-            coeffs_partial = [ZERO] * n
-            for row_idx, col_idx in pivots:
-                coeffs_partial[col_idx] = matrix[row_idx][n]
-            combo = QuadOp.zero()
-            for c, op in zip(coeffs_partial, ops):
-                combo = combo + op * c
-            return None, target - combo
-    coeffs = [ZERO] * n
-    for row_idx, col_idx in pivots:
-        coeffs[col_idx] = matrix[row_idx][n]
-    return coeffs, QuadOp.zero()
-
-
 # --------------------------------------------------------------------------
 # verification reports
 # --------------------------------------------------------------------------
@@ -324,10 +250,6 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def summary(self) -> str:
-        good = self.pairs_checked - len(self.mismatches)
-        return f"{good}/{self.pairs_checked} structure constants OK"
 
 
 def verify_structure_constants() -> StructureReport:
@@ -379,10 +301,6 @@ class ClosureReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def summary(self) -> str:
-        state = "closed" if self.ok else f"{len(self.mismatches)} mismatches"
-        return f"{{{', '.join(self.names)}}}: {state}"
-
 
 def verify_closure(ops: Sequence[QuadOp], table: ClosureTable,
                    names: Sequence[str] | None = None) -> ClosureReport:
@@ -409,39 +327,3 @@ def verify_closure(ops: Sequence[QuadOp], table: ClosureTable,
             if not diff.is_zero():
                 mismatches.append((r, c, diff))
     return ClosureReport(names, mismatches)
-
-
-@dataclass
-class SpanClosureReport:
-    """Result of checking that ad_g maps span(ops) into itself."""
-
-    closed: bool
-    coefficients: list[list[CRat] | None]
-    residuals: list[QuadOp]
-
-
-def span_closure_under_ad(g: QuadOp, ops: Sequence[QuadOp]) -> SpanClosureReport:
-    """Decide exactly whether [g, op_k] lies in span(ops) for every k."""
-    coeff_rows: list[list[CRat] | None] = []
-    residuals: list[QuadOp] = []
-    closed = True
-    for op in ops:
-        coeffs, residual = solve_in_span(commutator(g, op), ops)
-        coeff_rows.append(coeffs)
-        residuals.append(residual)
-        if coeffs is None:
-            closed = False
-    return SpanClosureReport(closed, coeff_rows, residuals)
-
-
-def random_rational_combination(rng: random.Random, max_terms: int = 4) -> QuadOp:
-    """Small random rational combination of basis elements (test helper)."""
-    n = rng.randint(1, max_terms)
-    terms = []
-    for _ in range(n):
-        elem = ALL_ELEMENTS[rng.randrange(DIM_BASIS)]
-        num = rng.randint(-3, 3)
-        den = rng.choice([1, 2, 4])
-        im_num = rng.randint(-2, 2)
-        terms.append((elem, CRat.of(Fraction(num, den), Fraction(im_num, den))))
-    return QuadOp.make(terms)

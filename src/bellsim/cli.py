@@ -416,14 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the final state in the JSON report")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("chsh", help="evaluate the four-setting CHSH figure of merit")
+    p = sub.add_parser("chsh", help="evaluate the four-setting CHSH figure of merit",
+                       description="Evaluate the four-setting CHSH figure of merit. "
+                                   "Takes the ideal and ou_mandel pipelines only: horne "
+                                   "and custom have no analyzer stages to set.")
     _add_common(p)
     p.add_argument("--angles", default=None,
                    help="theta_a,theta_a_prime,theta_b,theta_b_prime "
                         "(default: the frozen maximizer)")
     p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("scan", help="sweep a parameter and tabulate both estimators")
+    p = sub.add_parser("scan", help="sweep a parameter and tabulate both estimators",
+                       description="Sweep a parameter and tabulate both estimators. "
+                                   "Needs a named pipeline, not custom: --axis delta takes "
+                                   "ideal and ou_mandel, --axis phi takes horne, and "
+                                   "--axis gamma takes all three.")
     _add_common(p)
     p.add_argument("--axis", choices=("delta", "gamma", "phi"), required=True)
     p.add_argument("--start", type=float, default=0.0)

@@ -83,12 +83,13 @@ DEGENERATE_EPS = 1e-14
 
 #: S must exceed the local bound 2 by more than this to count as a violation.
 #: Float rounding of S is ~1e-15 (at equal angles the exact S is 2), so the
-#: margin keeps dust from deciding the verdict; it is the order of
-#: RotationIdentityReport's shift tolerance.
+#: margin keeps dust from deciding the verdict; it is the order of the
+#: tolerance to which the tests hold C invariant under a common analyzer shift.
 VIOLATION_MARGIN = 1e-9
 
-#: CHSH angles frozen from the deterministic grid search + refinement in
-#: tests/golden/chsh_maximizer.json (theta_a, theta_a', theta_b, theta_b')
+#: CHSH angles frozen from the deterministic grid search + refinement of
+#: tests/oracles.py, recorded in tests/golden/chsh_maximizer.json
+#: (theta_a, theta_a', theta_b, theta_b')
 CHSH_MAXIMIZER = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
 
 
@@ -329,7 +330,7 @@ class AnalyzerSource:
     keep each channel's photon number, so they commute with the coincidence
     projection and leave the denominator, the coincidence weight and the
     leakage unchanged, and they turn sigma_z into a combination of sigma_z
-    and sigma_y (checked exactly by :func:`sigma_rotation_error`).  Each
+    and sigma_y (checked by ``sigma_rotation_error`` in tests/oracles.py).  Each
     estimator's numerator is therefore u(theta_a)^T T u(theta_b) for a 2x2
     tensor T of the source state.
     """
@@ -439,65 +440,6 @@ def chsh(spec: ExperimentSpec, angles: ChshAngles | None = None) -> ChshReport:
     if angles is None:
         raise ConfigError("chsh requires four analyzer angles")
     return analyzer_source(spec, angles.settings()).chsh(angles)
-
-
-def chsh_grid(spec: ExperimentSpec, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise correlations on an n-point angle grid over [0, pi).
-
-    Returns (grid angles, C matrix) where C[i, j] is the estimator value at
-    analyzer angles (grid[i], grid[j]); every entry is contracted from one
-    :class:`AnalyzerSource` of the spec.
-    """
-    source = analyzer_source(spec)
-    grid = np.arange(n) * math.pi / n
-    c = np.empty((n, n))
-    for i, ta in enumerate(grid):
-        for j, tb in enumerate(grid):
-            c[i, j] = source.report(spec.estimator, float(ta), float(tb)).value
-    return grid, c
-
-
-def chsh_grid_search(spec: ExperimentSpec, n: int = 16) -> tuple[float, ChshAngles, np.ndarray]:
-    """Deterministic maximizer search for S over the n^4 angle grid.
-
-    Values are rounded to 12 decimals before the argmax so that ties at
-    the true maximum are broken lexicographically rather than by
-    platform-dependent floating-point dust.
-    """
-    grid, c = chsh_grid(spec, n)
-    s = np.abs(
-        c[:, None, :, None] + c[:, None, None, :] + c[None, :, :, None] - c[None, :, None, :]
-    )
-    flat = int(np.argmax(np.round(s, 12)))
-    ka, kap, kb, kbp = np.unravel_index(flat, s.shape)
-    angles = ChshAngles(float(grid[ka]), float(grid[kap]), float(grid[kb]), float(grid[kbp]))
-    return float(s[ka, kap, kb, kbp]), angles, s
-
-
-def refine_chsh_maximizer(spec: ExperimentSpec, start: ChshAngles,
-                          initial_step: float = math.pi / 32,
-                          min_step: float = 1e-8) -> tuple[float, ChshAngles]:
-    """Deterministic coordinate pattern search around a grid maximizer."""
-    source = analyzer_source(spec, start.settings())
-
-    def s_at(values: list[float]) -> float:
-        return source.chsh(ChshAngles(*values)).s_value
-
-    current = list(start.as_tuple())
-    best = s_at(current)
-    step = initial_step
-    while step >= min_step:
-        improved = False
-        for axis in range(4):
-            for sign in (+1.0, -1.0):
-                trial = list(current)
-                trial[axis] += sign * step
-                value = s_at(trial)
-                if value > best + 1e-15:
-                    best, current, improved = value, trial, True
-        if not improved:
-            step /= 2.0
-    return best, ChshAngles(*current)
 
 
 # ---------------------------------------------------------------------------
@@ -615,77 +557,8 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
 
 
 # ---------------------------------------------------------------------------
-# identity checks
+# Horne cross-check
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RotationIdentityReport:
-    """Invariance of both estimators under a common analyzer shift, plus the
-    conjugation expansion of sigma_z under the difference rotation."""
-
-    shifts: tuple[float, ...]
-    raw_deviation: float
-    conditioned_deviation: float
-    conjugation_error: float
-
-    def ok(self, shift_tol: float = 1e-9, conj_tol: float = 1e-10) -> bool:
-        return (self.raw_deviation < shift_tol
-                and self.conditioned_deviation < shift_tol
-                and self.conjugation_error < conj_tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "shifts": list(self.shifts),
-            "raw_deviation": self.raw_deviation,
-            "conditioned_deviation": self.conditioned_deviation,
-            "conjugation_error": self.conjugation_error,
-            "ok": self.ok(),
-        }
-
-
-def sigma_rotation_error(delta: float) -> float:
-    """Max coefficient error of U_-^† sigma_z U_- against the rotation form.
-
-    U_-(d) = e^{i d J} must satisfy
-        U_-^† (sigma_z)_a U_- = cos(d) (sigma_z)_a - sin(d) (sigma_y)_a
-        U_-^† (sigma_z)_b U_- = cos(d) (sigma_z)_b + sin(d) (sigma_y)_b
-    which pins down the sigma_y sign convention.
-    """
-    j = catalog("J")
-    worst = 0.0
-    for channel, sign in (("a", -1.0), ("b", +1.0)):
-        actual = conjugate(j, -delta, catalog(f"sigma_z_{channel}"))
-        expected: dict = {}
-        for elem, coeff in catalog(f"sigma_z_{channel}").coeffs.items():
-            expected[elem] = complex(coeff) * math.cos(delta)
-        for elem, coeff in catalog(f"sigma_y_{channel}").coeffs.items():
-            expected[elem] = expected.get(elem, 0.0) + sign * math.sin(delta) * complex(coeff)
-        elems = set(actual.coeffs) | set(expected)
-        for elem in elems:
-            worst = max(worst, abs(actual.coeff(elem) - expected.get(elem, 0.0)))
-        worst = max(worst, abs(actual.scalar))
-    return worst
-
-
-def verify_rotation_identity(gamma: float, theta_a: float, theta_b: float,
-                             shifts: Sequence[float] = (0.3, 1.1),
-                             cutoff: int = DEFAULT_CUTOFF) -> RotationIdentityReport:
-    raw_dev = 0.0
-    cond_dev = 0.0
-    for estimator in ESTIMATORS:
-        spec = ideal_spec(gamma, estimator=estimator, cutoff=cutoff)
-        reference = correlation(spec, theta_a, theta_b).value
-        for s in shifts:
-            value = correlation(spec, theta_a + s, theta_b + s).value
-            dev = abs(value - reference)
-            if estimator == "raw":
-                raw_dev = max(raw_dev, dev)
-            else:
-                cond_dev = max(cond_dev, dev)
-    conj_err = max(sigma_rotation_error(theta_a - theta_b),
-                   sigma_rotation_error(math.pi / 2))
-    return RotationIdentityReport(tuple(shifts), raw_dev, cond_dev, conj_err)
-
 
 def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
     """The Horne pipeline evaluated through conjugated generators.

@@ -8,9 +8,9 @@ order, so index lookups are binary searches.  Operators become sparse CSR
 matrices with the standard sqrt(n) matrix elements; pair creation out of
 the top shell is dropped, which is the sole way truncation enters.  The
 truncated generator of a hermitian operator is still hermitian, so the
-evolution computed here is exactly unitary on the truncated space; the
-*difference from the untruncated dynamics* is certified small by the
-:func:`leakage` diagnostic (weight on the top two shells).
+evolution computed here is exactly unitary on the truncated space.  The
+:func:`leakage` of a state is its weight on the top two shells, a
+truncation diagnostic that does not bound the error in C (ROADMAP item 2).
 
 An operator is built once per (generator, cutoff) by :func:`matrix` into
 a :class:`SparseOperator` that stores its 1-norm and hermiticity defect;
@@ -25,8 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -76,7 +75,7 @@ class FockBasis:
             occ = np.column_stack([np.repeat(occ, counts, axis=0), np.arange(starts.size) - starts])
         keys = _keys(occ, cutoff)
         order = np.argsort(keys)
-        #: (dim, 4) photon numbers; row k is ``states[k]``
+        #: (dim, 4) photon numbers of the basis states, in basis order
         self.occupations = occ[order]
         #: ascending search keys, one per state (see :func:`_keys`)
         self.keys = keys[order]
@@ -85,7 +84,6 @@ class FockBasis:
         #: (4, dim) rows n1-n2, n3-n4, n1+n2, n3+n4: the eigenvalues of
         #: sigma_z and sigma_0 in channels a and b
         self.channel_weights = np.stack([n1 - n2, n3 - n4, n1 + n2, n3 + n4])
-        self.states: tuple[Occupation, ...] = tuple(map(tuple, self.occupations.tolist()))
         #: basis indices of the PI_KEPT kets, in that order (none below cutoff 2)
         kept = np.array(PI_KEPT, dtype=np.int64)
         self.coincidence = self.indices(kept[kept.sum(axis=1) <= cutoff])
@@ -96,16 +94,13 @@ class FockBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     def index_of(self, occ: Sequence[int]) -> int:
         key = tuple(int(n) for n in occ)
         if len(key) != 4 or min(key) < 0 or sum(key) > self.cutoff:
             raise ValueError(f"occupation {key} outside basis with cutoff {self.cutoff}")
         return int(self.indices(np.array(key)))
-
-    def state(self, index: int) -> Occupation:
-        return self.states[index]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FockBasis) and other.cutoff == self.cutoff
@@ -120,10 +115,6 @@ class FockBasis:
 @lru_cache(maxsize=32)
 def get_basis(cutoff: int) -> FockBasis:
     return FockBasis(cutoff)
-
-
-def expected_dim(cutoff: int) -> int:
-    return comb(cutoff + 4, 4)
 
 
 @dataclass
@@ -164,20 +155,12 @@ class StateVector:
     def to_records(self, threshold: float = 1e-12) -> list[dict]:
         """JSON-ready amplitude records in deterministic basis order."""
         out = []
-        for k, occ in enumerate(self.basis.states):
+        for k, occ in enumerate(self.basis.occupations.tolist()):
             a = self.amps[k]
             if abs(a) > threshold:
                 out.append({"n1": occ[0], "n2": occ[1], "n3": occ[2], "n4": occ[3],
                             "re": float(a.real), "im": float(a.imag)})
         return out
-
-    @staticmethod
-    def from_records(basis: FockBasis, records: Iterable[dict]) -> "StateVector":
-        amps = np.zeros(basis.dim, dtype=np.complex128)
-        for rec in records:
-            occ = (rec["n1"], rec["n2"], rec["n3"], rec["n4"])
-            amps[basis.index_of(occ)] = rec["re"] + 1j * rec["im"]
-        return StateVector(basis, amps)
 
 
 def vacuum(basis: FockBasis) -> StateVector:
@@ -203,14 +186,6 @@ class SparseOperator:
     one_norm: float
     #: largest |entry| of mat - mat^dagger
     hermiticity_defect: float
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.basis != self.basis:
-            raise ValueError("operator and state bases differ")
-        return StateVector(self.basis, self.mat @ state.amps)
-
-    def expectation(self, state: StateVector) -> complex:
-        return complex(np.vdot(state.amps, self.mat @ state.amps))
 
 
 #: photon-number step of the (mode i, mode j) ladder operators of each element kind
@@ -348,7 +323,8 @@ def _shell_weight(basis: FockBasis, amps: np.ndarray) -> float:
 
 
 def leakage(state: StateVector) -> float:
-    """Squared amplitude on the top two total-photon shells."""
+    """Squared amplitude on the top two total-photon shells: a truncation
+    diagnostic that does not bound the error in C."""
     return _shell_weight(state.basis, state.amps)
 
 

@@ -141,13 +141,3 @@ def commutator_reference(x: BasisElement, y: BasisElement) -> QuadOp:
     """[x, y] computed from the boson commutation rules alone."""
     return poly_to_quadop(poly_commutator(basis_poly(x), basis_poly(y)))
 
-
-def quadop_to_poly(op: QuadOp) -> Poly:
-    """Normal-ordered polynomial of a general QuadOp (test helper)."""
-    poly: Poly = {}
-    for elem, coeff in op.coeffs.items():
-        for key, base in basis_poly(elem).items():
-            _add_term(poly, key, base * coeff)
-    if not op.scalar.is_zero():
-        _add_term(poly, _mono(_ZEROS, _ZEROS), op.scalar)
-    return poly

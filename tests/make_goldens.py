@@ -2,7 +2,7 @@
 """Regenerate the golden files under tests/golden/.
 
 Every value is produced either by an independent dense-exponential oracle
-(see tests/oracles.py) or by the deterministic maximizer search, so the
+or by the deterministic maximizer search (both in tests/oracles.py), so the
 goldens are reproducible from a clean checkout:
 
     python tests/make_goldens.py
@@ -24,7 +24,6 @@ GOLDEN = HERE / "golden"
 sys.path.insert(0, str(HERE))
 
 from bellsim.experiments import (  # noqa: E402
-    chsh_grid_search,
     correlation_conditioned,
     correlation_raw,
     ideal_spec,
@@ -42,8 +41,13 @@ def write(name: str, payload: dict) -> None:
 
 
 def chsh_maximizer() -> None:
+    # the angles are reproduced exactly, but "s" and "grid_max" are not: since
+    # analyzer settings are contracted from one source state, regenerating
+    # gives 2.8284271247461894 and 2.82842712474619 in place of the committed
+    # 2.82842712474619 and 2.8284271247461907, last-digit rounding noise.  The
+    # tests read only the angles and gamma, so keep the committed file.
     spec = ideal_spec(0.1)
-    s_max, angles, grid = chsh_grid_search(spec, 16)
+    s_max, angles, grid = oracles.chsh_grid_search(spec, 16)
     write("chsh_maximizer.json", {
         "grid_n": 16,
         "gamma": 0.1,

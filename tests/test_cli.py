@@ -189,18 +189,26 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
     assert err.startswith(f"config error: cannot write {target}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("payload", [
-    {"cutoff": "abc"},
-    {"cutoff": 8.9},
-    {"tol": "x"},
-    {"theta_a": True},
-    {"angles": [0.0, 0.8, 0.4, 2.7]},
-    {"experiment": "custom", "stages": [["K", float("nan")]]},
-])
-def test_config_file_errors(tmp_path, capsys, payload):
+#: a valid custom pipeline, which chsh and scans do not take
+_CUSTOM = {"experiment": "custom", "stages": [["K", 0.1], ["J_a", 0.4]]}
+
+
+@pytest.mark.parametrize("payload, command", [
+    ({"cutoff": "abc"}, ("run",)),
+    ({"cutoff": 8.9}, ("run",)),
+    ({"tol": "x"}, ("run",)),
+    ({"theta_a": True}, ("run",)),
+    ({"angles": [0.0, 0.8, 0.4, 2.7]}, ("run",)),
+    ({"experiment": "custom", "stages": [["K", float("nan")]]}, ("run",)),
+    (_CUSTOM, ("chsh",)),
+    (_CUSTOM, ("scan", "--axis", "delta", "--points", "3")),
+    (_CUSTOM, ("scan", "--axis", "gamma", "--points", "3")),
+], ids=[*(f"payload{k}" for k in range(6)), "custom-chsh", "custom-scan-delta",
+        "custom-scan-gamma"])
+def test_config_file_errors(tmp_path, capsys, payload, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
-    code, _, err = invoke(capsys, "run", "--config", str(config))
+    code, _, err = invoke(capsys, *command, "--config", str(config))
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
 
