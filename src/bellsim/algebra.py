@@ -294,7 +294,6 @@ JKL_TABLE: ClosureTable = {
 
 @dataclass
 class ClosureReport:
-    names: tuple[str, ...]
     mismatches: list[tuple[int, int, QuadOp]]  # (row, col, residual or difference)
 
     @property
@@ -302,8 +301,7 @@ class ClosureReport:
         return not self.mismatches
 
 
-def verify_closure(ops: Sequence[QuadOp], table: ClosureTable,
-                   names: Sequence[str] | None = None) -> ClosureReport:
+def verify_closure(ops: Sequence[QuadOp], table: ClosureTable) -> ClosureReport:
     """Check that all pairwise commutators match an expected table exactly.
 
     Pairs absent from the table are derived by antisymmetry; diagonal pairs
@@ -311,7 +309,6 @@ def verify_closure(ops: Sequence[QuadOp], table: ClosureTable,
     """
     if not ops:
         raise ValueError("closure check requires a non-empty operator set")
-    names = tuple(names) if names else tuple(f"g{k}" for k in range(len(ops)))
     mismatches = []
     n = len(ops)
     for r in range(n):
@@ -326,4 +323,4 @@ def verify_closure(ops: Sequence[QuadOp], table: ClosureTable,
             diff = actual - expected
             if not diff.is_zero():
                 mismatches.append((r, c, diff))
-    return ClosureReport(names, mismatches)
+    return ClosureReport(mismatches)

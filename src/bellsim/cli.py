@@ -305,7 +305,7 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args)
     table = scan(spec, args.axis, grid)
     failed = sum(1 for r in table.rows if r.failed)
-    if args.format == "csv" or (args.output or "").endswith(".csv"):
+    if args.format == "csv":
         lines = [table.CSV_HEADER]
         for row in table.rows:
             lines.append(",".join(fmt(v) for v in (
@@ -387,7 +387,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="analyzer angle for channel b (radians)")
     parser.add_argument("--phi", type=float, default=None, help="phase difference (horne)")
     parser.add_argument("--cutoff", type=int, default=None, help="total-photon cutoff (>= 2)")
-    parser.add_argument("--tol", type=float, default=None, help="evolution tolerance (> 0)")
+    parser.add_argument("--tol", type=float, default=None, help="evolution tolerance (finite, > 0)")
     parser.add_argument("--estimator", choices=ESTIMATORS, default=None)
     parser.add_argument("--output", "-o", default=None, help="write a JSON/CSV report here")
 

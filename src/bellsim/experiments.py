@@ -30,9 +30,10 @@ The two agree as the squeeze parameter gamma -> 0 and their measured
 difference is O(gamma^2); the scan and report tooling makes that
 dependence an observable rather than an assumption.
 
-Analyzer settings (``correlation``, CHSH and delta scans) do not re-run the
-pipeline: the source runs once with both analyzers at 0, and every setting
-is contracted from a 2x2 sigma tensor of that state (:class:`AnalyzerSource`).
+Analyzer settings (CHSH and delta scans) do not re-run the pipeline: the
+source runs once with both analyzers at 0, both estimators read that state,
+and every setting swaps in a numerator contracted from a 2x2 sigma tensor of
+it (:class:`AnalyzerSource`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .fock import (
     evolve,
     get_basis,
     leakage,
-    project_pi,
     vacuum,
 )
 
@@ -157,8 +157,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
         if not (_is_real(self.cutoff) and isinstance(self.cutoff, Integral) and self.cutoff >= 2):
             raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        if not (_is_real(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
+        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         for key in ("gamma", "theta_a", "theta_b", "phi"):
             value = getattr(self, key)
             if not (_is_real(value) and math.isfinite(value)):
@@ -182,22 +182,10 @@ class ExperimentSpec:
                     raise ConfigError(f"stage generator {gen_name!r} is not hermitian")
 
 
-def ideal_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
-               estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
-               tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    return ExperimentSpec("ideal", (), estimator, gamma, theta_a, theta_b, 0.0, cutoff, tol)
-
-
 def horne_spec(gamma: float, phi: float,
                estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
                tol: float = DEFAULT_TOL) -> ExperimentSpec:
     return ExperimentSpec("horne", (), estimator, gamma, 0.0, 0.0, phi, cutoff, tol)
-
-
-def ou_mandel_spec(gamma: float, theta_a: float = 0.0, theta_b: float = 0.0,
-                   estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
-                   tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    return ExperimentSpec("ou_mandel", (), estimator, gamma, theta_a, theta_b, 0.0, cutoff, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +303,22 @@ def _sigma_tensor(amps: np.ndarray, basis: FockBasis) -> np.ndarray:
     return (side_a.conj() @ side_b.T).real
 
 
+#: sigma_z and sigma_y of one channel on its one-photon kets (|10>, |01>),
+#: which is how the catalog's sigma_z_a, sigma_y_a (and _b) act there
+_QUBIT_SIGMAS = np.array([[[1, 0], [0, -1]], [[0, -1j], [1j, 0]]])
+
+
+def _coincidence_tensor(amps: np.ndarray) -> np.ndarray:
+    """T of the two-qubit state of the four coincidence amplitudes.
+
+    In ``PI_KEPT`` order the amplitudes reshape to psi[a, b], channel a by
+    channel b, and T_ij = <psi|sigma_i (x) sigma_j|psi> / <psi|psi>.
+    """
+    psi = amps.reshape(2, 2)
+    t = np.einsum("ab,iac,jbd,cd->ij", psi.conj(), _QUBIT_SIGMAS, _QUBIT_SIGMAS, psi)
+    return t.real / np.vdot(psi, psi).real
+
+
 def _analyzer_vector(theta: float) -> np.ndarray:
     """u(theta): an analyzer at theta, the stage e^{i 2 theta J}, turns
     sigma_z into cos(2 theta) sigma_z - sin(2 theta) sigma_y."""
@@ -332,39 +336,37 @@ class AnalyzerSource:
     leakage unchanged, and they turn sigma_z into a combination of sigma_z
     and sigma_y (checked by ``sigma_rotation_error`` in tests/oracles.py).  Each
     estimator's numerator is therefore u(theta_a)^T T u(theta_b) for a 2x2
-    tensor T of the source state.
+    tensor T of the source state, and everything else in a report at that
+    setting is the source state's own report, degenerate flag included.
     """
 
     spec: ExperimentSpec
-    leakage: float
-    #: T of the normalized state, and <(n1+n2)(n3+n4)> of it
+    #: :func:`correlation_raw` and :func:`correlation_conditioned` of the source
+    raw: CorrelationReport
+    conditioned: CorrelationReport
+    #: T of the normalized state, and of the coincidence kets' two-qubit
+    #: state (None when the coincidence weight is degenerate)
     raw_tensor: np.ndarray
-    raw_denominator: float
-    #: T of the normalized coincidence projection (zero when the weight is
-    #: degenerate), and the projection weight
-    cond_tensor: np.ndarray
-    cond_weight: float
+    cond_tensor: np.ndarray | None
 
     def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
-        """One estimator at one setting, with the degenerate rules of
-        :func:`correlation_raw` and :func:`correlation_conditioned`."""
-        gamma, delta, leak = self.spec.gamma, theta_a - theta_b, self.leakage
+        """One estimator at one setting: the source report with the contracted
+        numerator, its value and the setting's delta swapped in."""
+        delta = theta_a - theta_b
         u_a, u_b = _analyzer_vector(theta_a), _analyzer_vector(theta_b)
         if estimator == "raw":
-            num, den = float(u_a @ self.raw_tensor @ u_b), self.raw_denominator
-            if den < DEGENERATE_EPS:
-                return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta, degenerate=True)
-            return CorrelationReport("raw", num / den, num, den, leak, gamma, delta)
-        if self.cond_weight < DEGENERATE_EPS:
-            return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta,
-                                     degenerate=True)
+            num = float(u_a @ self.raw_tensor @ u_b)
+            value = 0.0 if self.raw.degenerate else num / self.raw.denominator
+            return replace(self.raw, value=value, numerator=num, delta=delta)
+        if self.conditioned.degenerate:
+            return replace(self.conditioned, delta=delta)
         value = float(u_a @ self.cond_tensor @ u_b)
-        return CorrelationReport("conditioned", value, value, 1.0, leak, gamma, delta)
+        return replace(self.conditioned, value=value, numerator=value, delta=delta)
 
     def chsh(self, angles: "ChshAngles") -> "ChshReport":
         spec = self.spec
         reports = tuple(self.report(spec.estimator, ta, tb) for ta, tb in angles.settings())
-        return ChshReport(reports, angles, spec.estimator, spec.gamma, spec.cutoff)
+        return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
 
 def analyzer_source(spec: ExperimentSpec,
@@ -381,19 +383,11 @@ def analyzer_source(spec: ExperimentSpec,
     for theta_a, theta_b in settings:
         replace(spec, theta_a=theta_a, theta_b=theta_b).validate()
     state = run(replace(spec, theta_a=0.0, theta_b=0.0)).normalized()
-    basis = state.basis
-    _, den = _occupation_sums(state.amps, basis.channel_weights)
-    projected, weight = project_pi(state)
-    cond_tensor = np.zeros((2, 2))
-    if weight >= DEGENERATE_EPS:
-        cond_tensor = _sigma_tensor(projected.amps / math.sqrt(weight), basis)
-    return AnalyzerSource(spec, leakage(state), _sigma_tensor(state.amps, basis), den,
-                          cond_tensor, weight)
-
-
-def correlation(spec: ExperimentSpec, theta_a: float, theta_b: float) -> CorrelationReport:
-    """Estimate C at one analyzer setting from the spec's source state."""
-    return analyzer_source(spec, [(theta_a, theta_b)]).report(spec.estimator, theta_a, theta_b)
+    raw = correlation_raw(state, spec.gamma)
+    cond = correlation_conditioned(state, spec.gamma)
+    cond_tensor = None if cond.degenerate else _coincidence_tensor(
+        state.amps[state.basis.coincidence])
+    return AnalyzerSource(spec, raw, cond, _sigma_tensor(state.amps, state.basis), cond_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +396,11 @@ def correlation(spec: ExperimentSpec, theta_a: float, theta_b: float) -> Correla
 
 @dataclass(frozen=True)
 class ChshReport:
-    correlations: tuple[CorrelationReport, CorrelationReport, CorrelationReport, CorrelationReport]
-    angles: ChshAngles
     estimator: str
     gamma: float
     cutoff: int
+    angles: ChshAngles
+    correlations: tuple[CorrelationReport, CorrelationReport, CorrelationReport, CorrelationReport]
 
     @property
     def s_value(self) -> float:
@@ -419,20 +413,7 @@ class ChshReport:
         return self.s_value > 2.0 + VIOLATION_MARGIN
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s_value,
-            "violation": self.violation,
-            "estimator": self.estimator,
-            "gamma": self.gamma,
-            "cutoff": self.cutoff,
-            "angles": {
-                "theta_a": self.angles.theta_a,
-                "theta_a_prime": self.angles.theta_a_prime,
-                "theta_b": self.angles.theta_b,
-                "theta_b_prime": self.angles.theta_b_prime,
-            },
-            "correlations": [r.to_dict() for r in self.correlations],
-        }
+        return {"s": self.s_value, "violation": self.violation, **asdict(self)}
 
 
 def chsh(spec: ExperimentSpec, angles: ChshAngles | None = None) -> ChshReport:
@@ -459,14 +440,11 @@ class ScanRow:
     failed: bool = False
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ScanTable:
     axis: str
-    spec_name: str
+    experiment: str
     estimator: str
     gamma: float
     cutoff: int
@@ -475,14 +453,7 @@ class ScanTable:
     CSV_HEADER = "parameter,c_raw,c_cond,numerator,denominator,leakage"
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "experiment": self.spec_name,
-            "estimator": self.estimator,
-            "gamma": self.gamma,
-            "cutoff": self.cutoff,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return asdict(self)
 
 
 #: the setting of one gamma or phi row: the scanned field replaced; a delta

@@ -163,16 +163,14 @@ class StateVector:
         return out
 
 
-def vacuum(basis: FockBasis) -> StateVector:
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index_of((0, 0, 0, 0))] = 1.0
-    return StateVector(basis, amps)
-
-
 def fock_state(basis: FockBasis, occ: Sequence[int]) -> StateVector:
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index_of(occ)] = 1.0
     return StateVector(basis, amps)
+
+
+def vacuum(basis: FockBasis) -> StateVector:
+    return fock_state(basis, (0, 0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -326,14 +324,3 @@ def leakage(state: StateVector) -> float:
     """Squared amplitude on the top two total-photon shells: a truncation
     diagnostic that does not bound the error in C."""
     return _shell_weight(state.basis, state.amps)
-
-
-def project_pi(state: StateVector) -> tuple[StateVector, float]:
-    """Zero all amplitudes outside the four coincidence kets.
-
-    Returns the unnormalized projected state and its squared norm.
-    """
-    kept = state.basis.coincidence
-    amps = np.zeros_like(state.amps)
-    amps[kept] = state.amps[kept]
-    return StateVector(state.basis, amps), float(np.sum(np.abs(amps[kept]) ** 2))

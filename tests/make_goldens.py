@@ -24,9 +24,9 @@ GOLDEN = HERE / "golden"
 sys.path.insert(0, str(HERE))
 
 from bellsim.experiments import (  # noqa: E402
+    ExperimentSpec,
     correlation_conditioned,
     correlation_raw,
-    ideal_spec,
 )
 from bellsim.fock import get_basis, vacuum  # noqa: E402
 from bellsim.catalog import catalog  # noqa: E402
@@ -41,12 +41,12 @@ def write(name: str, payload: dict) -> None:
 
 
 def chsh_maximizer() -> None:
-    # the angles are reproduced exactly, but "s" and "grid_max" are not: since
-    # analyzer settings are contracted from one source state, regenerating
-    # gives 2.8284271247461894 and 2.82842712474619 in place of the committed
-    # 2.82842712474619 and 2.8284271247461907, last-digit rounding noise.  The
-    # tests read only the angles and gamma, so keep the committed file.
-    spec = ideal_spec(0.1)
+    # the angles and "s" are reproduced exactly, but "grid_max" is not: with
+    # the conditioned tensor read from the four coincidence amplitudes,
+    # regenerating gives 2.8284271247461903 in place of the committed
+    # 2.8284271247461907, last-digit rounding noise.  The tests read only the
+    # angles and gamma, so keep the committed file.
+    spec = ExperimentSpec("ideal", gamma=0.1)
     s_max, angles, grid = oracles.chsh_grid_search(spec, 16)
     write("chsh_maximizer.json", {
         "grid_n": 16,

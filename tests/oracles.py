@@ -10,11 +10,15 @@ library's matrix-element arithmetic on purpose, to pin the vectorized
 matrix build bit for bit.  :func:`correlation_by_run` and
 :func:`chsh_grid_by_runs` use the library's pipeline and estimators, but
 evolve every analyzer setting through its rotation stages, which the
-library's analyzer-setting route never does.
+library's analyzer-setting route never does.  :func:`project_pi` is the
+reference coincidence projection: it zeroes every amplitude outside the four
+``PI_KEPT`` kets, where the library reads those four amplitudes alone.
 
 Reference tools shared by the tests and ``make_goldens.py``; no command runs
 them:
 
+* :func:`correlation`, one analyzer setting read from
+  ``experiments.analyzer_source``;
 * the CHSH maximizer search behind ``experiments.CHSH_MAXIMIZER`` and the
   ``chsh_maximizer.json`` golden (:func:`chsh_grid`, :func:`chsh_grid_search`,
   :func:`refine_chsh_maximizer`), through ``experiments.analyzer_source``;
@@ -175,6 +179,23 @@ def tmsv_ladder_amplitudes(gamma: float, n_max: int) -> np.ndarray:
     e0 = np.zeros(n_max + 1)
     e0[0] = 1.0
     return scipy.linalg.expm(1j * gamma * h) @ e0
+
+
+def project_pi(state: StateVector) -> tuple[StateVector, float]:
+    """Zero all amplitudes outside the four coincidence kets.
+
+    Returns the unnormalized projected state and its squared norm.
+    """
+    kept = state.basis.coincidence
+    amps = np.zeros_like(state.amps)
+    amps[kept] = state.amps[kept]
+    return StateVector(state.basis, amps), float(np.sum(np.abs(amps[kept]) ** 2))
+
+
+def correlation(spec, theta_a: float, theta_b: float):
+    """The spec's estimator at one analyzer setting, from its source state."""
+    return experiments.analyzer_source(spec, [(theta_a, theta_b)]).report(
+        spec.estimator, theta_a, theta_b)
 
 
 def correlation_by_run(spec, theta_a: float, theta_b: float):

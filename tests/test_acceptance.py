@@ -16,6 +16,7 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import oracles
+from oracles import correlation, project_pi
 from bellsim.adjoint import conjugate
 from bellsim.algebra import (
     A,
@@ -32,13 +33,11 @@ from bellsim.algebra import (
 from bellsim.catalog import HAMILTONIAN_GENERATORS, MODE_PAIRS, catalog
 from bellsim.experiments import (
     ChshAngles,
+    ExperimentSpec,
     chsh,
-    correlation,
-    ideal_spec,
-    ou_mandel_spec,
     run,
 )
-from bellsim.fock import FockBasis, StateVector, evolve, fock_state, get_basis, leakage, project_pi, vacuum
+from bellsim.fock import FockBasis, StateVector, evolve, fock_state, get_basis, leakage, vacuum
 import bellsim.fock as fock
 from bellsim.rational import HALF
 
@@ -109,7 +108,7 @@ def test_a04_correlation_law():
     start = time.perf_counter()
     worst = 0.0
     for gamma in (0.05, 0.2, 0.5):
-        spec = ideal_spec(gamma, cutoff=8)
+        spec = ExperimentSpec("ideal", gamma=gamma, cutoff=8)
         for delta in np.linspace(0.0, math.pi, 65):
             value = correlation(spec, float(delta), 0.0).value
             worst = max(worst, abs(value + math.cos(2.0 * float(delta))))
@@ -123,9 +122,9 @@ def test_a04_correlation_law():
 def test_a05_chsh():
     golden = json.loads((GOLDEN_DIR / "chsh_maximizer.json").read_text())
     angles = ChshAngles(**golden["angles"])
-    report = chsh(ideal_spec(0.1), angles)
+    report = chsh(ExperimentSpec("ideal", gamma=0.1), angles)
     s_err = abs(report.s_value - TWO_SQRT_TWO)
-    _, _, grid = oracles.chsh_grid_search(ideal_spec(0.1), 16)
+    _, _, grid = oracles.chsh_grid_search(ExperimentSpec("ideal", gamma=0.1), 16)
     grid_max = float(grid.max())
     tsirelson_ok = grid_max <= TWO_SQRT_TWO + 1e-9
     ok = s_err < 1e-6 and tsirelson_ok
@@ -178,7 +177,8 @@ def test_a08_gamma_dependence():
     golden = json.loads((GOLDEN_DIR / "gamma_deviation.json").read_text())
     deviations = []
     for row in golden["rows"]:
-        spec = ideal_spec(row["gamma"], estimator="raw", cutoff=golden["cutoff"])
+        spec = ExperimentSpec("ideal", gamma=row["gamma"], estimator="raw",
+                              cutoff=golden["cutoff"])
         value = correlation(spec, 0.0, 0.0).value
         assert value == pytest.approx(row["c_raw"], abs=1e-9), row
         deviations.append(abs(value + 1.0))
@@ -200,7 +200,7 @@ def test_a09_post_selection_fidelity():
     singlet = StateVector(basis, singlet_amps)
     infidelity = {}
     for gamma in (0.2, 0.1, 0.05):
-        state = run(ou_mandel_spec(gamma))
+        state = run(ExperimentSpec("ou_mandel", gamma=gamma))
         projected, weight = project_pi(state)
         assert weight > 0
         infidelity[gamma] = 1.0 - projected.normalized().fidelity(singlet)

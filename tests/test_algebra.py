@@ -183,7 +183,7 @@ def _su2_ops(i, j):
 
 
 def test_verify_closure_accepts_su2():
-    report = verify_closure(_su2_ops(1, 2), SU2_TABLE, ("Jx", "Jy", "Jz"))
+    report = verify_closure(_su2_ops(1, 2), SU2_TABLE)
     assert report.ok
 
 

@@ -168,6 +168,7 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
     ("scan", "--axis", "delta", "--values", "inf"),
     ("scan", "--axis", "delta", "--start", "nan", "--points", "3"),
     ("convergence", "--cutoffs", "6,6"),
+    ("run", "--gamma", "0.5", "--tol", "inf", "--estimator", "raw"),
 ])
 def test_config_errors(capsys, argv):
     code, _, err = invoke(capsys, *argv)
@@ -203,8 +204,9 @@ _CUSTOM = {"experiment": "custom", "stages": [["K", 0.1], ["J_a", 0.4]]}
     (_CUSTOM, ("chsh",)),
     (_CUSTOM, ("scan", "--axis", "delta", "--points", "3")),
     (_CUSTOM, ("scan", "--axis", "gamma", "--points", "3")),
+    ({"tol": float("inf")}, ("run",)),
 ], ids=[*(f"payload{k}" for k in range(6)), "custom-chsh", "custom-scan-delta",
-        "custom-scan-gamma"])
+        "custom-scan-gamma", "tol-infinity"])
 def test_config_file_errors(tmp_path, capsys, payload, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
@@ -326,13 +328,39 @@ def test_scan_delta_source_failure_exit_code(capsys):
     assert "2 rows, 2 failed" in out
 
 
-def test_scan_json_format(capsys):
-    code, out, _ = invoke(capsys, "scan", "--axis", "gamma", "--values", "0.1,0.2",
-                          "--format", "json", "--cutoff", "6")
+def test_scan_json_format(tmp_path, capsys):
+    """--format alone decides the format, whatever the --output file is called."""
+    argv = ("scan", "--axis", "gamma", "--values", "0.1,0.2", "--format", "json", "--cutoff", "6")
+    code, out, _ = invoke(capsys, *argv)
     assert code == EXIT_OK
     payload = json.loads(out[: out.rindex("}") + 1])
     assert payload["axis"] == "gamma"
     assert len(payload["rows"]) == 2
+    out_path = tmp_path / "r.csv"
+    code, _, _ = invoke(capsys, *argv, "--output", str(out_path))
+    assert code == EXIT_OK
+    assert json.loads(out_path.read_text()) == payload
+
+
+def test_report_key_order(tmp_path, capsys):
+    """The JSON reports list their keys in a fixed order."""
+    out_path = tmp_path / "chsh.json"
+    code, _, _ = invoke(capsys, "chsh", "--gamma", "0.1", "--output", str(out_path))
+    assert code == EXIT_OK
+    payload = json.loads(out_path.read_text())
+    assert list(payload) == ["s", "violation", "estimator", "gamma", "cutoff", "angles",
+                             "correlations"]
+    assert list(payload["angles"]) == ["theta_a", "theta_a_prime", "theta_b", "theta_b_prime"]
+    assert list(payload["correlations"][0]) == ["estimator", "value", "numerator", "denominator",
+                                                "leakage", "gamma", "delta", "degenerate"]
+    code, out, _ = invoke(capsys, "scan", "--axis", "delta", "--points", "2",
+                          "--format", "json", "--cutoff", "6")
+    assert code == EXIT_OK
+    payload = json.loads(out[: out.rindex("}") + 1])
+    assert list(payload) == ["axis", "experiment", "estimator", "gamma", "cutoff", "rows"]
+    assert list(payload["rows"][0]) == ["parameter", "c_raw", "c_cond", "numerator",
+                                        "denominator", "leakage", "raw_degenerate",
+                                        "cond_degenerate", "failed", "message"]
 
 
 def test_scan_phi_axis(capsys):

@@ -10,6 +10,7 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import oracles
+from oracles import correlation, project_pi
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog
 from bellsim.experiments import (
     ANALYZER_PIPELINES,
@@ -24,17 +25,13 @@ from bellsim.experiments import (
     ExperimentSpec,
     chsh,
     conjugated_pipeline_state,
-    correlation,
     correlation_conditioned,
     correlation_raw,
     horne_spec,
-    ideal_spec,
-    ou_mandel_spec,
     run,
     scan,
 )
-from bellsim.fock import (
-    StateVector, expect_product, fock_state, get_basis, project_pi, vacuum)
+from bellsim.fock import StateVector, expect_product, fock_state, get_basis, vacuum
 from bellsim.adjoint import conjugate
 import bellsim.experiments as experiments
 import bellsim.fock as fock
@@ -57,7 +54,8 @@ def _load_golden(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def test_builders_produce_valid_specs():
-    for spec in (ideal_spec(0.1, 0.2, -0.1), horne_spec(0.1, 0.5), ou_mandel_spec(0.1)):
+    for spec in (ExperimentSpec("ideal", gamma=0.1, theta_a=0.2, theta_b=-0.1),
+                 horne_spec(0.1, 0.5), ExperimentSpec("ou_mandel", gamma=0.1)):
         spec.validate()
 
 
@@ -100,21 +98,21 @@ def test_angles_only_for_analyzer_pipelines():
 # ---------------------------------------------------------------------------
 
 def test_zero_squeeze_returns_vacuum():
-    state = run(ideal_spec(0.0))
+    state = run(ExperimentSpec("ideal", gamma=0.0))
     assert state.amplitude((0, 0, 0, 0)) == pytest.approx(1.0)
     assert state.norm() == pytest.approx(1.0)
 
 
 def test_small_gamma_state_is_vacuum_plus_singlet_pair():
     gamma = 1e-3
-    state = run(ideal_spec(gamma))
+    state = run(ExperimentSpec("ideal", gamma=gamma))
     assert abs(state.amplitude((0, 0, 0, 0)) - 1.0) < gamma ** 2
     assert state.amplitude((1, 0, 0, 1)) == pytest.approx(0.5j * gamma, rel=1e-3)
     assert state.amplitude((0, 1, 1, 0)) == pytest.approx(-0.5j * gamma, rel=1e-3)
 
 
 def test_run_matches_dense_stage_oracle():
-    spec = ou_mandel_spec(0.2, 0.3, -0.2)
+    spec = ExperimentSpec("ou_mandel", gamma=0.2, theta_a=0.3, theta_b=-0.2)
     state = run(spec)
     reference = vacuum(get_basis(spec.cutoff))
     for name, par in spec.stages:
@@ -146,25 +144,26 @@ def test_conditioned_on_singlet():
 def test_conditioned_law(gamma):
     worst = 0.0
     for delta in np.linspace(0.0, math.pi, 33):
-        value = correlation(ideal_spec(gamma), float(delta), 0.0).value
+        value = correlation(ExperimentSpec("ideal", gamma=gamma), float(delta), 0.0).value
         worst = max(worst, abs(value + math.cos(2 * delta)))
     assert worst < 1e-8
 
 
 def test_conditioned_special_values():
-    spec = ideal_spec(0.2)
+    spec = ExperimentSpec("ideal", gamma=0.2)
     assert correlation(spec, 0.0, 0.0).value == pytest.approx(-1.0, abs=1e-10)
     assert correlation(spec, math.pi / 4, 0.0).value == pytest.approx(0.0, abs=1e-10)
     assert correlation(spec, math.pi / 2, 0.0).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_raw_close_to_conditioned_at_small_gamma():
-    value = correlation(ideal_spec(0.05, estimator="raw"), math.pi / 8, 0.0).value
+    spec = ExperimentSpec("ideal", gamma=0.05, estimator="raw")
+    value = correlation(spec, math.pi / 8, 0.0).value
     assert abs(value + math.cos(math.pi / 4)) < 2e-3
 
 
 def test_raw_against_diagonal_oracle():
-    state = run(ideal_spec(0.3, 0.4, 0.1, estimator="raw"))
+    state = run(ExperimentSpec("ideal", gamma=0.3, theta_a=0.4, theta_b=0.1, estimator="raw"))
     report = correlation_raw(state, 0.3, 0.3)
     num, den = oracles.correlation_oracle(state.normalized())
     assert report.numerator == pytest.approx(num, abs=1e-12)
@@ -222,7 +221,7 @@ def test_raw_denominator_magnitude_measurement(gamma):
     an additional (cosh(gamma) - 1)^2 contribution from the pairs-of-pairs
     sector, i.e. the simple form holds only to leading order in gamma.
     """
-    state = run(ideal_spec(gamma, cutoff=12))
+    state = run(ExperimentSpec("ideal", gamma=gamma, cutoff=12))
     report = correlation_raw(state, gamma, 0.0)
     leading = 0.5 * math.sinh(gamma) ** 2
     measured_extra = report.denominator - leading
@@ -235,7 +234,7 @@ def test_raw_denominator_magnitude_measurement(gamma):
 
 def test_ideal_baseline_golden():
     golden = _load_golden("ideal_baseline.json")
-    spec = ideal_spec(golden["gamma"], estimator="raw", cutoff=golden["cutoff"])
+    spec = ExperimentSpec("ideal", gamma=golden["gamma"], estimator="raw", cutoff=golden["cutoff"])
     value = correlation(spec, 0.0, 0.0).value
     assert value == pytest.approx(golden["c_raw"], abs=1e-9)
 
@@ -250,7 +249,7 @@ def test_chsh_settings_order():
 
 
 def test_chsh_report_recomputes_s():
-    report = chsh(ideal_spec(0.1), ChshAngles(*CHSH_MAXIMIZER))
+    report = chsh(ExperimentSpec("ideal", gamma=0.1), ChshAngles(*CHSH_MAXIMIZER))
     c1, c2, c3, c4 = (r.value for r in report.correlations)
     assert report.s_value == pytest.approx(abs(c1 + c2 + c3 - c4), abs=0.0)
     assert report.violation
@@ -258,11 +257,11 @@ def test_chsh_report_recomputes_s():
 
 def test_chsh_requires_angles():
     with pytest.raises(ConfigError):
-        chsh(ideal_spec(0.1))
+        chsh(ExperimentSpec("ideal", gamma=0.1))
 
 
 def test_chsh_equal_angles_no_violation():
-    report = chsh(ideal_spec(0.1), ChshAngles(0.3, 0.3, 0.3, 0.3))
+    report = chsh(ExperimentSpec("ideal", gamma=0.1), ChshAngles(0.3, 0.3, 0.3, 0.3))
     assert report.s_value == pytest.approx(2.0, abs=1e-9)
     assert not report.violation
 
@@ -272,9 +271,10 @@ def test_violation_needs_margin_above_two():
 
     def report(s: float) -> ChshReport:
         values = (s - 1.5, 0.5, 0.5, -0.5)
-        return ChshReport(tuple(CorrelationReport("conditioned", v, v, 1.0, 0.0, 0.1, 0.0)
-                                for v in values),
-                          ChshAngles(0.0, 0.0, 0.0, 0.0), "conditioned", 0.1, 8)
+        return ChshReport(
+            estimator="conditioned", gamma=0.1, cutoff=8, angles=ChshAngles(0.0, 0.0, 0.0, 0.0),
+            correlations=tuple(CorrelationReport("conditioned", v, v, 1.0, 0.0, 0.1, 0.0)
+                               for v in values))
 
     assert report(2.0 + 1e-15).s_value > 2.0
     assert not report(2.0 + 1e-15).violation
@@ -283,7 +283,7 @@ def test_violation_needs_margin_above_two():
 
 
 def test_chsh_degenerate_source_scores_zero():
-    report = chsh(ideal_spec(0.0), ChshAngles(*CHSH_MAXIMIZER))
+    report = chsh(ExperimentSpec("ideal", gamma=0.0), ChshAngles(*CHSH_MAXIMIZER))
     assert report.s_value == 0.0
     assert all(r.degenerate for r in report.correlations)
 
@@ -291,23 +291,23 @@ def test_chsh_degenerate_source_scores_zero():
 def test_chsh_maximizer_golden():
     golden = _load_golden("chsh_maximizer.json")
     angles = ChshAngles(**golden["angles"])
-    report = chsh(ideal_spec(golden["gamma"]), angles)
+    report = chsh(ExperimentSpec("ideal", gamma=golden["gamma"]), angles)
     assert report.s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
     assert tuple(CHSH_MAXIMIZER) == pytest.approx(angles.as_tuple(), abs=1e-12)
 
 
 def test_chsh_grid_search_attains_tsirelson():
-    s_max, angles, grid = oracles.chsh_grid_search(ideal_spec(0.1), 16)
+    s_max, angles, grid = oracles.chsh_grid_search(ExperimentSpec("ideal", gamma=0.1), 16)
     assert s_max == pytest.approx(TWO_SQRT_TWO, abs=2e-3)
     assert float(grid.max()) <= TWO_SQRT_TWO + 1e-9
-    report = chsh(ideal_spec(0.1), angles)
+    report = chsh(ExperimentSpec("ideal", gamma=0.1), angles)
     assert report.s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
 
 def test_chsh_refinement_converges():
     start = ChshAngles(CHSH_MAXIMIZER[0] + 0.01, CHSH_MAXIMIZER[1] - 0.01,
                        CHSH_MAXIMIZER[2] + 0.02, CHSH_MAXIMIZER[3])
-    best, angles = oracles.refine_chsh_maximizer(ideal_spec(0.1), start,
+    best, angles = oracles.refine_chsh_maximizer(ExperimentSpec("ideal", gamma=0.1), start,
                                                  initial_step=0.02, min_step=1e-7)
     assert best == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
@@ -349,7 +349,7 @@ def test_analyzer_settings_run_the_source_once(monkeypatch):
     calls = []
     original = experiments.run
     monkeypatch.setattr(experiments, "run", lambda spec: calls.append(spec) or original(spec))
-    spec = ou_mandel_spec(0.1)
+    spec = ExperimentSpec("ou_mandel", gamma=0.1)
     chsh(spec, ChshAngles(*CHSH_MAXIMIZER))
     assert len(calls) == 1
     table = scan(spec, "delta", np.linspace(0.0, math.pi, 65))
@@ -365,11 +365,12 @@ def test_chsh_at_huge_angles():
     """Analyzer angles never pass through evolve, so any finite angle works;
     a common shift leaves S unchanged."""
     shifted = ChshAngles(*(1e6 + a for a in CHSH_MAXIMIZER))
-    assert chsh(ideal_spec(0.1), shifted).s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
+    report = chsh(ExperimentSpec("ideal", gamma=0.1), shifted)
+    assert report.s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
 
 def test_ou_mandel_chsh_matches_ideal():
-    report = chsh(ou_mandel_spec(0.1), ChshAngles(*CHSH_MAXIMIZER))
+    report = chsh(ExperimentSpec("ou_mandel", gamma=0.1), ChshAngles(*CHSH_MAXIMIZER))
     assert report.s_value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
 
@@ -379,7 +380,7 @@ def test_ou_mandel_chsh_matches_ideal():
 
 def test_delta_scan_matches_law():
     grid = np.linspace(0.0, math.pi, 65)
-    table = scan(ideal_spec(0.2), "delta", grid)
+    table = scan(ExperimentSpec("ideal", gamma=0.2), "delta", grid)
     assert len(table.rows) == 65
     for row in table.rows:
         assert not row.failed
@@ -387,14 +388,14 @@ def test_delta_scan_matches_law():
 
 
 def test_gamma_scan_quadratic_convergence():
-    table = scan(ideal_spec(0.1), "gamma", [0.4, 0.2, 0.1, 0.05])
+    table = scan(ExperimentSpec("ideal", gamma=0.1), "gamma", [0.4, 0.2, 0.1, 0.05])
     deviations = [abs(row.c_raw + 1.0) for row in table.rows]
     ratios = [deviations[k + 1] / deviations[k] for k in range(3)]
     assert all(abs(r - 0.25) < 0.05 for r in ratios)
 
 
 def test_gamma_scan_keeps_analyzer_angles_and_phase():
-    table = scan(ideal_spec(0.1, theta_a=0.3), "gamma", [0.1, 0.2])
+    table = scan(ExperimentSpec("ideal", gamma=0.1, theta_a=0.3), "gamma", [0.1, 0.2])
     for row in table.rows:
         assert row.c_cond == pytest.approx(-math.cos(0.6), abs=1e-9)
     table = scan(horne_spec(0.1, 1.0), "gamma", [0.1, 0.2])
@@ -404,8 +405,9 @@ def test_gamma_scan_keeps_analyzer_angles_and_phase():
 def test_gamma_deviation_golden():
     golden = _load_golden("gamma_deviation.json")
     for row in golden["rows"]:
-        value = correlation(ideal_spec(row["gamma"], estimator="raw",
-                                       cutoff=golden["cutoff"]), 0.0, 0.0).value
+        spec = ExperimentSpec("ideal", gamma=row["gamma"], estimator="raw",
+                              cutoff=golden["cutoff"])
+        value = correlation(spec, 0.0, 0.0).value
         assert value == pytest.approx(row["c_raw"], abs=1e-9)
         if row["halving_ratio"] is not None:
             assert abs(row["halving_ratio"] - 0.25) < 0.05
@@ -413,38 +415,38 @@ def test_gamma_deviation_golden():
 
 def test_empty_grid_rejected():
     with pytest.raises(ConfigError):
-        scan(ideal_spec(0.1), "delta", [])
+        scan(ExperimentSpec("ideal", gamma=0.1), "delta", [])
 
 
 def test_non_monotone_grid_rejected():
     with pytest.raises(ConfigError):
-        scan(ideal_spec(0.1), "delta", [0.0, 0.5, 0.3])
+        scan(ExperimentSpec("ideal", gamma=0.1), "delta", [0.0, 0.5, 0.3])
 
 
 def test_unknown_axis_rejected():
     with pytest.raises(ConfigError):
-        scan(ideal_spec(0.1), "sideways", [0.1])
+        scan(ExperimentSpec("ideal", gamma=0.1), "sideways", [0.1])
 
 
 def test_scan_marks_failed_rows():
     # gamma far beyond any reasonable cutoff head-room exhausts the substep
     # budget and must be reported per-row, not raised
 
-    table = scan(ideal_spec(0.1, cutoff=4), "gamma", [0.1, 1e9])
+    table = scan(ExperimentSpec("ideal", gamma=0.1, cutoff=4), "gamma", [0.1, 1e9])
     assert not table.rows[0].failed
     assert table.rows[1].failed
     assert "substeps" in table.rows[1].message or "tol" in table.rows[1].message
 
 
 def test_delta_scan_at_huge_angle():
-    table = scan(ideal_spec(0.1), "delta", [0.0, 1e6])
+    table = scan(ExperimentSpec("ideal", gamma=0.1), "delta", [0.0, 1e6])
     for row in table.rows:
         assert not row.failed
         assert row.c_cond == pytest.approx(-math.cos(2 * row.parameter), abs=1e-9)
 
 
 def test_delta_rows_fail_with_the_source():
-    table = scan(ideal_spec(1e9, cutoff=4), "delta", [0.0, 0.5, 1.0])
+    table = scan(ExperimentSpec("ideal", gamma=1e9, cutoff=4), "delta", [0.0, 0.5, 1.0])
     assert all(row.failed for row in table.rows)
     messages = {row.message for row in table.rows}
     assert len(messages) == 1 and "substeps" in messages.pop()
@@ -460,7 +462,7 @@ def test_scan_axis_pipeline_compatibility():
     with pytest.raises(ConfigError):
         scan(horne_spec(0.1, 0.0), "delta", [0.1])
     with pytest.raises(ConfigError):
-        scan(ideal_spec(0.1), "phi", [0.1])
+        scan(ExperimentSpec("ideal", gamma=0.1), "phi", [0.1])
 
 
 def test_phi_scan_horne_fringe_golden():
@@ -494,7 +496,7 @@ def test_conditioned_invariance_under_common_shifts():
     """Both estimators see only the analyzer difference: a common shift of
     theta_a and theta_b leaves C unchanged."""
     for estimator in ESTIMATORS:
-        spec = ideal_spec(0.2, estimator=estimator)
+        spec = ExperimentSpec("ideal", gamma=0.2, estimator=estimator)
         rng = random.Random(53)
         base = correlation(spec, 0.25, -0.1).value
         for _ in range(5):
@@ -504,8 +506,8 @@ def test_conditioned_invariance_under_common_shifts():
 
 
 def test_rotation_identity_zero_shift_exact():
-    value_a = correlation(ideal_spec(0.2), 0.3, 0.1).value
-    value_b = correlation(ideal_spec(0.2), 0.3, 0.1).value
+    value_a = correlation(ExperimentSpec("ideal", gamma=0.2), 0.3, 0.1).value
+    value_b = correlation(ExperimentSpec("ideal", gamma=0.2), 0.3, 0.1).value
     assert value_a == value_b
 
 
@@ -538,7 +540,7 @@ def test_ou_mandel_staged_equals_conjugated_source():
     """The staged preparation equals a single squeeze by the conjugated
     source generator (the mixer chain leaves the vacuum alone)."""
     gamma = 0.15
-    spec = ou_mandel_spec(gamma)
+    spec = ExperimentSpec("ou_mandel", gamma=gamma)
     staged = run(spec)
     transformed = conjugate(catalog("J_BS"), BS_5050,
                             conjugate(catalog("J_a"), math.pi / 2, catalog("K_OM"),
@@ -552,7 +554,7 @@ def test_ou_mandel_projection_is_singlet():
     basis = get_basis(8)
     singlet = _singlet(basis)
     for gamma in (0.2, 0.1, 0.05):
-        state = run(ou_mandel_spec(gamma))
+        state = run(ExperimentSpec("ou_mandel", gamma=gamma))
         projected, weight = project_pi(state)
         assert weight > 0
         assert projected.normalized().fidelity(singlet) >= 1.0 - 1e-12

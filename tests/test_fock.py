@@ -23,11 +23,11 @@ from bellsim.fock import (
     get_basis,
     leakage,
     matrix,
-    project_pi,
     vacuum,
 )
 
 import oracles
+from oracles import project_pi
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,8 @@ def test_project_pi_is_idempotent_and_keeps_pi_kept():
     occupations = [tuple(occ) for occ in basis.occupations.tolist()]
     kept = {occupations[k] for k in np.flatnonzero(projected.amps)}
     assert kept == set(PI_KEPT)
-    assert {occupations[k] for k in basis.coincidence} == set(PI_KEPT)
+    # in PI_KEPT order: the conditioned tensor reads them as psi[a, b]
+    assert [occupations[k] for k in basis.coincidence] == list(PI_KEPT)
     assert FockBasis(1).coincidence.size == 0
     assert weight == pytest.approx(sum(abs(state.amplitude(occ)) ** 2 for occ in PI_KEPT),
                                    rel=1e-15)

@@ -40,6 +40,62 @@ def test_rng_guard_sees_every_form():
     assert len(_rng_uses(tree)) == 5
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Functions, classes and assignment targets defined at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names a tree reads: Name loads, attributes, import aliases and strings
+    (such as the ``LAYERS`` entries of bench/tracer.py)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unreferenced(defining: list[ast.Module], referencing: list[ast.AST]) -> set[str]:
+    defined = set().union(*map(_top_level_names, defining))
+    return defined - set().union(*map(_references, referencing))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_library_names_are_used_outside_tests():
+    """Every top-level name of the library is used by the library or the
+    benchmark; helpers only the tests call live under tests/."""
+    library = [_parse(path) for path in sorted((ROOT / "src" / "bellsim").glob("*.py"))]
+    bench = [_parse(path) for path in sorted((ROOT / "bench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    assert len(library) > 1 and bench
+    assert _unreferenced(library, library + bench) == set()
+
+
+def test_unused_name_guard_sees_every_form():
+    library = ast.parse("def by_name(): pass\ndef by_attribute(): pass\nclass ByImport: pass\n"
+                        "def by_string(): pass\nCONSTANT = by_name()\ndef unused(): pass\n"
+                        "UNUSED: int = 0\nA, (B, C) = 1, (2, 3)\nprint(B)\n")
+    caller = ast.parse("from lib import ByImport as alias\nimport lib\nlib.by_attribute(C)\n"
+                       "LAYERS = (('lib', 'by_string'),)\n")
+    assert _unreferenced([library], [library, caller]) == {"CONSTANT", "unused", "UNUSED", "A"}
+
+
 def test_make_goldens_imports():
     """The golden generator loads without running: every helper it imports exists."""
     spec = importlib.util.spec_from_file_location("make_goldens",
