@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rational import CRat, HALF, QUARTER, I, ONE
-from .algebra import A, B, C, QuadOp, MODES
+from .algebra import A, B, C, ClosureTable, JKL_TABLE, MODES, QuadOp, SU2_TABLE, SU11_TABLE
 
 MODE_PAIRS = tuple((i, j) for i in MODES for j in MODES if i < j)
 
@@ -152,7 +152,7 @@ def _build() -> dict[str, QuadOp]:
     cat["sigma_0_a"] = _number_op(1, 2)
     cat["sigma_0_b"] = _number_op(3, 4)
     # sigma_y convention: (sigma_y)_a = -i(a+^† a- - a-^† a+) = 2 J_y_12,
-    # validated numerically by the polarizer-rotation identity tests.
+    # checked numerically by the polarizer-rotation identity tests.
     cat["sigma_y_a"] = 2 * cat["J_y_12"]
     cat["sigma_y_b"] = 2 * cat["J_y_34"]
 
@@ -208,6 +208,20 @@ HAMILTONIAN_GENERATORS: tuple[str, ...] = tuple(
            "K", "J", "L", "K_prime", "J_PS_a", "J_PS_b", "J_prime", "L_prime",
            "K_OM", "K_OM_1", "K_OM_2", "K_OM_prime"]
     )
+)
+
+
+#: the named subalgebras whose commutation tables are checked exactly:
+#: (label, generator names, structure-constant table)
+CLOSURE_SUITE: tuple[tuple[str, tuple[str, ...], ClosureTable], ...] = (
+    *((f"su2({i}{j})", tuple(f"J_{c}_{i}{j}" for c in "xyz"), SU2_TABLE)
+      for (i, j) in MODE_PAIRS),
+    *((f"su11({i})", tuple(f"K_{c}_{i}" for c in "xyz"), SU11_TABLE) for i in MODES),
+    *((f"su11({i}{j})", tuple(f"K_{c}_{i}{j}" for c in "xyz"), SU11_TABLE)
+      for (i, j) in MODE_PAIRS),
+    ("su11(4boson)", ("K_x", "K_y", "K_z"), SU11_TABLE),
+    ("jkl", ("J", "K", "L"), JKL_TABLE),
+    ("jkl'", ("J_prime", "K_prime", "L_prime"), JKL_TABLE),
 )
 
 

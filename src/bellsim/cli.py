@@ -17,20 +17,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .algebra import (
-    JKL_TABLE,
-    SU2_TABLE,
-    SU11_TABLE,
-    commutator,
-    verify_closure,
-    verify_structure_constants,
-)
-from .catalog import HAMILTONIAN_GENERATORS, MODE_PAIRS, catalog, dump_catalog, names
-from .algebra import MODES
+from .algebra import commutator, verify_closure, verify_structure_constants
+from .catalog import CLOSURE_SUITE, HAMILTONIAN_GENERATORS, catalog, dump_catalog, names
 from .experiments import (
     CHSH_MAXIMIZER,
     ChshAngles,
@@ -85,27 +77,6 @@ def emit_json(payload: dict, output: str | None) -> str:
 # verify-algebra
 # ---------------------------------------------------------------------------
 
-def _closure_suite():
-    """The named subalgebras whose commutation tables are checked exactly."""
-    suite = []
-    for (i, j) in MODE_PAIRS:
-        suite.append((f"su2({i}{j})",
-                      [catalog(f"J_x_{i}{j}"), catalog(f"J_y_{i}{j}"), catalog(f"J_z_{i}{j}")],
-                      SU2_TABLE))
-    for i in MODES:
-        suite.append((f"su11({i})",
-                      [catalog(f"K_x_{i}"), catalog(f"K_y_{i}"), catalog(f"K_z_{i}")],
-                      SU11_TABLE))
-    for (i, j) in MODE_PAIRS:
-        suite.append((f"su11({i}{j})",
-                      [catalog(f"K_x_{i}{j}"), catalog(f"K_y_{i}{j}"), catalog(f"K_z_{i}{j}")],
-                      SU11_TABLE))
-    suite.append(("su11(4boson)", [catalog("K_x"), catalog("K_y"), catalog("K_z")], SU11_TABLE))
-    suite.append(("jkl", [catalog("J"), catalog("K"), catalog("L")], JKL_TABLE))
-    suite.append(("jkl'", [catalog("J_prime"), catalog("K_prime"), catalog("L_prime")], JKL_TABLE))
-    return suite
-
-
 def _identity_checks():
     """Exact operator identities beyond the closure tables."""
     return [
@@ -125,7 +96,8 @@ def _identity_checks():
 
 def cmd_verify_algebra(args) -> int:
     structure = verify_structure_constants()
-    closures = [(name, verify_closure(ops, table)) for name, ops, table in _closure_suite()]
+    closures = [(name, verify_closure([catalog(g) for g in gens], table))
+                for name, gens, table in CLOSURE_SUITE]
     closed = sum(1 for _, rep in closures if rep.ok)
     herm_bad = [n for n in HAMILTONIAN_GENERATORS if not catalog(n).is_hermitian()]
     identities = _identity_checks()
@@ -134,26 +106,27 @@ def cmd_verify_algebra(args) -> int:
     all_ok = (structure.ok and closed == len(closures)
               and not herm_bad and ident_ok == len(identities))
 
-    if args.json:
-        payload = {
-            "structure_constants": {
-                "checked": structure.pairs_checked,
-                "mismatches": [
-                    {"x": x.label, "y": y.label, "table": repr(t), "reference": repr(r)}
-                    for x, y, t, r in structure.mismatches
-                ],
-            },
-            "closures": [
-                {"name": name, "ok": rep.ok,
-                 "mismatches": [{"row": r, "col": c, "residual": repr(d)}
-                                for r, c, d in rep.mismatches]}
-                for name, rep in closures
+    payload = {
+        "structure_constants": {
+            "checked": structure.pairs_checked,
+            "mismatches": [
+                {"x": x.label, "y": y.label, "table": repr(t), "reference": repr(r)}
+                for x, y, t, r in structure.mismatches
             ],
-            "non_hermitian_generators": herm_bad,
-            "identities": [{"name": n, "ok": ok} for n, ok in identities],
-            "ok": all_ok,
-        }
-        sys.stdout.write(emit_json(payload, args.output))
+        },
+        "closures": [
+            {"name": name, "ok": rep.ok,
+             "mismatches": [{"row": r, "col": c, "residual": repr(d)}
+                            for r, c, d in rep.mismatches]}
+            for name, rep in closures
+        ],
+        "non_hermitian_generators": herm_bad,
+        "identities": [{"name": n, "ok": ok} for n, ok in identities],
+        "ok": all_ok,
+    }
+    text = emit_json(payload, args.output)
+    if args.json:
+        sys.stdout.write(text)
     else:
         lines = [
             f"structure constants: {structure.pairs_checked - len(structure.mismatches)}"
@@ -179,15 +152,17 @@ def cmd_verify_algebra(args) -> int:
 
 
 def cmd_list_generators(args) -> int:
-    if args.json:
-        sys.stdout.write(emit_json({"generators": dump_catalog()}, args.output))
-    else:
-        rows = []
-        for name in names():
-            op = catalog(name)
-            herm = "hermitian" if op.is_hermitian() else "non-hermitian"
-            rows.append(f"{name:12s} {herm:14s} {len(op.coeffs):2d} terms")
-        sys.stdout.write("\n".join(rows) + "\n")
+    if args.json or args.output:
+        text = emit_json({"generators": dump_catalog()}, args.output)
+        if args.json:
+            sys.stdout.write(text)
+            return EXIT_OK
+    rows = []
+    for name in names():
+        op = catalog(name)
+        herm = "hermitian" if op.is_hermitian() else "non-hermitian"
+        rows.append(f"{name:12s} {herm:14s} {len(op.coeffs):2d} terms")
+    sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -226,9 +201,7 @@ def _build_spec(args) -> ExperimentSpec:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    spec = ExperimentSpec(**{CONFIG_FIELDS[k]: v for k, v in settings.items()})
-    spec.validate()
-    return spec
+    return ExperimentSpec(**{CONFIG_FIELDS[k]: v for k, v in settings.items()})
 
 
 def cmd_run(args) -> int:
@@ -245,8 +218,8 @@ def cmd_run(args) -> int:
         "stages": [[n, p] for n, p in spec.stages],
         "c": chosen.value,
         "degenerate": chosen.degenerate,
-        "raw": raw.to_dict(),
-        "conditioned": cond.to_dict(),
+        "raw": asdict(raw),
+        "conditioned": asdict(cond),
         "norm": state.norm(),
         "leakage": raw.leakage,
         "state": state.to_records() if args.dump_state else None,
@@ -317,7 +290,7 @@ def cmd_scan(args) -> int:
         else:
             sys.stdout.write(text)
     else:
-        text = emit_json(table.to_dict(), args.output)
+        text = emit_json(asdict(table), args.output)
         if not args.output:
             sys.stdout.write(text)
     max_leak = max((r.leakage for r in table.rows if not r.failed), default=float("nan"))
@@ -457,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except EvolveError as exc:
-        sys.stderr.write(f"numerical error: {exc} (try a larger --cutoff or looser --tol)\n")
+        sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERIC
 
 

@@ -39,7 +39,7 @@ it (:class:`AnalyzerSource`).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from numbers import Integral, Real
 from typing import Sequence
@@ -97,12 +97,27 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _require_finite(key: str, value) -> None:
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChshAngles:
+    """The four analyzer angles of a CHSH test; each must be finite."""
+
     theta_a: float
     theta_a_prime: float
     theta_b: float
     theta_b_prime: float
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            _require_finite(field.name, getattr(self, field.name))
 
     def settings(self) -> tuple[tuple[float, float], ...]:
         """The four (theta_a, theta_b) pairs entering S, in S order."""
@@ -117,18 +132,16 @@ class ChshAngles:
         return (self.theta_a, self.theta_a_prime, self.theta_b, self.theta_b_prime)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One Bell test: a pipeline name and its physical parameters.
 
     The named pipelines read ``gamma``, ``theta_a``/``theta_b`` and ``phi``
     into their stage list; ``custom`` applies ``custom_stages`` instead.
-    Settings derived from a spec (analyzer angles, scan rows, cutoffs) are
-    ``dataclasses.replace`` copies of it.
+    A spec checks its fields when it is built and raises :class:`ConfigError`
+    unless every one is usable.  Settings derived from a spec (analyzer
+    angles, scan rows, cutoffs) are ``dataclasses.replace`` copies of it, so
+    they are checked too.
     """
 
     name: str = "ideal"
@@ -149,8 +162,7 @@ class ExperimentSpec:
             return tuple((name, float(p)) for name, p in self.custom_stages)
         return recipe(self)
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` unless every field is usable."""
+    def __post_init__(self) -> None:
         if self.name not in PIPELINES:
             raise ConfigError(f"unknown experiment {self.name!r}; expected one of {PIPELINES}")
         if self.estimator not in ESTIMATORS:
@@ -160,9 +172,7 @@ class ExperimentSpec:
         if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         for key in ("gamma", "theta_a", "theta_b", "phi"):
-            value = getattr(self, key)
-            if not (_is_real(value) and math.isfinite(value)):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            _require_finite(key, getattr(self, key))
         if self.name == "custom":
             if not isinstance(self.custom_stages, (list, tuple)) or not self.custom_stages:
                 raise ConfigError("custom experiment requires a non-empty 'stages' list")
@@ -210,7 +220,6 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
 
 def run(spec: ExperimentSpec) -> StateVector:
     """Apply the stages left to right to the vacuum."""
-    spec.validate()
     basis = get_basis(spec.cutoff)
     state = vacuum(basis)
     for gen_name, parameter in spec.stages:
@@ -234,9 +243,6 @@ class CorrelationReport:
     gamma: float
     delta: float
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _occupation_sums(amps: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -369,19 +375,16 @@ class AnalyzerSource:
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
 
-def analyzer_source(spec: ExperimentSpec,
-                    settings: Sequence[tuple[float, float]] = ()) -> AnalyzerSource:
+def analyzer_source(spec: ExperimentSpec) -> AnalyzerSource:
     """Run ``spec`` once with both analyzers at 0 (``run`` skips those stages)
     and reduce the state to an :class:`AnalyzerSource`.
 
-    ``settings`` are the (theta_a, theta_b) pairs the caller will evaluate;
-    each is validated with the spec, as a run at that setting would be.
+    A spec is checked when it is built, as are the angles of a
+    :class:`ChshAngles`, so this only rejects a pipeline without analyzers.
     """
     if spec.name not in ANALYZER_PIPELINES:
         raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
                           f"expected one of {ANALYZER_PIPELINES}")
-    for theta_a, theta_b in settings:
-        replace(spec, theta_a=theta_a, theta_b=theta_b).validate()
     state = run(replace(spec, theta_a=0.0, theta_b=0.0)).normalized()
     raw = correlation_raw(state, spec.gamma)
     cond = correlation_conditioned(state, spec.gamma)
@@ -416,11 +419,9 @@ class ChshReport:
         return {"s": self.s_value, "violation": self.violation, **asdict(self)}
 
 
-def chsh(spec: ExperimentSpec, angles: ChshAngles | None = None) -> ChshReport:
+def chsh(spec: ExperimentSpec, angles: ChshAngles) -> ChshReport:
     """Evaluate S = |C(a,b) + C(a,b') + C(a',b) - C(a',b')|."""
-    if angles is None:
-        raise ConfigError("chsh requires four analyzer angles")
-    return analyzer_source(spec, angles.settings()).chsh(angles)
+    return analyzer_source(spec).chsh(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +453,10 @@ class ScanTable:
 
     CSV_HEADER = "parameter,c_raw,c_cond,numerator,denominator,leakage"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-#: the setting of one gamma or phi row: the scanned field replaced; a delta
-#: row is the analyzer setting (theta_a, theta_b) = (value, 0)
-_SCAN_SETTINGS = {
-    "gamma": lambda spec, v: replace(spec, gamma=v),
-    "phi": lambda spec, v: replace(spec, phi=v),
-}
-SCAN_AXES = ("delta", *_SCAN_SETTINGS)
+#: a gamma or phi row replaces the spec field of that name; a delta row is
+#: the analyzer setting (theta_a, theta_b) = (value, 0)
+SCAN_AXES = ("delta", "gamma", "phi")
 
 
 def _scan_row(value: float, raw: CorrelationReport, cond: CorrelationReport) -> ScanRow:
@@ -487,7 +481,7 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
     rows = []
     for value in values:
         try:
-            setting = _SCAN_SETTINGS[axis](spec, value)
+            setting = replace(spec, **{axis: value})
             state = run(setting)
             raw = correlation_raw(state, setting.gamma)
             cond = correlation_conditioned(state, setting.gamma)
@@ -516,7 +510,6 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
         raise ConfigError("scan grid must be strictly monotone")
     if axis not in SCAN_AXES:
         raise ConfigError(f"unknown scan axis {axis!r}; expected one of {SCAN_AXES}")
-    spec.validate()
     if spec.name == "custom":
         raise ConfigError("scans require a named pipeline (ideal, horne or ou_mandel)")
     if axis == "delta" and spec.name not in ANALYZER_PIPELINES:

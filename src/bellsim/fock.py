@@ -240,9 +240,11 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
     once per (generator, cutoff) by :func:`matrix` with its 1-norm and
     hermiticity defect; a defect above 1e-10 raises ``ValueError``.  The
     series for each substep is summed until the geometric remainder bound
-    drops below the per-step share of ``tol``; failure to converge within
-    :data:`MAX_TAYLOR_TERMS` raises :class:`EvolveError` (the cutoff is too
-    small for the requested rotation, or ``tol`` is unattainably tight).
+    drops below the per-step share of ``tol``.  :class:`EvolveError` is
+    raised when the rotation needs more than :data:`MAX_SUBSTEPS` substeps
+    (the parameter is too large), or when a substep's series does not reach
+    its share within :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight;
+    a larger cutoff adds substeps and tightens each share further).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -259,7 +261,8 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
     scale = abs(theta) * generator.one_norm
     substeps = max(1, int(np.ceil(scale / 4.0)))
     if substeps > MAX_SUBSTEPS:
-        raise EvolveError(f"evolution needs {substeps} substeps; parameter too large")
+        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
+                          "reduce the stage parameter")
     h = theta / substeps
     step_tol = tol / substeps
     h_norm = abs(h) * generator.one_norm
@@ -281,7 +284,7 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
         if not converged:
             raise EvolveError(
                 f"Taylor series did not reach tol={tol:g} within "
-                f"{MAX_TAYLOR_TERMS} terms; increase the cutoff or relax tol"
+                f"{MAX_TAYLOR_TERMS} terms; relax tol"
             )
         v = acc
     return StateVector(state.basis, v)

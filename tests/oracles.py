@@ -194,8 +194,7 @@ def project_pi(state: StateVector) -> tuple[StateVector, float]:
 
 def correlation(spec, theta_a: float, theta_b: float):
     """The spec's estimator at one analyzer setting, from its source state."""
-    return experiments.analyzer_source(spec, [(theta_a, theta_b)]).report(
-        spec.estimator, theta_a, theta_b)
+    return experiments.analyzer_source(spec).report(spec.estimator, theta_a, theta_b)
 
 
 def correlation_by_run(spec, theta_a: float, theta_b: float):
@@ -255,7 +254,7 @@ def chsh_grid_search(spec, n: int = 16) -> tuple[float, ChshAngles, np.ndarray]:
 def refine_chsh_maximizer(spec, start: ChshAngles, initial_step: float = math.pi / 32,
                           min_step: float = 1e-8) -> tuple[float, ChshAngles]:
     """Deterministic coordinate pattern search around a grid maximizer."""
-    source = experiments.analyzer_source(spec, start.settings())
+    source = experiments.analyzer_source(spec)
 
     def s_at(values: list[float]) -> float:
         return source.chsh(ChshAngles(*values)).s_value

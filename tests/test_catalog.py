@@ -5,19 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bellsim.algebra import (
-    A,
-    B,
-    C,
-    JKL_TABLE,
-    MODES,
-    QuadOp,
-    SU2_TABLE,
-    SU11_TABLE,
-    commutator,
-    verify_closure,
-)
+from bellsim.algebra import A, B, C, MODES, QuadOp, commutator, verify_closure
 from bellsim.catalog import (
+    CLOSURE_SUITE,
     HAMILTONIAN_GENERATORS,
     MODE_PAIRS,
     UnknownGeneratorError,
@@ -145,39 +135,10 @@ def test_tabulated_lz_is_not_hermitian():
 # closures
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("pair", MODE_PAIRS)
-def test_su2_families_close(pair):
-    i, j = pair
-    ops = [catalog(f"J_x_{i}{j}"), catalog(f"J_y_{i}{j}"), catalog(f"J_z_{i}{j}")]
-    assert verify_closure(ops, SU2_TABLE).ok
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_one_boson_su11_families_close(mode):
-    ops = [catalog(f"K_x_{mode}"), catalog(f"K_y_{mode}"), catalog(f"K_z_{mode}")]
-    assert verify_closure(ops, SU11_TABLE).ok
-
-
-@pytest.mark.parametrize("pair", MODE_PAIRS)
-def test_two_boson_su11_families_close(pair):
-    i, j = pair
-    ops = [catalog(f"K_x_{i}{j}"), catalog(f"K_y_{i}{j}"), catalog(f"K_z_{i}{j}")]
-    assert verify_closure(ops, SU11_TABLE).ok
-
-
-def test_four_boson_su11_closes():
-    ops = [catalog("K_x"), catalog("K_y"), catalog("K_z")]
-    assert verify_closure(ops, SU11_TABLE).ok
-
-
-def test_ideal_triple_closes():
-    ops = [catalog("J"), catalog("K"), catalog("L")]
-    assert verify_closure(ops, JKL_TABLE).ok
-
-
-def test_wavevector_triple_closes():
-    ops = [catalog("J_prime"), catalog("K_prime"), catalog("L_prime")]
-    assert verify_closure(ops, JKL_TABLE).ok
+@pytest.mark.parametrize("label, gens, table", CLOSURE_SUITE,
+                         ids=[label for label, _, _ in CLOSURE_SUITE])
+def test_subalgebra_closes(label, gens, table):
+    assert verify_closure([catalog(g) for g in gens], table).ok, label
 
 
 def test_equal_rotations_commute_with_source():

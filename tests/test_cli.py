@@ -190,6 +190,34 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
     assert err.startswith(f"config error: cannot write {target}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-algebra",),
+    ("list-generators",),
+    ("run", "--cutoff", "4"),
+    ("chsh", "--cutoff", "4"),
+    ("scan", "--axis", "delta", "--points", "2", "--cutoff", "4"),
+    ("convergence", "--cutoffs", "4,6"),
+], ids=lambda argv: argv[0])
+def test_output_file_is_written(tmp_path, capsys, argv):
+    target = tmp_path / "report.out"
+    code, _, _ = invoke(capsys, *argv, "--output", str(target))
+    assert code == EXIT_OK
+    assert target.read_text(encoding="utf-8")
+
+
+def test_output_keeps_text_stdout(tmp_path, capsys):
+    """verify-algebra and list-generators print their text tables with
+    --output too, and write the --json report to the file."""
+    for command in ("verify-algebra", "list-generators"):
+        target = tmp_path / f"{command}.json"
+        _, text, _ = invoke(capsys, command)
+        _, report, _ = invoke(capsys, command, "--json")
+        code, out, _ = invoke(capsys, command, "--output", str(target))
+        assert code == EXIT_OK
+        assert out == text
+        assert target.read_text(encoding="utf-8") == report
+
+
 #: a valid custom pipeline, which chsh and scans do not take
 _CUSTOM = {"experiment": "custom", "stages": [["K", 0.1], ["J_a", 0.4]]}
 
@@ -254,7 +282,22 @@ def test_run_nonconvergence_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
     code, _, err = invoke(capsys, "run", "--gamma", "0.4")
     assert code == EXIT_NUMERIC
-    assert "cutoff" in err
+    assert err == "numerical error: Taylor series did not reach tol=1e-12 within 1 terms; relax tol\n"
+
+
+@pytest.mark.parametrize("argv, err_line", [
+    (("run", "--gamma", "1e6", "--cutoff", "2"),
+     "evolution needs 250000 substeps (limit 100000); reduce the stage parameter"),
+    (("run", "--gamma", "0.1", "--tol", "1e-300", "--cutoff", "12"),
+     "Taylor series did not reach tol=1e-300 within 80 terms; relax tol"),
+], ids=["substeps", "taylor"])
+def test_numerical_error_names_its_remedy(capsys, argv, err_line):
+    """Each evolution failure prints one line with its own remedy: a larger
+    cutoff needs more substeps and tightens each one's share of tol."""
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == f"numerical error: {err_line}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,38 +55,51 @@ def _load_golden(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def test_builders_produce_valid_specs():
-    for spec in (ExperimentSpec("ideal", gamma=0.1, theta_a=0.2, theta_b=-0.1),
-                 horne_spec(0.1, 0.5), ExperimentSpec("ou_mandel", gamma=0.1)):
-        spec.validate()
+    ExperimentSpec("ideal", gamma=0.1, theta_a=0.2, theta_b=-0.1)
+    horne_spec(0.1, 0.5)
+    ExperimentSpec("ou_mandel", gamma=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: horne_spec(math.nan, 0.3), "gamma must be a finite number, got nan"),
+    (lambda: horne_spec(0.1, math.inf), "phi must be a finite number, got inf"),
+    (lambda: horne_spec(0.1, 0.3, cutoff=1), "cutoff must be an integer >= 2, got 1"),
+    (lambda: horne_spec(0.1, 0.3, tol=math.inf), "tol must be a finite positive number, got inf"),
+    (lambda: replace(ExperimentSpec(), gamma=math.nan), "gamma must be a finite number, got nan"),
+    (lambda: ChshAngles(0, math.nan, 0, 0), "theta_a_prime must be a finite number, got nan"),
+], ids=["horne-gamma-nan", "horne-phi-inf", "horne-cutoff-1", "horne-tol-inf",
+        "replace-gamma-nan", "chsh-angle-nan"])
+def test_rejected_when_built(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(_RECIPES))
 def test_recipe_generators_are_hermitian_catalog_entries(name):
-    """validate() checks only custom stages; the recipes' generators are constants."""
+    """A spec checks only custom stages; the recipes' generators are constants."""
     for gen_name, _ in _RECIPES[name](ExperimentSpec(name)):
         assert gen_name in HAMILTONIAN_GENERATORS
         assert catalog(gen_name).is_hermitian()
 
 
 def test_unknown_generator_rejected():
-    spec = ExperimentSpec("custom", (("nope", 0.1),))
     with pytest.raises(ConfigError):
-        spec.validate()
+        ExperimentSpec("custom", (("nope", 0.1),))
 
 
 def test_non_hermitian_stage_rejected():
-    spec = ExperimentSpec("custom", (("L_z", 0.1),))
     with pytest.raises(ConfigError):
-        spec.validate()
+        ExperimentSpec("custom", (("L_z", 0.1),))
 
 
 def test_bad_estimator_cutoff_tol():
     with pytest.raises(ConfigError):
-        ExperimentSpec("ideal", (), estimator="median").validate()
+        ExperimentSpec("ideal", (), estimator="median")
     with pytest.raises(ConfigError):
-        ExperimentSpec("ideal", (), cutoff=1).validate()
+        ExperimentSpec("ideal", (), cutoff=1)
     with pytest.raises(ConfigError):
-        ExperimentSpec("ideal", (), tol=0.0).validate()
+        ExperimentSpec("ideal", (), tol=0.0)
 
 
 def test_angles_only_for_analyzer_pipelines():
@@ -253,11 +267,6 @@ def test_chsh_report_recomputes_s():
     c1, c2, c3, c4 = (r.value for r in report.correlations)
     assert report.s_value == pytest.approx(abs(c1 + c2 + c3 - c4), abs=0.0)
     assert report.violation
-
-
-def test_chsh_requires_angles():
-    with pytest.raises(ConfigError):
-        chsh(ExperimentSpec("ideal", gamma=0.1))
 
 
 def test_chsh_equal_angles_no_violation():
