@@ -24,6 +24,7 @@ from . import __version__
 from .algebra import commutator, verify_closure, verify_structure_constants
 from .catalog import CLOSURE_SUITE, HAMILTONIAN_GENERATORS, catalog, dump_catalog, names
 from .experiments import (
+    ANALYZER_PIPELINES,
     CHSH_MAXIMIZER,
     ChshAngles,
     ConfigError,
@@ -31,9 +32,7 @@ from .experiments import (
     PIPELINES,
     ExperimentSpec,
     chsh,
-    correlation_conditioned,
-    correlation_raw,
-    run,
+    measure,
     scan,
 )
 from .fock import EvolveError
@@ -50,8 +49,9 @@ def fmt(x: float) -> str:
 
 
 def _json_ready(value):
+    # floats print with 12 digits; JSON has no NaN, so a failed row's fields are null
     if isinstance(value, float):
-        return float(fmt(value))
+        return float(fmt(value)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -67,7 +67,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def emit_json(payload: dict, output: str | None) -> str:
-    text = json.dumps(_json_ready(payload), indent=2) + "\n"
+    text = json.dumps(_json_ready(payload), indent=2, allow_nan=False) + "\n"
     if output:
         _write_output(output, text)
     return text
@@ -206,16 +206,18 @@ def _build_spec(args) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _build_spec(args)
-    state = run(spec)
-    raw = correlation_raw(state, spec.gamma, spec.theta_a - spec.theta_b)
-    cond = correlation_conditioned(state, spec.gamma, spec.theta_a - spec.theta_b)
+    state, raw, cond = measure(spec)
     chosen = cond if spec.estimator == "conditioned" else raw
+    stages = [[n, p] for n, p in spec.stages]
+    if spec.name in ANALYZER_PIPELINES:
+        # the analyzers end the pipeline; measure contracts them, run never evolves them
+        stages += [["J_a", 2.0 * spec.theta_a], ["J_b", 2.0 * spec.theta_b]]
     payload = {
         "experiment": spec.name,
         "estimator": spec.estimator,
         "gamma": spec.gamma,
         "cutoff": spec.cutoff,
-        "stages": [[n, p] for n, p in spec.stages],
+        "stages": stages,
         "c": chosen.value,
         "degenerate": chosen.degenerate,
         "raw": asdict(raw),
@@ -311,9 +313,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError("--cutoffs must be a strictly increasing list of integers >= 2")
     values = []
     for cutoff in cutoffs:
-        state = run(replace(spec, cutoff=cutoff))
-        raw = correlation_raw(state, spec.gamma)
-        cond = correlation_conditioned(state, spec.gamma)
+        _, raw, cond = measure(replace(spec, cutoff=cutoff))
         values.append({"cutoff": cutoff, "c_raw": raw.value, "c_cond": cond.value,
                        "leakage": raw.leakage})
     diffs = [abs(values[k + 1]["c_raw"] - values[k]["c_raw"]) for k in range(len(values) - 1)]
@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one pipeline and print the correlation")
     _add_common(p)
     p.add_argument("--dump-state", action="store_true",
-                   help="include the final state in the JSON report")
+                   help="include the final state in the JSON report (for ideal "
+                        "and ou_mandel, the state the analyzers read)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("chsh", help="evaluate the four-setting CHSH figure of merit",

@@ -3,22 +3,21 @@
 A pipeline is a declarative list of (generator name, real parameter)
 stages applied left to right to the vacuum:
 
-* ``ideal``     — singlet-generating pair source ``K`` followed by
-  analyzer rotations in channels a and b.
+* ``ideal``     — singlet-generating pair source ``K``.
 * ``horne``     — wave-vector pair source ``K_prime``, phase-shift
   difference ``(J_prime, phi)``, then the channel mixer ``J_BS``.
 * ``ou_mandel`` — type-I source ``K_OM``, a polarization rotation in
-  channel a, the channel mixer, then analyzer rotations.
+  channel a, then the channel mixer.
 
-Angle conventions, fixed by two exact requirements (the conditioned
-correlation must equal -cos 2(theta_a - theta_b), and must be invariant
-under a common shift of both analyzers):
+``ideal`` and ``ou_mandel`` are then read through analyzers at
+(theta_a, theta_b).  Angle conventions, fixed by two exact requirements (the
+conditioned correlation must equal -cos 2(theta_a - theta_b), and must be
+invariant under a common shift of both analyzers):
 
-* An analyzer at physical angle theta enters as the stage
-  ``(J_a, 2*theta)`` (polarization rotations double-cover the Stokes
-  sphere).  The difference transformation e^{i d J}, J = J_a - J_b, is
-  then the setting (d/2, -d/2); only the difference d is observable
-  because the analyzer-sum generator J_a + J_b commutes with the source.
+* An analyzer at physical angle theta is the rotation e^{i 2 theta J_a} (or
+  J_b): polarization rotations double-cover the Stokes sphere.  The
+  difference transformation e^{i d J}, J = J_a - J_b, is then the setting
+  (d/2, -d/2); only d is observable because J_a + J_b commutes with the source.
 * Beam-splitter stages use U = exp(i * theta * J_BS) with the
   half-normalized generator J_BS = J_x_13 + J_x_24; a 50/50 splitter is
   theta = pi/2 (pi/4 would be an 85/15 splitter).
@@ -30,10 +29,9 @@ The two agree as the squeeze parameter gamma -> 0 and their measured
 difference is O(gamma^2); the scan and report tooling makes that
 dependence an observable rather than an assumption.
 
-Analyzer settings (CHSH and delta scans) do not re-run the pipeline: the
-source runs once with both analyzers at 0, both estimators read that state,
-and every setting swaps in a numerator contracted from a 2x2 sigma tensor of
-it (:class:`AnalyzerSource`).
+The analyzers are never evolved: both estimators read the source state, and
+every setting swaps in a numerator contracted from a 2x2 sigma tensor of it
+(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).
 """
 
 from __future__ import annotations
@@ -69,13 +67,12 @@ BS_5050 = math.pi / 2
 
 #: stage lists of the named pipelines, built from a spec's parameters
 _RECIPES = {
-    "ideal": lambda s: (("K", s.gamma), ("J_a", 2.0 * s.theta_a), ("J_b", 2.0 * s.theta_b)),
+    "ideal": lambda s: (("K", s.gamma),),
     "horne": lambda s: (("K_prime", s.gamma), ("J_prime", s.phi), ("J_BS", BS_5050)),
-    "ou_mandel": lambda s: (("K_OM", s.gamma), ("J_a", math.pi / 2), ("J_BS", BS_5050),
-                            ("J_a", 2.0 * s.theta_a), ("J_b", 2.0 * s.theta_b)),
+    "ou_mandel": lambda s: (("K_OM", s.gamma), ("J_a", math.pi / 2), ("J_BS", BS_5050)),
 }
 PIPELINES = (*_RECIPES, "custom")
-#: pipelines that end in analyzer rotations, the only ones that read (theta_a, theta_b)
+#: pipelines measured through analyzers, the only ones that read (theta_a, theta_b)
 ANALYZER_PIPELINES = ("ideal", "ou_mandel")
 
 #: denominators (and projection weights) below this are reported degenerate
@@ -136,12 +133,12 @@ class ChshAngles:
 class ExperimentSpec:
     """One Bell test: a pipeline name and its physical parameters.
 
-    The named pipelines read ``gamma``, ``theta_a``/``theta_b`` and ``phi``
-    into their stage list; ``custom`` applies ``custom_stages`` instead.
+    The named pipelines read ``gamma`` and ``phi`` into their stage list;
+    ``custom`` applies ``custom_stages`` instead.  :func:`measure` reads the
+    analyzer setting ``theta_a``/``theta_b`` from the final state.
     A spec checks its fields when it is built and raises :class:`ConfigError`
-    unless every one is usable.  Settings derived from a spec (analyzer
-    angles, scan rows, cutoffs) are ``dataclasses.replace`` copies of it, so
-    they are checked too.
+    unless every one is usable.  Settings derived from a spec (scan rows,
+    cutoffs) are ``dataclasses.replace`` copies of it, so they are checked too.
     """
 
     name: str = "ideal"
@@ -297,44 +294,33 @@ def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
 # analyzer settings from one source state
 # ---------------------------------------------------------------------------
 
-def _sigma_tensor(amps: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of an amplitude vector.
+def _sigma_tensors(amps: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of an amplitude vector and
+    of its (unnormalized) projection onto the coincidence kets.
 
     The channel-a and channel-b observables are hermitian and commute, so
     T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal and two sparse products.
+    Each keeps its channel's photon number, so it commutes with the projection,
+    and the coincidence columns of the same products give the projected tensor.
     """
     z_a, z_b = basis.channel_weights[:2]
     side_a = np.stack([z_a * amps, _stage_operator("sigma_y_a", basis.cutoff).mat @ amps])
     side_b = np.stack([z_b * amps, _stage_operator("sigma_y_b", basis.cutoff).mat @ amps])
-    return (side_a.conj() @ side_b.T).real
-
-
-#: sigma_z and sigma_y of one channel on its one-photon kets (|10>, |01>),
-#: which is how the catalog's sigma_z_a, sigma_y_a (and _b) act there
-_QUBIT_SIGMAS = np.array([[[1, 0], [0, -1]], [[0, -1j], [1j, 0]]])
-
-
-def _coincidence_tensor(amps: np.ndarray) -> np.ndarray:
-    """T of the two-qubit state of the four coincidence amplitudes.
-
-    In ``PI_KEPT`` order the amplitudes reshape to psi[a, b], channel a by
-    channel b, and T_ij = <psi|sigma_i (x) sigma_j|psi> / <psi|psi>.
-    """
-    psi = amps.reshape(2, 2)
-    t = np.einsum("ab,iac,jbd,cd->ij", psi.conj(), _QUBIT_SIGMAS, _QUBIT_SIGMAS, psi)
-    return t.real / np.vdot(psi, psi).real
+    kept = basis.coincidence
+    return ((side_a.conj() @ side_b.T).real,
+            (side_a[:, kept].conj() @ side_b[:, kept].T).real)
 
 
 def _analyzer_vector(theta: float) -> np.ndarray:
-    """u(theta): an analyzer at theta, the stage e^{i 2 theta J}, turns
+    """u(theta): an analyzer at theta, the rotation e^{i 2 theta J}, turns
     sigma_z into cos(2 theta) sigma_z - sin(2 theta) sigma_y."""
     return np.array([math.cos(2.0 * theta), -math.sin(2.0 * theta)])
 
 
 @dataclass(frozen=True)
 class AnalyzerSource:
-    """An analyzer pipeline's state before the analyzers, reduced to what
-    every setting (theta_a, theta_b) reads.
+    """An analyzer pipeline's final state, which the analyzers read, reduced
+    to what every setting (theta_a, theta_b) reads.
 
     The analyzers are passive rotations inside channel a and channel b.  They
     keep each channel's photon number, so they commute with the coincidence
@@ -350,8 +336,8 @@ class AnalyzerSource:
     #: :func:`correlation_raw` and :func:`correlation_conditioned` of the source
     raw: CorrelationReport
     conditioned: CorrelationReport
-    #: T of the normalized state, and of the coincidence kets' two-qubit
-    #: state (None when the coincidence weight is degenerate)
+    #: T of the normalized state, and of its renormalized coincidence
+    #: projection (None when the coincidence weight is degenerate)
     raw_tensor: np.ndarray
     cond_tensor: np.ndarray | None
 
@@ -375,22 +361,37 @@ class AnalyzerSource:
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
 
-def analyzer_source(spec: ExperimentSpec) -> AnalyzerSource:
-    """Run ``spec`` once with both analyzers at 0 (``run`` skips those stages)
-    and reduce the state to an :class:`AnalyzerSource`.
+def _reduce(spec: ExperimentSpec, state: StateVector) -> AnalyzerSource:
+    """The :class:`AnalyzerSource` of ``spec``'s final state."""
+    state = state.normalized()
+    raw, cond = correlation_raw(state, spec.gamma), correlation_conditioned(state, spec.gamma)
+    raw_tensor, kept_tensor = _sigma_tensors(state.amps, state.basis)
+    kept = state.amps[state.basis.coincidence]
+    cond_tensor = None if cond.degenerate else kept_tensor / np.vdot(kept, kept).real
+    return AnalyzerSource(spec, raw, cond, raw_tensor, cond_tensor)
 
-    A spec is checked when it is built, as are the angles of a
-    :class:`ChshAngles`, so this only rejects a pipeline without analyzers.
-    """
+
+def analyzer_source(spec: ExperimentSpec) -> AnalyzerSource:
+    """Run ``spec`` once and reduce its state to an :class:`AnalyzerSource`;
+    the spec is checked when built, so this only rejects a pipeline without
+    analyzers."""
     if spec.name not in ANALYZER_PIPELINES:
         raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
                           f"expected one of {ANALYZER_PIPELINES}")
-    state = run(replace(spec, theta_a=0.0, theta_b=0.0)).normalized()
-    raw = correlation_raw(state, spec.gamma)
-    cond = correlation_conditioned(state, spec.gamma)
-    cond_tensor = None if cond.degenerate else _coincidence_tensor(
-        state.amps[state.basis.coincidence])
-    return AnalyzerSource(spec, raw, cond, _sigma_tensor(state.amps, state.basis), cond_tensor)
+    return _reduce(spec, run(spec))
+
+
+def measure(spec: ExperimentSpec) -> tuple[StateVector, CorrelationReport, CorrelationReport]:
+    """The final state of ``spec`` and both estimators at its analyzer setting:
+    contracted from the state's :class:`AnalyzerSource` when an ``ideal`` or
+    ``ou_mandel`` angle is nonzero, read from the state otherwise."""
+    state = run(spec)
+    if spec.name in ANALYZER_PIPELINES and (spec.theta_a or spec.theta_b):
+        source = _reduce(spec, state)
+        return state, *(source.report(e, spec.theta_a, spec.theta_b) for e in ESTIMATORS)
+    delta = spec.theta_a - spec.theta_b
+    return (state, correlation_raw(state, spec.gamma, delta),
+            correlation_conditioned(state, spec.gamma, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +482,7 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
     rows = []
     for value in values:
         try:
-            setting = replace(spec, **{axis: value})
-            state = run(setting)
-            raw = correlation_raw(state, setting.gamma)
-            cond = correlation_conditioned(state, setting.gamma)
+            _, raw, cond = measure(replace(spec, **{axis: value}))
         except (EvolveError, ValueError) as exc:
             rows.append(_failed_row(value, exc))
         else:
@@ -495,8 +493,8 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
     """Map both estimators over a parameter grid.
 
-    A gamma or phi row runs a copy of ``spec`` with the scanned field
-    replaced; delta rows are analyzer settings (value, 0) of one
+    A gamma or phi row is :func:`measure` of a copy of ``spec`` with the
+    scanned field replaced; delta rows are analyzer settings (value, 0) of one
     :class:`AnalyzerSource`.  Rows are computed in grid order.  The grid
     must be non-empty, finite and strictly monotone.
     """

@@ -7,12 +7,13 @@ implementation, and diagonal expectations are direct occupation sums.
 Agreement between these oracles and the library is what the oracle tests
 certify.  The one exception is :func:`column_loop_matrix`, which shares the
 library's matrix-element arithmetic on purpose, to pin the vectorized
-matrix build bit for bit.  :func:`correlation_by_run` and
-:func:`chsh_grid_by_runs` use the library's pipeline and estimators, but
-evolve every analyzer setting through its rotation stages, which the
-library's analyzer-setting route never does.  :func:`project_pi` is the
-reference coincidence projection: it zeroes every amplitude outside the four
-``PI_KEPT`` kets, where the library reads those four amplitudes alone.
+matrix build bit for bit.  :func:`run_with_analyzers`,
+:func:`correlation_by_run` and :func:`chsh_grid_by_runs` use the library's
+source run, Taylor evolution and estimators, but evolve every analyzer
+setting through its rotation stages, which the library never does.
+:func:`project_pi` is the reference coincidence projection: it zeroes every
+amplitude outside the four ``PI_KEPT`` kets, where the library reads those
+four amplitudes alone.
 
 Reference tools shared by the tests and ``make_goldens.py``; no command runs
 them:
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from bellsim import experiments
+from bellsim import experiments, fock
 from bellsim.adjoint import FloatOp, conjugate
 from bellsim.algebra import ALL_ELEMENTS, DIM_BASIS, ELEMENT_INDEX, SCALAR_SLOT, Kind, QuadOp, commutator
 from bellsim.catalog import catalog
@@ -131,8 +132,6 @@ def column_loop_matrix(op, basis: FockBasis) -> scipy.sparse.csr_matrix:
 def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
     """e^{i theta G}|state> using the library's truncated matrix but scipy's
     dense exponential (independent of the Taylor path)."""
-    from bellsim import fock
-
     mat = fock.matrix(generator, state.basis).mat.toarray()
     propagator = scipy.linalg.expm(1j * theta * mat)
     return StateVector(state.basis, propagator @ state.amps)
@@ -140,8 +139,6 @@ def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
 
 def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:
     """e^{i theta G} X e^{-i theta G} on the truncated space, dense."""
-    from bellsim import fock
-
     gmat = fock.matrix(g, basis).mat.toarray()
     xmat = fock.matrix(x, basis).mat.toarray()
     u = scipy.linalg.expm(1j * theta * gmat)
@@ -197,10 +194,22 @@ def correlation(spec, theta_a: float, theta_b: float):
     return experiments.analyzer_source(spec).report(spec.estimator, theta_a, theta_b)
 
 
+def run_with_analyzers(spec, theta_a: float, theta_b: float) -> StateVector:
+    """The pipeline's state after the analyzers: ``experiments.run`` (which
+    stops at the source), then the stages (J_a, 2 theta_a) and (J_b, 2 theta_b)
+    evolved with ``fock.evolve``."""
+    state = experiments.run(spec)
+    for name, theta in (("J_a", theta_a), ("J_b", theta_b)):
+        generator = fock.matrix(catalog(name), state.basis)
+        state = fock.evolve(state, generator, 2.0 * theta, spec.tol)
+    return state
+
+
 def correlation_by_run(spec, theta_a: float, theta_b: float):
-    """C at one analyzer setting by brute force: a full pipeline run with both
-    analyzer stages, then the spec's estimator on the final state."""
-    state = experiments.run(replace(spec, theta_a=theta_a, theta_b=theta_b))
+    """C at one analyzer setting by brute force: the analyzer stages evolved
+    on the pipeline's state (:func:`run_with_analyzers`), then the spec's
+    estimator on the final state."""
+    state = run_with_analyzers(spec, theta_a, theta_b)
     estimator = {"raw": experiments.correlation_raw,
                  "conditioned": experiments.correlation_conditioned}[spec.estimator]
     return estimator(state, spec.gamma, theta_a - theta_b)

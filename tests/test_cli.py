@@ -8,6 +8,7 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import bellsim.algebra as algebra
+import bellsim.experiments as experiments
 import bellsim.fock as fock
 from bellsim.algebra import QuadOp
 from bellsim.cli import (
@@ -300,6 +301,69 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     assert err == f"numerical error: {err_line}\n"
 
 
+def test_run_at_huge_angle(capsys):
+    """The analyzers are contracted from the source state, never evolved, so
+    any finite angle runs."""
+    code, out, _ = invoke(capsys, "run", "--theta-a", "1e6")
+    assert code == EXIT_OK
+    assert float(out.split()[2]) == pytest.approx(-math.cos(2e6), abs=1e-9)
+
+
+def test_run_setting_keeps_relative_accuracy(capsys):
+    """At gamma = 1e-6 the pair amplitudes are ~1e-6, so an absolute tol on
+    an evolved analyzer would cost digits; the contracted setting prints
+    -cos 0.6 exactly."""
+    code, out, _ = invoke(capsys, "run", "--gamma", "1e-6", "--theta-a", "0.3")
+    assert code == EXIT_OK
+    assert out == "C = -0.82533561491 (conditioned), leakage = 0\n"
+
+
+@pytest.mark.parametrize("gamma, theta", [(0.1, 0.3), (0.4, -1.2), (0.05, 7.0)])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("name", ["ideal", "ou_mandel"])
+def test_run_equals_delta_scan_row(capsys, name, estimator, gamma, theta):
+    """``run`` at (theta, 0) prints the C and leakage of the delta-scan row
+    at theta, byte for byte: both read the same source state."""
+    common = ("-e", name, "--gamma", repr(gamma), "--estimator", estimator)
+    code, out, _ = invoke(capsys, "run", *common, "--theta-a", repr(theta))
+    assert code == EXIT_OK
+    code, table, _ = invoke(capsys, "scan", "--axis", "delta", "--values", repr(theta), *common)
+    assert code == EXIT_OK
+    _, c_raw, c_cond, _, _, leakage = table.splitlines()[1].split(",")
+    c = c_cond if estimator == "conditioned" else c_raw
+    assert out == f"C = {c} ({estimator}), leakage = {leakage}\n"
+
+
+def test_no_command_evolves_the_analyzers(capsys, monkeypatch):
+    """The named recipes stop at the source: no command builds or evolves J_b,
+    and J_a is evolved only as ou_mandel's fixed pi/2 polarization rotation."""
+    built, evolved, names_by_op = [], [], {}
+    stage_operator, evolve = experiments._stage_operator, experiments.evolve
+
+    def recording_stage_operator(name, cutoff):
+        op = stage_operator(name, cutoff)
+        built.append(name)
+        names_by_op[id(op)] = name
+        return op
+
+    def recording_evolve(state, generator, theta, tol):
+        evolved.append((names_by_op[id(generator)], theta))
+        return evolve(state, generator, theta, tol)
+
+    monkeypatch.setattr(experiments, "_stage_operator", recording_stage_operator)
+    monkeypatch.setattr(experiments, "evolve", recording_evolve)
+    for name in ("ideal", "ou_mandel"):
+        common = ("-e", name, "--theta-a", "0.3", "--theta-b", "-0.2", "--cutoff", "6")
+        for argv in (("run", *common), ("chsh", *common),
+                     ("scan", "--axis", "delta", "--values", "0.1,0.5", *common),
+                     ("scan", "--axis", "gamma", "--values", "0.1,0.5", *common),
+                     ("convergence", "--cutoffs", "4,6", *common)):
+            assert invoke(capsys, *argv)[0] == EXIT_OK
+    assert "J_b" not in built
+    assert {name for name, _ in evolved} == {"K", "K_OM", "J_a", "J_BS"}
+    assert {theta for name, theta in evolved if name == "J_a"} == {math.pi / 2}
+
+
 # ---------------------------------------------------------------------------
 # chsh
 # ---------------------------------------------------------------------------
@@ -383,6 +447,28 @@ def test_scan_json_format(tmp_path, capsys):
     code, _, _ = invoke(capsys, *argv, "--output", str(out_path))
     assert code == EXIT_OK
     assert json.loads(out_path.read_text()) == payload
+
+
+def test_failed_row_json_is_strict(tmp_path, capsys):
+    """A failed row's non-finite fields are written as null, not as the bare
+    NaN token that RFC 8259 parsers reject."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out_path = tmp_path / "scan.json"
+    argv = ("scan", "--axis", "gamma", "--values", "0.1,1e6", "-e", "horne", "--cutoff", "4",
+            "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    payload = json.loads(out[: out.rindex("}") + 1], parse_constant=reject)
+    assert invoke(capsys, *argv, "--output", str(out_path))[0] == EXIT_NUMERIC
+    assert json.loads(out_path.read_text(), parse_constant=reject) == payload
+    ok, failed = payload["rows"]
+    assert not ok["failed"] and failed["failed"]
+    fields = ("c_raw", "c_cond", "numerator", "denominator", "leakage")
+    assert all(isinstance(ok[k], float) for k in fields)
+    assert [failed[k] for k in fields] == [None] * 5
 
 
 def test_report_key_order(tmp_path, capsys):

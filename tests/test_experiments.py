@@ -18,6 +18,7 @@ from bellsim.experiments import (
     BS_5050,
     CHSH_MAXIMIZER,
     ESTIMATORS,
+    PIPELINES,
     _RECIPES,
     ChshAngles,
     ChshReport,
@@ -125,8 +126,17 @@ def test_small_gamma_state_is_vacuum_plus_singlet_pair():
     assert state.amplitude((0, 1, 1, 0)) == pytest.approx(-0.5j * gamma, rel=1e-3)
 
 
+@pytest.mark.parametrize("name", sorted(_RECIPES))
+def test_recipes_stop_before_the_analyzers(name):
+    """The analyzer setting never enters a stage list: ``measure`` reads it
+    from the final state."""
+    stages = ExperimentSpec(name, theta_a=0.3, theta_b=-0.2).stages
+    assert stages == ExperimentSpec(name).stages
+    assert "J_b" not in {gen_name for gen_name, _ in stages}
+
+
 def test_run_matches_dense_stage_oracle():
-    spec = ExperimentSpec("ou_mandel", gamma=0.2, theta_a=0.3, theta_b=-0.2)
+    spec = ExperimentSpec("ou_mandel", gamma=0.2)
     state = run(spec)
     reference = vacuum(get_basis(spec.cutoff))
     for name, par in spec.stages:
@@ -177,7 +187,7 @@ def test_raw_close_to_conditioned_at_small_gamma():
 
 
 def test_raw_against_diagonal_oracle():
-    state = run(ExperimentSpec("ideal", gamma=0.3, theta_a=0.4, theta_b=0.1, estimator="raw"))
+    state = oracles.run_with_analyzers(ExperimentSpec("ideal", gamma=0.3), 0.4, 0.1)
     report = correlation_raw(state, 0.3, 0.3)
     num, den = oracles.correlation_oracle(state.normalized())
     assert report.numerator == pytest.approx(num, abs=1e-12)
@@ -199,8 +209,9 @@ def test_estimators_match_sparse_products_and_oracle(name, cutoff):
 
     for gamma in (0.1, 0.5, 1.0):
         for angle in (0.3, math.pi / 4, 1.1):
-            spec = ExperimentSpec(name, gamma=gamma, theta_a=angle, phi=angle, cutoff=cutoff)
-            state = run(spec).normalized()
+            spec = ExperimentSpec(name, gamma=gamma, phi=angle, cutoff=cutoff)
+            state = (oracles.run_with_analyzers(spec, angle, 0.0) if name in ANALYZER_PIPELINES
+                     else run(spec)).normalized()
             raw = correlation_raw(state)
             cond = correlation_conditioned(state)
             assert not (raw.degenerate or cond.degenerate)
@@ -342,6 +353,47 @@ def test_analyzer_settings_match_full_runs(name, cutoff, gamma):
             for field in ("value", "numerator", "denominator", "leakage"):
                 assert getattr(report, field) == pytest.approx(getattr(reference, field),
                                                                abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::bellsim.fock.TruncationWarning")
+@pytest.mark.parametrize("name", ANALYZER_PIPELINES)
+def test_sigma_tensors_match_sparse_products(name):
+    """Both tensors of an AnalyzerSource against the sparse products
+    <sigma_i_a sigma_j_b> on the state and on its renormalized coincidence
+    projection."""
+    spec = ExperimentSpec(name, gamma=0.4, cutoff=8)
+    source = experiments.analyzer_source(spec)
+    state = run(spec).normalized()
+    projected = project_pi(state)[0].normalized()
+    for i, sigma_a in enumerate(("sigma_z_a", "sigma_y_a")):
+        for j, sigma_b in enumerate(("sigma_z_b", "sigma_y_b")):
+            ops = [catalog(sigma_a), catalog(sigma_b)]
+            assert source.raw_tensor[i, j] == pytest.approx(
+                expect_product(state, ops).real, abs=1e-12)
+            assert source.cond_tensor[i, j] == pytest.approx(
+                expect_product(projected, ops).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", PIPELINES)
+def test_measure_reads_the_setting(name):
+    """``measure`` returns the final state and both estimators at the spec's
+    own setting: read directly when there is no analyzer to apply, and
+    contracted from the state's AnalyzerSource otherwise."""
+    custom = (("K", 0.2), ("J_a", 0.6)) if name == "custom" else ()
+    for theta_a, theta_b in ((0.0, 0.0), (0.3, -0.2)):
+        spec = ExperimentSpec(name, custom, gamma=0.2, theta_a=theta_a, theta_b=theta_b,
+                              phi=0.4)
+        state, raw, cond = experiments.measure(spec)
+        assert np.array_equal(state.amps, run(spec).amps)
+        delta = theta_a - theta_b
+        if name in ANALYZER_PIPELINES and (theta_a or theta_b):
+            source = experiments.analyzer_source(spec)
+            expected = (source.report("raw", theta_a, theta_b),
+                        source.report("conditioned", theta_a, theta_b))
+        else:
+            expected = (correlation_raw(state, 0.2, delta),
+                        correlation_conditioned(state, 0.2, delta))
+        assert (raw, cond) == expected
 
 
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
