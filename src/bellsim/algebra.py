@@ -84,9 +84,6 @@ ALL_ELEMENTS: tuple[BasisElement, ...] = tuple(
     + [C(i, j) for i in MODES for j in MODES]
     + [B(i, j) for i in MODES for j in MODES if i <= j]
 )
-ELEMENT_INDEX: dict[BasisElement, int] = {e: k for k, e in enumerate(ALL_ELEMENTS)}
-DIM_BASIS = len(ALL_ELEMENTS)  # 36
-SCALAR_SLOT = DIM_BASIS  # index of the central scalar in 37-dim coefficient vectors
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,8 @@ def _sigma_tensors(amps: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.n
 def _analyzer_vector(theta: float) -> np.ndarray:
     """u(theta): an analyzer at theta, the rotation e^{i 2 theta J}, turns
     sigma_z into cos(2 theta) sigma_z - sin(2 theta) sigma_y."""
+    if not math.isfinite(2.0 * theta):
+        raise ConfigError(f"analyzer angle {theta!r} is too large: 2*theta overflows")
     return np.array([math.cos(2.0 * theta), -math.sin(2.0 * theta)])
 
 

@@ -22,6 +22,7 @@ in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -259,7 +260,7 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
     mat = generator.mat
     # 1-norm bound on theta*G decides the number of substeps
     scale = abs(theta) * generator.one_norm
-    substeps = max(1, int(np.ceil(scale / 4.0)))
+    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
     if substeps > MAX_SUBSTEPS:
         raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
                           "reduce the stage parameter")

@@ -13,7 +13,9 @@ source run, Taylor evolution and estimators, but evolve every analyzer
 setting through its rotation stages, which the library never does.
 :func:`project_pi` is the reference coincidence projection: it zeroes every
 amplitude outside the four ``PI_KEPT`` kets, where the library reads those
-four amplitudes alone.
+four amplitudes alone.  :func:`expm_conjugate` is the reference conjugation:
+scipy's Pade exponential of the 37x37 float matrix :func:`ad_matrix`, where
+the library sums nested exact commutators.
 
 Reference tools shared by the tests and ``make_goldens.py``; no command runs
 them:
@@ -27,6 +29,8 @@ them:
   coefficients;
 * exact span and ad-closure decisions (:func:`coefficient_row`,
   :func:`solve_in_span`, :class:`SpanClosureReport`, :func:`span_closure_under_ad`);
+* :func:`conjugate_by_linearity`, the library's conjugation extended to
+  float operators, for chained conjugations;
 * :func:`random_rational_combination`, :func:`combination` (a float linear
   combination) and :func:`max_coeff_distance`.
 """
@@ -46,7 +50,7 @@ import scipy.sparse
 
 from bellsim import experiments, fock
 from bellsim.adjoint import FloatOp, conjugate
-from bellsim.algebra import ALL_ELEMENTS, DIM_BASIS, ELEMENT_INDEX, SCALAR_SLOT, Kind, QuadOp, commutator
+from bellsim.algebra import ALL_ELEMENTS, BasisElement, Kind, QuadOp, basis_commutator, commutator
 from bellsim.catalog import catalog
 from bellsim.experiments import ChshAngles
 from bellsim.fock import FockBasis, StateVector
@@ -283,6 +287,73 @@ def refine_chsh_maximizer(spec, start: ChshAngles, initial_step: float = math.pi
         if not improved:
             step /= 2.0
     return best, ChshAngles(*current)
+
+
+# ---------------------------------------------------------------------------
+# the 37-dimensional adjoint reference
+# ---------------------------------------------------------------------------
+
+#: position of each basis element in a 37-component coefficient vector
+ELEMENT_INDEX: dict[BasisElement, int] = {e: k for k, e in enumerate(ALL_ELEMENTS)}
+DIM_BASIS = len(ALL_ELEMENTS)  # 36
+SCALAR_SLOT = DIM_BASIS  # index of the central scalar in 37-dim coefficient vectors
+ADJOINT_DIM = DIM_BASIS + 1  # 37
+
+
+def coefficient_vector(op) -> np.ndarray:
+    """37-component complex vector of a QuadOp/FloatOp."""
+    vec = np.zeros(ADJOINT_DIM, dtype=np.complex128)
+    for elem, coeff in op.coeffs.items():
+        vec[ELEMENT_INDEX[elem]] = complex(coeff)
+    vec[SCALAR_SLOT] = complex(op.scalar)
+    return vec
+
+
+def operator_from_vector(vec: np.ndarray, tol: float = 0.0) -> FloatOp:
+    coeffs = {}
+    for k, elem in enumerate(ALL_ELEMENTS):
+        value = complex(vec[k])
+        if abs(value) > tol:
+            coeffs[elem] = value
+    scalar = complex(vec[SCALAR_SLOT])
+    if abs(scalar) <= tol:
+        scalar = 0.0
+    return FloatOp(coeffs, scalar)
+
+
+def ad_matrix(g: QuadOp) -> np.ndarray:
+    """Matrix of X -> [g, X] on the 37-dimensional coefficient space, each
+    bracket re-derived in complex floats.
+
+    The scalar column is zero (scalars are central) and so is the scalar
+    row: basis-pair brackets close on the 36 elements with no scalar
+    residue.
+    """
+    mat = np.zeros((ADJOINT_DIM, ADJOINT_DIM), dtype=np.complex128)
+    for col, elem in enumerate(ALL_ELEMENTS):
+        total: dict[BasisElement, complex] = {}
+        for ge, gc in g.coeffs.items():
+            bracket = basis_commutator(ge, elem)
+            for be, bc in bracket.coeffs.items():
+                total[be] = total.get(be, 0.0) + complex(gc) * complex(bc)
+        for be, value in total.items():
+            mat[ELEMENT_INDEX[be], col] = value
+    return mat
+
+
+def expm_conjugate(g: QuadOp, theta: float, x, tol: float = 1e-12) -> FloatOp:
+    """e^{i theta g} x e^{-i theta g} as scipy's Pade exponential of
+    i theta ad_matrix(g) applied to the coefficient vector of x."""
+    propagator = scipy.linalg.expm(1j * theta * ad_matrix(g))
+    return operator_from_vector(propagator @ coefficient_vector(x), tol)
+
+
+def conjugate_by_linearity(g: QuadOp, theta: float, x: FloatOp) -> FloatOp:
+    """``conjugate`` extended to a FloatOp: the sum of its coefficients times
+    the conjugated basis elements, with the central scalar unchanged."""
+    return combination((complex(x.scalar), QuadOp({}, ONE)),
+                       *((complex(coeff), conjugate(g, theta, QuadOp.of(elem), tol=1e-300))
+                         for elem, coeff in x.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ import random
 import numpy as np
 import pytest
 
-from bellsim.adjoint import ADJOINT_DIM, FloatOp, ad_matrix, coefficient_vector, conjugate, operator_from_vector
+from bellsim.adjoint import AD_SPECTRUM, FloatOp, conjugate
 from bellsim.algebra import (
     A,
     B,
+    C,
     QuadOp,
     commutator,
 )
@@ -26,9 +27,15 @@ import bellsim.fock as fock
 from bellsim.rational import CRat, HALF, I
 
 from oracles import (
+    ADJOINT_DIM,
+    ad_matrix,
+    coefficient_vector,
     combination,
+    conjugate_by_linearity,
     dense_conjugate,
+    expm_conjugate,
     max_coeff_distance,
+    operator_from_vector,
     random_rational_combination,
     span_closure_under_ad,
 )
@@ -37,10 +44,11 @@ from oracles import (
 PASSIVE = tuple(n for n in HAMILTONIAN_GENERATORS
                 if all(e.kind.value == "C" for e in catalog(n).coeffs))
 ACTIVE = tuple(n for n in HAMILTONIAN_GENERATORS if n not in PASSIVE)
+HERMITIAN = tuple(n for n in names() if catalog(n).is_hermitian())
 
 
 # ---------------------------------------------------------------------------
-# ad_matrix
+# the 37-dimensional reference: ad_matrix and expm in tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def test_ad_matrix_of_zero():
@@ -70,6 +78,33 @@ def test_vector_roundtrip():
     assert max_coeff_distance(back, x) < 1e-15
 
 
+def test_ad_spectrum_is_the_catalog_eigenvalue_union():
+    """Every hermitian catalog generator has its ad eigenvalues in the node
+    table, and every node is some generator's eigenvalue."""
+    assert len(HERMITIAN) == 82
+    union = set()
+    for name in HERMITIAN:
+        for value in np.linalg.eigvals(ad_matrix(catalog(name))):
+            union.add(complex(round(value.real, 8), round(value.imag, 8)))
+    assert union == {complex(node) for node in AD_SPECTRUM}
+    assert len(AD_SPECTRUM) == len(set(AD_SPECTRUM)) == 11
+
+
+def test_conjugate_matches_expm_reference():
+    """The Newton sum over nested commutators against the exponential of
+    the float adjoint matrix, on seeded (hermitian g, catalog x, theta)."""
+    rng = random.Random(11)
+    generator_names = list(names())
+    worst = 0.0
+    for _ in range(300):
+        g = catalog(rng.choice(HERMITIAN))
+        x = catalog(rng.choice(generator_names))
+        theta = rng.uniform(-3.2, 3.2)
+        worst = max(worst, max_coeff_distance(conjugate(g, theta, x, tol=1e-300),
+                                               expm_conjugate(g, theta, x, tol=1e-300)))
+    assert worst < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # conjugate: basics
 # ---------------------------------------------------------------------------
@@ -82,6 +117,20 @@ def test_conjugate_requires_positive_tol():
 def test_conjugate_at_zero_angle_is_identity():
     x = catalog("L")
     assert max_coeff_distance(conjugate(catalog("K"), 0.0, x), x) < 1e-15
+
+
+@pytest.mark.parametrize("g, x", [
+    (3 * catalog("J_BS"), catalog("K_prime")),  # ad eigenvalues +-3 lie off the table
+    (QuadOp.of(A(1, 1)), QuadOp.of(B(1, 1))),   # ad_{A_11} is nilpotent
+], ids=["outside_table", "nilpotent"])
+def test_conjugate_rejects_ad_off_the_table(g, x):
+    with pytest.raises(ValueError, match="AD_SPECTRUM"):
+        conjugate(g, 0.3, x)
+
+
+def test_conjugate_stops_when_the_orbit_closes():
+    # [A_11, A_22] = 0 ends the sum at q_1, before the nilpotency can show
+    assert conjugate(QuadOp.of(A(1, 1)), 0.3, QuadOp.of(A(2, 2))) == FloatOp({A(2, 2): 1 + 0j})
 
 
 def test_conjugate_preserves_invariants_of_source():
@@ -105,6 +154,16 @@ BS_CONJUGATED_K_PRIME = QuadOp.make({
 def test_bs_conjugation_reproduces_tabulated_generator():
     result = conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"))
     assert max_coeff_distance(result, BS_CONJUGATED_K_PRIME) < 1e-10
+
+
+def test_horne_generators_conjugate_exactly():
+    """K' and J' conjugated by the 50/50 mixer have four coefficients each,
+    exactly +-i/2 after the 1e-15 cut."""
+    half_i = 0.5j
+    assert conjugate(catalog("J_BS"), math.pi / 2, catalog("K_prime"), tol=1e-15) == FloatOp(
+        {A(1, 2): half_i, A(3, 4): half_i, B(1, 2): -half_i, B(3, 4): -half_i})
+    assert conjugate(catalog("J_BS"), math.pi / 2, catalog("J_prime"), tol=1e-15) == FloatOp(
+        {C(1, 3): -half_i, C(2, 4): half_i, C(3, 1): half_i, C(4, 2): -half_i})
 
 
 def test_bs_conjugation_against_dense_oracle():
@@ -136,7 +195,7 @@ def test_om_conjugated_source_from_real_rotations():
     rot_a = catalog("J_y_12")
     mixer = catalog("J_y_13") + catalog("J_y_24")
     step1 = conjugate(rot_a, -math.pi, catalog("K_OM"), tol=1e-300)
-    step2 = conjugate(mixer, -math.pi / 2, step1, tol=1e-300)
+    step2 = conjugate_by_linearity(mixer, -math.pi / 2, step1)
     assert max_coeff_distance(step2, catalog("K_OM_prime")) < 1e-10
 
 
@@ -212,7 +271,7 @@ def test_corrected_spans_close():
 
 def test_conjugate_matches_dense_oracle_passive():
     """Number-conserving generators commute with the truncation, so the
-    37-dimensional route must match the dense route entrywise."""
+    nested-commutator route must match the dense route entrywise."""
     rng = random.Random(101)
     basis = FockBasis(6)
     generator_names = list(names())

@@ -11,7 +11,6 @@ from bellsim.algebra import (
     A,
     B,
     C,
-    DIM_BASIS,
     JKL_TABLE,
     Kind,
     QuadOp,
@@ -24,7 +23,8 @@ from bellsim.algebra import (
 )
 from bellsim.rational import CRat, HALF, I, ONE
 
-from oracles import dense_operator, random_rational_combination, solve_in_span, span_closure_under_ad
+from oracles import (DIM_BASIS, dense_operator, random_rational_combination, solve_in_span,
+                     span_closure_under_ad)
 from bellsim.fock import FockBasis
 
 

@@ -275,6 +275,19 @@ def test_custom_without_stages(capsys):
     assert "stages" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--theta-a", "1e308"),
+    ("chsh", "--angles", "1e308,0,0,0"),
+    ("scan", "--axis", "delta", "--values", "0,1e308"),
+], ids=["run", "chsh", "scan_delta"])
+def test_overflowing_analyzer_angle_is_a_config_error(capsys, argv):
+    """A finite angle whose double 2*theta overflows has no analyzer rotation."""
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: analyzer angle 1e+308 is too large: 2*theta overflows\n"
+
+
 # ---------------------------------------------------------------------------
 # numerical errors (exit 3)
 # ---------------------------------------------------------------------------
@@ -299,6 +312,30 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err == f"numerical error: {err_line}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--gamma", "1e308"),
+    ("run", "-e", "horne", "--phi", "1e308"),
+    ("convergence", "--gamma", "1e308"),
+], ids=["gamma", "phi", "convergence"])
+def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv):
+    """|theta| times the generator's 1-norm overflows to inf substeps."""
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == ("numerical error: evolution needs inf substeps (limit 100000); "
+                   "reduce the stage parameter\n")
+
+
+def test_scan_fails_only_the_overflowing_row(capsys):
+    code, out, err = invoke(capsys, "scan", "--axis", "gamma", "--values", "0.1,1e308")
+    assert code == EXIT_NUMERIC
+    assert err == ""
+    header, good, failed, summary = out.splitlines()
+    assert "nan" not in good
+    assert failed == "1e+308,nan,nan,nan,nan,nan"
+    assert summary.startswith("scan gamma: 2 rows, 1 failed, ")
 
 
 def test_run_at_huge_angle(capsys):
