@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -365,8 +366,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", "-o", default=None, help="write a JSON/CSV report here")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and a digit as a value, so that
+    ``--theta-a -1e-3`` works like ``--theta-a -0.001``: argparse's own
+    pattern knows only plain decimals and takes ``-1e-3`` for an option.
+    Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellsim",
         description="Four-mode boson algebra and Bell-test simulator",
     )

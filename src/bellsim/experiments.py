@@ -31,7 +31,9 @@ dependence an observable rather than an assumption.
 
 The analyzers are never evolved: both estimators read the source state, and
 every setting swaps in a numerator contracted from a 2x2 sigma tensor of it
-(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).
+(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).  Horne
+phi scans run the pair source once too: J' is diagonal, so each row is a
+phase-weighted sum of J'-sector states sent through the splitter once.
 """
 
 from __future__ import annotations
@@ -215,15 +217,19 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
     return fock.matrix(op, get_basis(cutoff))
 
 
-def run(spec: ExperimentSpec) -> StateVector:
-    """Apply the stages left to right to the vacuum."""
-    basis = get_basis(spec.cutoff)
-    state = vacuum(basis)
-    for gen_name, parameter in spec.stages:
+def _evolve_stages(state: StateVector, stages, spec: ExperimentSpec) -> StateVector:
+    """Apply ``stages`` left to right at ``spec``'s cutoff and tol; a stage
+    with parameter 0 is the identity and is skipped."""
+    for gen_name, parameter in stages:
         if parameter == 0.0:
             continue
         state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter, spec.tol)
     return state
+
+
+def run(spec: ExperimentSpec) -> StateVector:
+    """Apply the stages left to right to the vacuum."""
+    return _evolve_stages(vacuum(get_basis(spec.cutoff)), spec.stages, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +397,14 @@ def measure(spec: ExperimentSpec) -> tuple[StateVector, CorrelationReport, Corre
     if spec.name in ANALYZER_PIPELINES and (spec.theta_a or spec.theta_b):
         source = _reduce(spec, state)
         return state, *(source.report(e, spec.theta_a, spec.theta_b) for e in ESTIMATORS)
+    return state, *_read(spec, state)
+
+
+def _read(spec: ExperimentSpec, state: StateVector) -> tuple[CorrelationReport, CorrelationReport]:
+    """Both estimators read from ``state``, reported at ``spec``'s gamma and
+    analyzer difference."""
     delta = spec.theta_a - spec.theta_b
-    return (state, correlation_raw(state, spec.gamma, delta),
+    return (correlation_raw(state, spec.gamma, delta),
             correlation_conditioned(state, spec.gamma, delta))
 
 
@@ -481,10 +493,12 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
             return tuple(_failed_row(v, exc) for v in values)
         return tuple(_scan_row(v, source.report("raw", v, 0.0),
                                source.report("conditioned", v, 0.0)) for v in values)
+    if axis == "phi":
+        return _phi_rows(spec, values)
     rows = []
     for value in values:
         try:
-            _, raw, cond = measure(replace(spec, **{axis: value}))
+            _, raw, cond = measure(replace(spec, gamma=value))
         except (EvolveError, ValueError) as exc:
             rows.append(_failed_row(value, exc))
         else:
@@ -492,13 +506,61 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
     return tuple(rows)
 
 
+def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
+    """Horne rows over phi from one pair-source state psi_0.
+
+    J' is diagonal in the Fock basis, so e^{i phi J'} multiplies each ket by
+    e^{i phi w}, w its J' eigenvalue.  The stages are linear, so the final
+    state is sum_l e^{i phi l} chi_l, where chi_l is the splitter applied to
+    the kets of psi_0 with w = l.  Each chi_l is evolved once per scan, with
+    that part scaled to largest amplitude 1 (its 2-norm can underflow), so
+    that tol bounds its relative error, however small gamma is.
+    A row fails as its staged run would: on the source (every row), on phi
+    needing too many substeps (that row), then on the splitter.  The phase is
+    exact, so it has no Taylor series to fail.
+    """
+    source_stage, (phase_name, _), splitter_stage = spec.stages
+    basis = get_basis(spec.cutoff)
+    try:
+        source = _evolve_stages(vacuum(basis), (source_stage,), spec).amps
+    except (EvolveError, ValueError) as exc:
+        return tuple(_failed_row(v, exc) for v in values)
+    phase = _stage_operator(phase_name, spec.cutoff)
+    eigenvalues = phase.mat.diagonal().real
+    sectors = np.unique(eigenvalues[source != 0])
+    columns = np.empty((basis.dim, sectors.size), dtype=np.complex128)
+    splitter_error = None
+    try:
+        for k, sector in enumerate(sectors):
+            part = np.where(eigenvalues == sector, source, 0.0)
+            # at least the smallest normal float, so that 1/scale is finite
+            scale = max(np.abs(part).max(), np.finfo(float).tiny)
+            chi = _evolve_stages(StateVector(basis, part / scale), (splitter_stage,), spec)
+            columns[:, k] = scale * chi.amps
+    except (EvolveError, ValueError) as exc:
+        splitter_error = exc
+    rows = []
+    for phi in values:
+        try:
+            fock.substep_count(phase, phi)
+            if splitter_error is not None:
+                raise splitter_error
+            state = StateVector(basis, columns @ np.exp(1j * phi * sectors))
+            rows.append(_scan_row(phi, *_read(spec, state)))
+        except (EvolveError, ValueError) as exc:
+            rows.append(_failed_row(phi, exc))
+    return tuple(rows)
+
+
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
     """Map both estimators over a parameter grid.
 
-    A gamma or phi row is :func:`measure` of a copy of ``spec`` with the
-    scanned field replaced; delta rows are analyzer settings (value, 0) of one
-    :class:`AnalyzerSource`.  Rows are computed in grid order.  The grid
-    must be non-empty, finite and strictly monotone.
+    A gamma row is :func:`measure` of a copy of ``spec`` with ``gamma``
+    replaced; delta rows are analyzer settings (value, 0) of one
+    :class:`AnalyzerSource`; phi rows are phase-weighted sums of states
+    computed once from one pair-source state (:func:`_phi_rows`), read by
+    the same estimators as :func:`measure`.  Rows are computed in grid
+    order.  The grid must be non-empty, finite and strictly monotone.
     """
     values = [float(v) for v in grid]
     if not values:

@@ -233,6 +233,18 @@ def matrix(op: Union[QuadOp, FloatOp], basis: FockBasis) -> SparseOperator:
     return SparseOperator(basis, mat, one_norm, defect)
 
 
+def substep_count(generator: SparseOperator, theta: float) -> int:
+    """Substeps :func:`evolve` splits a rotation by ``theta`` into: the 1-norm
+    bound on theta*G over 4, at least 1.  Raises :class:`EvolveError` above
+    :data:`MAX_SUBSTEPS` (an overflowing bound needs inf substeps)."""
+    scale = abs(theta) * generator.one_norm
+    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
+    if substeps > MAX_SUBSTEPS:
+        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
+                          "reduce the stage parameter")
+    return substeps
+
+
 def evolve(state: StateVector, generator: SparseOperator, theta: float,
            tol: float = 1e-12) -> StateVector:
     """e^{i theta G} |state> by split-step truncated Taylor summation.
@@ -243,9 +255,10 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
     series for each substep is summed until the geometric remainder bound
     drops below the per-step share of ``tol``.  :class:`EvolveError` is
     raised when the rotation needs more than :data:`MAX_SUBSTEPS` substeps
-    (the parameter is too large), or when a substep's series does not reach
-    its share within :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight;
-    a larger cutoff adds substeps and tightens each share further).
+    (:func:`substep_count`; the parameter is too large), or when a
+    substep's series does not reach its share within
+    :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight; a larger cutoff
+    adds substeps and tightens each share further).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -258,12 +271,7 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
         return StateVector(state.basis, state.amps.copy())
 
     mat = generator.mat
-    # 1-norm bound on theta*G decides the number of substeps
-    scale = abs(theta) * generator.one_norm
-    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
-    if substeps > MAX_SUBSTEPS:
-        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
-                          "reduce the stage parameter")
+    substeps = substep_count(generator, theta)
     h = theta / substeps
     step_tol = tol / substeps
     h_norm = abs(h) * generator.one_norm

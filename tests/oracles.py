@@ -149,6 +149,41 @@ def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:
     return u @ xmat @ u.conj().T
 
 
+def dense_horne_state(spec) -> StateVector:
+    """The Horne pipeline's final state with no Taylor series.
+
+    K' pairs mode 1 with mode 4 and mode 2 with mode 3, so its orbit from the
+    vacuum is the kets with n1 = n4 and n2 = n3; the pair source is the dense
+    exponential of the truncated matrix on that invariant block (what
+    :func:`dense_evolve` gives, without a dim x dim exponential).  J' is the
+    exact phase e^{i phi (n1 - n2 - n3 + n4)/2} of each ket, and the 50/50
+    splitter is one dense exponential per total-photon shell.
+    """
+    basis = FockBasis(spec.cutoff)
+    n1, n2, n3, n4 = basis.occupations.T
+    orbit = np.flatnonzero((n1 == n4) & (n2 == n3))
+    source = fock.matrix(catalog("K_prime"), basis).mat[orbit][:, orbit].toarray()
+    amps = np.zeros(basis.dim, dtype=np.complex128)
+    amps[orbit] = scipy.linalg.expm(1j * spec.gamma * source)[:, 0]
+    amps *= np.exp(0.5j * spec.phi * (n1 - n2 - n3 + n4))
+    for shell, propagator in _dense_splitter(spec.cutoff):
+        amps[shell] = propagator @ amps[shell]
+    return StateVector(basis, amps)
+
+
+@lru_cache(maxsize=1)
+def _dense_splitter(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(indices, dense 50/50 splitter propagator) of each total-photon shell."""
+    basis = FockBasis(cutoff)
+    generator = fock.matrix(catalog("J_BS"), basis).mat
+    blocks = []
+    for total in range(cutoff + 1):
+        shell = np.flatnonzero(basis.totals == total)
+        block = generator[shell][:, shell].toarray()
+        blocks.append((shell, scipy.linalg.expm(1j * experiments.BS_5050 * block)))
+    return tuple(blocks)
+
+
 def diagonal_expectation(state: StateVector, weight) -> float:
     """<f(n1..n4)> for a diagonal observable, as a direct occupation sum."""
     total = 0.0

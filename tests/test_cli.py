@@ -529,6 +529,61 @@ def test_report_key_order(tmp_path, capsys):
                                         "cond_degenerate", "failed", "message"]
 
 
+SUBSTEP_LIMIT = "evolution needs inf substeps (limit 100000); reduce the stage parameter"
+
+
+def test_phi_scan_fails_only_the_overflowing_row(capsys):
+    code, out, err = invoke(capsys, "scan", "--axis", "phi", "-e", "horne",
+                            "--values", "0.1,1e308", "--format", "json")
+    assert code == EXIT_NUMERIC
+    assert err == ""
+    good, failed = json.loads(out[: out.rindex("}") + 1])["rows"]
+    assert not good["failed"] and None not in good.values()
+    assert failed["failed"] and failed["message"] == SUBSTEP_LIMIT
+    code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--values", "0.1,1e308")
+    assert code == EXIT_NUMERIC
+    header, good, failed, summary = out.splitlines()
+    assert "nan" not in good
+    assert failed == "1e+308,nan,nan,nan,nan,nan"
+    assert summary.startswith("scan phi: 2 rows, 1 failed, ")
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ("1e308", SUBSTEP_LIMIT),
+    ("1e6", "evolution needs 500000 substeps (limit 100000); reduce the stage parameter"),
+], ids=["inf", "finite"])
+def test_phi_scan_fails_every_row_with_the_source(capsys, gamma, message):
+    """The pair source runs ahead of the phase, so its failure is every row's,
+    the row whose phase would also overflow included."""
+    code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--gamma", gamma,
+                          "--cutoff", "4", "--values", "0.1,1e308", "--format", "json")
+    assert code == EXIT_NUMERIC
+    rows = json.loads(out[: out.rindex("}") + 1])["rows"]
+    assert [(row["failed"], row["message"]) for row in rows] == [(True, message)] * 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    (("run",), "--gamma"),
+    (("run",), "--theta-a"),
+    (("run",), "--theta-b"),
+    (("run", "-e", "horne"), "--phi"),
+    (("run",), "--tol"),
+    (("scan", "--axis", "phi", "-e", "horne", "--stop", "1", "--points", "3"), "--start"),
+    (("scan", "--axis", "delta", "--start", "-1", "--points", "3"), "--stop"),
+    (("scan", "--axis", "phi", "-e", "horne"), "--values"),
+])
+def test_negative_exponent_is_read_as_a_value(capsys, command, flag):
+    """'--flag -1e-3' reads like '--flag=-1e-3', not as an unknown option."""
+    value = "-1e-3,0.5" if flag == "--values" else "-1e-3"
+    spaced = invoke(capsys, *command, "--cutoff", "4", flag, value)
+    assert spaced == invoke(capsys, *command, "--cutoff", "4", f"{flag}={value}")
+    if flag == "--tol":
+        assert spaced == (EXIT_CONFIG, "",
+                          "config error: tol must be a finite positive number, got -0.001\n")
+    else:
+        assert spaced[0] == EXIT_OK
+
+
 def test_scan_phi_axis(capsys):
     code, out, _ = invoke(capsys, "scan", "--axis", "phi", "--experiment", "horne",
                           "--values", "0.5,1.0", "--cutoff", "6")

@@ -550,6 +550,86 @@ def test_coincidence_weight_fringe():
 
 
 # ---------------------------------------------------------------------------
+# phi rows from one source state
+# ---------------------------------------------------------------------------
+
+#: (gamma, cutoff) cases and a phi grid with 0, a negative phase and one above pi
+PHI_CASES = [(0.1, 8), (0.4, 10), (1.0, 12)]
+PHI_GRID = [-0.7, 0.0, 0.3, 1.1, math.pi + 0.4, 4.5]
+
+
+@pytest.mark.parametrize("cutoff", [2, 6, 8, 16])
+def test_phi_route_preconditions(cutoff):
+    """Phi rows apply J' as a phase per ket and the splitter once per J'
+    eigenvalue: J' must be diagonal in the Fock basis and J_BS must map each
+    total-photon shell into itself."""
+    j_prime = experiments._stage_operator("J_prime", cutoff).mat.tocoo()
+    assert not np.any(j_prime.data[j_prime.row != j_prime.col])
+    splitter = experiments._stage_operator("J_BS", cutoff).mat.tocoo()
+    totals = get_basis(cutoff).totals
+    moved = totals[splitter.row] != totals[splitter.col]
+    assert splitter.nnz and not np.any(splitter.data[moved])
+
+
+@pytest.mark.parametrize("gamma, cutoff", PHI_CASES)
+def test_phi_rows_match_staged_runs(gamma, cutoff):
+    spec = horne_spec(gamma, 0.0, cutoff=cutoff)
+    for row in scan(spec, "phi", PHI_GRID).rows:
+        _, raw, cond = experiments.measure(replace(spec, phi=row.parameter))
+        assert not row.failed
+        assert row.c_raw == pytest.approx(raw.value, abs=1e-10)
+        assert row.c_cond == pytest.approx(cond.value, abs=1e-12)
+        assert row.numerator == pytest.approx(raw.numerator, abs=1e-12)
+        assert row.denominator == pytest.approx(raw.denominator, abs=1e-12)
+        assert row.leakage == pytest.approx(raw.leakage, abs=1e-12)
+        assert (row.raw_degenerate, row.cond_degenerate) == (raw.degenerate, cond.degenerate)
+
+
+@pytest.mark.parametrize("gamma", [1e-30, 1e-320])
+def test_phi_rows_keep_relative_accuracy_at_tiny_gamma(gamma):
+    """Each J' sector goes through the splitter scaled to largest amplitude 1,
+    so tol bounds its relative error: the coincidence weight, of order
+    gamma^2, keeps its digits (a staged run's absolute tol leaves it 3% off
+    at gamma = 1e-30), and a subnormal gamma fails no row."""
+    spec = horne_spec(gamma, 0.0)
+    for row in scan(spec, "phi", [0.3, 1.2]).rows:
+        dense = correlation_raw(oracles.dense_horne_state(replace(spec, phi=row.parameter)))
+        assert not row.failed
+        assert row.denominator == pytest.approx(dense.denominator, rel=1e-9, abs=0.0)
+        assert row.numerator == pytest.approx(dense.numerator, rel=1e-9, abs=0.0)
+
+
+def test_dense_horne_reference_matches_dense_stages():
+    spec = horne_spec(0.6, 1.3, cutoff=6)
+    reference = vacuum(get_basis(spec.cutoff))
+    for name, par in spec.stages:
+        reference = oracles.dense_evolve(reference, catalog(name), par)
+    assert np.max(np.abs(oracles.dense_horne_state(spec).amps - reference.amps)) < 1e-12
+
+
+def test_phi_rows_against_dense_reference():
+    """Per field (c_raw, c_cond, numerator, denominator, leakage), the phi
+    rows' largest error over the grid is at most twice the staged route's,
+    both measured against a reference with no Taylor series."""
+    def fields(row):
+        return np.array([row.c_raw, row.c_cond, row.numerator, row.denominator, row.leakage])
+
+    phi_rows, staged = np.zeros(5), np.zeros(5)
+    for gamma, cutoff in PHI_CASES:
+        spec = horne_spec(gamma, 0.0, cutoff=cutoff)
+        for row in scan(spec, "phi", PHI_GRID).rows:
+            at_phi = replace(spec, phi=row.parameter)
+            dense = oracles.dense_horne_state(at_phi)
+            expected = fields(experiments._scan_row(row.parameter, correlation_raw(dense),
+                                                    correlation_conditioned(dense)))
+            run_row = experiments._scan_row(row.parameter, *experiments.measure(at_phi)[1:])
+            phi_rows = np.maximum(phi_rows, np.abs(fields(row) - expected))
+            staged = np.maximum(staged, np.abs(fields(run_row) - expected))
+    assert phi_rows[0] < 1e-10
+    assert np.all(phi_rows <= 2.0 * staged)
+
+
+# ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
