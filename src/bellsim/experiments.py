@@ -217,19 +217,15 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
     return fock.matrix(op, get_basis(cutoff))
 
 
-def _evolve_stages(state: StateVector, stages, spec: ExperimentSpec) -> StateVector:
-    """Apply ``stages`` left to right at ``spec``'s cutoff and tol; a stage
-    with parameter 0 is the identity and is skipped."""
-    for gen_name, parameter in stages:
+def run(spec: ExperimentSpec) -> StateVector:
+    """Apply the stages left to right to the vacuum."""
+    basis = get_basis(spec.cutoff)
+    state = vacuum(basis)
+    for gen_name, parameter in spec.stages:
         if parameter == 0.0:
             continue
         state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter, spec.tol)
     return state
-
-
-def run(spec: ExperimentSpec) -> StateVector:
-    """Apply the stages left to right to the vacuum."""
-    return _evolve_stages(vacuum(get_basis(spec.cutoff)), spec.stages, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -512,31 +508,33 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     J' is diagonal in the Fock basis, so e^{i phi J'} multiplies each ket by
     e^{i phi w}, w its J' eigenvalue.  The stages are linear, so the final
     state is sum_l e^{i phi l} chi_l, where chi_l is the splitter applied to
-    the kets of psi_0 with w = l.  Each chi_l is evolved once per scan, with
-    that part scaled to largest amplitude 1 (its 2-norm can underflow), so
-    that tol bounds its relative error, however small gamma is.
+    the kets of psi_0 with w = l.  The chi_l are the S columns of one array
+    sent through the splitter in one series (:func:`fock.evolve_columns`)
+    whose ``tol`` bounds the error of every row, as :func:`run` bounds it.
+    The array holds only the kets the splitter reaches from psi_0
+    (:func:`fock.reachable`; 285 of 4845 at cutoff 16, 17 sectors), so the
+    series costs less than one staged row; each row after it is one product.
     A row fails as its staged run would: on the source (every row), on phi
-    needing too many substeps (that row), then on the splitter.  The phase is
-    exact, so it has no Taylor series to fail.
+    needing too many substeps (that row), then on the splitter (every row
+    left, as all rows share its series).  The phase is exact, so it has no
+    Taylor series to fail.
     """
-    source_stage, (phase_name, _), splitter_stage = spec.stages
+    (source_name, gamma), (phase_name, _), (splitter_name, theta) = spec.stages
     basis = get_basis(spec.cutoff)
     try:
-        source = _evolve_stages(vacuum(basis), (source_stage,), spec).amps
+        source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff),
+                        gamma, spec.tol).amps
     except (EvolveError, ValueError) as exc:
         return tuple(_failed_row(v, exc) for v in values)
     phase = _stage_operator(phase_name, spec.cutoff)
-    eigenvalues = phase.mat.diagonal().real
-    sectors = np.unique(eigenvalues[source != 0])
-    columns = np.empty((basis.dim, sectors.size), dtype=np.complex128)
+    splitter = _stage_operator(splitter_name, spec.cutoff)
+    kets = fock.reachable(splitter, source != 0)
+    eigenvalues = phase.mat.diagonal().real[kets]
+    sectors = np.unique(eigenvalues[source[kets] != 0])
+    columns = np.where(eigenvalues[:, None] == sectors, source[kets, None], 0.0)
     splitter_error = None
     try:
-        for k, sector in enumerate(sectors):
-            part = np.where(eigenvalues == sector, source, 0.0)
-            # at least the smallest normal float, so that 1/scale is finite
-            scale = max(np.abs(part).max(), np.finfo(float).tiny)
-            chi = _evolve_stages(StateVector(basis, part / scale), (splitter_stage,), spec)
-            columns[:, k] = scale * chi.amps
+        columns = fock.evolve_columns(columns, splitter, theta, spec.tol, kets)
     except (EvolveError, ValueError) as exc:
         splitter_error = exc
     rows = []
@@ -545,8 +543,9 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
             fock.substep_count(phase, phi)
             if splitter_error is not None:
                 raise splitter_error
-            state = StateVector(basis, columns @ np.exp(1j * phi * sectors))
-            rows.append(_scan_row(phi, *_read(spec, state)))
+            amps = np.zeros(basis.dim, dtype=np.complex128)
+            amps[kets] = columns @ np.exp(1j * phi * sectors)
+            rows.append(_scan_row(phi, *_read(spec, StateVector(basis, amps))))
         except (EvolveError, ValueError) as exc:
             rows.append(_failed_row(phi, exc))
     return tuple(rows)

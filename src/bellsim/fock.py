@@ -16,8 +16,10 @@ An operator is built once per (generator, cutoff) by :func:`matrix` into
 a :class:`SparseOperator` that stores its 1-norm and hermiticity defect;
 :func:`evolve` takes only such a prebuilt operator and reads both.
 Unitary evolution uses a truncated Taylor series with step splitting and
-an a-posteriori remainder bound; the dense-exponential cross-check lives
-in the test suite as an independent oracle.
+an a-posteriori remainder bound; :func:`evolve_columns` runs that series
+on several amplitude columns at once, optionally on only the kets a
+generator reaches from theirs (:func:`reachable`).  The dense-exponential
+cross-check lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -260,33 +262,65 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
     :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight; a larger cutoff
     adds substeps and tightens each share further).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
+    return StateVector(state.basis, evolve_columns(state.amps, generator, theta, tol))
+
+
+def reachable(generator: SparseOperator, support: np.ndarray) -> np.ndarray:
+    """Ascending basis indices of the kets that repeated products with the
+    generator reach from the kets of the boolean mask ``support``: the
+    smallest set of kets holding them whose span the generator maps into
+    itself.  e^{i theta G} keeps a vector on those kets."""
+    pattern = abs(generator.mat)
+    reached = np.asarray(support, dtype=bool)
+    while True:
+        grown = reached | (pattern @ reached.astype(float) > 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
+                   tol: float = 1e-12, kets: np.ndarray | None = None) -> np.ndarray:
+    """e^{i theta G} applied to an amplitude vector, or to every column of an
+    (n, S) array in one series, as :func:`evolve` does.
+
+    Each term of the series is one sparse product with all columns, so the
+    matrix is read once per term.  For columns, the remainder bound is taken
+    on the sum of their 2-norms: ``tol`` then bounds the error of every sum
+    of the columns with weights of modulus at most 1, as :func:`evolve`
+    bounds the error of one vector.  With ``kets`` (from :func:`reachable`),
+    the rows of ``amps`` are the amplitudes on those basis kets, all others
+    being 0, and the series runs on G restricted to them; G maps their span
+    into itself, so the restriction changes no amplitude.  The substeps still
+    follow G's 1-norm.  A new array is returned.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if generator.hermiticity_defect > 1e-10:
         raise ValueError("evolution generator must be hermitian "
                          f"(defect {generator.hermiticity_defect:.2e})")
     if theta == 0.0:
-        return StateVector(state.basis, state.amps.copy())
+        return np.array(amps, dtype=np.complex128)
 
-    mat = generator.mat
+    mat = generator.mat if kets is None else generator.mat[kets][:, kets]
     substeps = substep_count(generator, theta)
     h = theta / substeps
     step_tol = tol / substeps
     h_norm = abs(h) * generator.one_norm
 
-    v = state.amps.copy()
+    v = np.asarray(amps, dtype=np.complex128)
     for _ in range(substeps):
         acc = v.copy()
-        term = v.copy()
+        term = v
         converged = False
         for k in range(1, MAX_TAYLOR_TERMS + 1):
             term = (1j * h / k) * (mat @ term)
             acc += term
             ratio = h_norm / (k + 1)
             if ratio < 1.0:
-                remainder = float(np.linalg.norm(term)) * ratio / (1.0 - ratio)
+                remainder = _size(term) * ratio / (1.0 - ratio)
                 if remainder <= step_tol:
                     converged = True
                     break
@@ -296,7 +330,14 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float,
                 f"{MAX_TAYLOR_TERMS} terms; relax tol"
             )
         v = acc
-    return StateVector(state.basis, v)
+    return v
+
+
+def _size(amps: np.ndarray) -> float:
+    """2-norm of a vector; sum of the column 2-norms of an (n, S) array."""
+    if amps.ndim == 1:
+        return float(np.linalg.norm(amps))
+    return float(np.linalg.norm(amps, axis=0).sum())
 
 
 def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6) -> complex:

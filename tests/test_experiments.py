@@ -571,8 +571,10 @@ def test_phi_route_preconditions(cutoff):
     assert splitter.nnz and not np.any(splitter.data[moved])
 
 
-@pytest.mark.parametrize("gamma, cutoff", PHI_CASES)
+@pytest.mark.parametrize("gamma, cutoff", PHI_CASES + [(1e-30, 16), (1e-320, 16)])
 def test_phi_rows_match_staged_runs(gamma, cutoff):
+    """Both routes bound the error of the final state by tol in absolute terms,
+    down to a coincidence weight far below it and a subnormal gamma."""
     spec = horne_spec(gamma, 0.0, cutoff=cutoff)
     for row in scan(spec, "phi", PHI_GRID).rows:
         _, raw, cond = experiments.measure(replace(spec, phi=row.parameter))
@@ -585,18 +587,15 @@ def test_phi_rows_match_staged_runs(gamma, cutoff):
         assert (row.raw_degenerate, row.cond_degenerate) == (raw.degenerate, cond.degenerate)
 
 
-@pytest.mark.parametrize("gamma", [1e-30, 1e-320])
-def test_phi_rows_keep_relative_accuracy_at_tiny_gamma(gamma):
-    """Each J' sector goes through the splitter scaled to largest amplitude 1,
-    so tol bounds its relative error: the coincidence weight, of order
-    gamma^2, keeps its digits (a staged run's absolute tol leaves it 3% off
-    at gamma = 1e-30), and a subnormal gamma fails no row."""
-    spec = horne_spec(gamma, 0.0)
-    for row in scan(spec, "phi", [0.3, 1.2]).rows:
-        dense = correlation_raw(oracles.dense_horne_state(replace(spec, phi=row.parameter)))
-        assert not row.failed
-        assert row.denominator == pytest.approx(dense.denominator, rel=1e-9, abs=0.0)
-        assert row.numerator == pytest.approx(dense.numerator, rel=1e-9, abs=0.0)
+def test_phi_rows_share_the_splitter_failure():
+    """Every row's state comes out of one splitter series, so when that series
+    cannot reach tol every row fails with its message; the source converges."""
+    spec = horne_spec(0.1, 0.0, tol=1e-100)
+    fock.evolve(vacuum(get_basis(spec.cutoff)), experiments._stage_operator("K_prime", spec.cutoff),
+                spec.gamma, spec.tol)
+    rows = scan(spec, "phi", [0.0, 0.5, 3.0]).rows
+    message = "Taylor series did not reach tol=1e-100 within 80 terms; relax tol"
+    assert [(row.failed, row.message) for row in rows] == [(True, message)] * 3
 
 
 def test_dense_horne_reference_matches_dense_stages():

@@ -231,6 +231,44 @@ def test_evolve_nonconvergence_raises(monkeypatch):
         evolve(vacuum(basis), matrix(catalog("K"), basis), 0.5)
 
 
+def test_evolve_columns_bounds_every_unit_weight_sum():
+    """One series over a (dim, S) array: every sum of its columns with weights
+    of modulus 1 is within tol of the dense exponential of that sum, the
+    input is left alone, and a vector gets exactly what evolve gives it."""
+    rng = np.random.default_rng(29)
+    basis = get_basis(6)
+    block = rng.normal(size=(basis.dim, 5)) + 1j * rng.normal(size=(basis.dim, 5))
+    block /= np.linalg.norm(block, axis=0)
+    before = block.copy()
+    for name, theta in (("J_BS", math.pi / 2), ("K", 0.4)):
+        generator = matrix(catalog(name), basis)
+        out = fock.evolve_columns(block, generator, theta, tol=1e-12)
+        assert np.array_equal(block, before)
+        for _ in range(4):
+            weights = np.exp(2j * math.pi * rng.random(5))
+            reference = oracles.dense_evolve(StateVector(basis, block @ weights), catalog(name), theta)
+            assert np.linalg.norm(out @ weights - reference.amps) < 1e-11
+        column = StateVector(basis, block[:, 0])
+        assert np.array_equal(fock.evolve_columns(column.amps, generator, theta),
+                              evolve(column, generator, theta).amps)
+
+
+def test_evolve_columns_on_reachable_kets():
+    """The splitter keeps a pair-source state on the kets it reaches from the
+    state's support, and the series restricted to them gives the same
+    amplitudes as the series on the whole basis."""
+    basis = get_basis(8)
+    source = evolve(vacuum(basis), matrix(catalog("K_prime"), basis), 0.3)
+    splitter = matrix(catalog("J_BS"), basis)
+    kets = fock.reachable(splitter, source.amps != 0)
+    assert 0 < kets.size < basis.dim and np.all(np.diff(kets) > 0)
+    assert np.array_equal(fock.reachable(splitter, np.isin(np.arange(basis.dim), kets)), kets)
+    full = evolve(source, splitter, math.pi / 2).amps
+    assert not np.any(np.delete(full, kets))
+    restricted = fock.evolve_columns(source.amps[kets], splitter, math.pi / 2, kets=kets)
+    assert np.array_equal(restricted, full[kets])
+
+
 def test_unitarity_and_reversibility():
     basis = get_basis(8)
     tol = 1e-12
