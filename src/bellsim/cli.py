@@ -317,15 +317,17 @@ def cmd_convergence(args) -> int:
         _, raw, cond = measure(replace(spec, cutoff=cutoff))
         values.append({"cutoff": cutoff, "c_raw": raw.value, "c_cond": cond.value,
                        "leakage": raw.leakage})
-    diffs = [abs(values[k + 1]["c_raw"] - values[k]["c_raw"]) for k in range(len(values) - 1)]
+    column = "c_cond" if spec.estimator == "conditioned" else "c_raw"
+    chosen = [v[column] for v in values]
+    diffs = [abs(b - a) for a, b in zip(chosen, chosen[1:])]
     stabilized = int(-math.log10(diffs[-1])) if diffs[-1] > 0 else 15
     if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
         ratio = diffs[-1] / diffs[-2]
-        extrapolated = values[-1]["c_raw"] + (values[-1]["c_raw"] - values[-2]["c_raw"]) * (
-            ratio / (1 - ratio)) if ratio < 1 else values[-1]["c_raw"]
+        extrapolated = chosen[-1] + (chosen[-1] - chosen[-2]) * (
+            ratio / (1 - ratio)) if ratio < 1 else chosen[-1]
     else:
         ratio = 0.0
-        extrapolated = values[-1]["c_raw"]
+        extrapolated = chosen[-1]
     payload = {
         "experiment": spec.name,
         "gamma": spec.gamma,
@@ -333,7 +335,7 @@ def cmd_convergence(args) -> int:
         "diffs": diffs,
         "contraction_ratio": ratio,
         "stabilized_digits": stabilized,
-        "extrapolated_c_raw": extrapolated,
+        f"extrapolated_{column}": extrapolated,
     }
     if args.output:
         emit_json(payload, args.output)
@@ -342,7 +344,7 @@ def cmd_convergence(args) -> int:
         lines.append(f"{v['cutoff']:6d}  {fmt(v['c_raw']):16s} {fmt(v['c_cond']):16s} "
                      f"{fmt(v['leakage'])}")
     lines.append(f"stabilized digits: {stabilized}")
-    lines.append(f"extrapolated c_raw: {fmt(extrapolated)}")
+    lines.append(f"extrapolated {column}: {fmt(extrapolated)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

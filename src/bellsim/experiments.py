@@ -222,8 +222,6 @@ def run(spec: ExperimentSpec) -> StateVector:
     basis = get_basis(spec.cutoff)
     state = vacuum(basis)
     for gen_name, parameter in spec.stages:
-        if parameter == 0.0:
-            continue
         state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter, spec.tol)
     return state
 
@@ -505,19 +503,16 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
 def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     """Horne rows over phi from one pair-source state psi_0.
 
-    J' is diagonal in the Fock basis, so e^{i phi J'} multiplies each ket by
-    e^{i phi w}, w its J' eigenvalue.  The stages are linear, so the final
-    state is sum_l e^{i phi l} chi_l, where chi_l is the splitter applied to
-    the kets of psi_0 with w = l.  The chi_l are the S columns of one array
-    sent through the splitter in one series (:func:`fock.evolve_columns`)
-    whose ``tol`` bounds the error of every row, as :func:`run` bounds it.
-    The array holds only the kets the splitter reaches from psi_0
-    (:func:`fock.reachable`; 285 of 4845 at cutoff 16, 17 sectors), so the
-    series costs less than one staged row; each row after it is one product.
-    A row fails as its staged run would: on the source (every row), on phi
-    needing too many substeps (that row), then on the splitter (every row
-    left, as all rows share its series).  The phase is exact, so it has no
-    Taylor series to fail.
+    J' is diagonal, so the stage e^{i phi J'} is the phase e^{i phi l} on the
+    kets of J' eigenvalue l, and the final state is sum_l e^{i phi l} chi_l,
+    chi_l being the splitter applied to those kets of psi_0.  The chi_l are
+    the columns of one array sent through the splitter in one series
+    (:func:`fock.evolve_columns`) whose ``tol`` bounds every row's error, on
+    only the kets it reaches from psi_0 (:func:`fock.reachable`; 285 of 4845
+    at cutoff 16, 17 sectors).  A row's weights are its phase stage applied,
+    as :func:`run` applies it, to one ket per sector, so a row fails where
+    its run fails: on the source (every row), its phase (that row), then the
+    splitter (every row left).
     """
     (source_name, gamma), (phase_name, _), (splitter_name, theta) = spec.stages
     basis = get_basis(spec.cutoff)
@@ -529,9 +524,9 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     phase = _stage_operator(phase_name, spec.cutoff)
     splitter = _stage_operator(splitter_name, spec.cutoff)
     kets = fock.reachable(splitter, source != 0)
-    eigenvalues = phase.mat.diagonal().real[kets]
-    sectors = np.unique(eigenvalues[source[kets] != 0])
-    columns = np.where(eigenvalues[:, None] == sectors, source[kets, None], 0.0)
+    occupied = np.flatnonzero(source)
+    sectors, first = np.unique(phase.diagonal[occupied], return_index=True)
+    columns = np.where(phase.diagonal[kets, None] == sectors, source[kets, None], 0.0)
     splitter_error = None
     try:
         columns = fock.evolve_columns(columns, splitter, theta, spec.tol, kets)
@@ -540,11 +535,12 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     rows = []
     for phi in values:
         try:
-            fock.substep_count(phase, phi)
+            weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, spec.tol,
+                                          occupied[first])
             if splitter_error is not None:
                 raise splitter_error
             amps = np.zeros(basis.dim, dtype=np.complex128)
-            amps[kets] = columns @ np.exp(1j * phi * sectors)
+            amps[kets] = columns @ weights
             rows.append(_scan_row(phi, *_read(spec, StateVector(basis, amps))))
         except (EvolveError, ValueError) as exc:
             rows.append(_failed_row(phi, exc))

@@ -10,15 +10,15 @@ the top shell is dropped, which is the sole way truncation enters.  The
 truncated generator of a hermitian operator is still hermitian, so the
 evolution computed here is exactly unitary on the truncated space.  The
 :func:`leakage` of a state is its weight on the top two shells, a
-truncation diagnostic that does not bound the error in C (ROADMAP item 2).
+truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 
 An operator is built once per (generator, cutoff) by :func:`matrix` into
-a :class:`SparseOperator` that stores its 1-norm and hermiticity defect;
-:func:`evolve` takes only such a prebuilt operator and reads both.
-Unitary evolution uses a truncated Taylor series with step splitting and
-an a-posteriori remainder bound; :func:`evolve_columns` runs that series
-on several amplitude columns at once, optionally on only the kets a
-generator reaches from theirs (:func:`reachable`).  The dense-exponential
+a :class:`SparseOperator` holding its 1-norm, hermiticity defect and, when
+every coefficient is a number operator C_ii, its diagonal.  :func:`evolve`
+applies a diagonal generator as the exact phase e^{i theta d} per ket and
+any other by split-step Taylor summation with an a-posteriori remainder
+bound; :func:`evolve_columns` does either on several columns at once, on
+the kets a generator reaches (:func:`reachable`).  The dense-exponential
 cross-check lives in the test suite as an independent oracle.
 """
 
@@ -50,7 +50,7 @@ class TruncationWarning(UserWarning):
 
 
 class EvolveError(RuntimeError):
-    """Taylor evolution failed to certify the requested tolerance."""
+    """Evolution failed: the stage parameter is too large or ``tol`` too tight."""
 
 
 def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -187,6 +187,8 @@ class SparseOperator:
     one_norm: float
     #: largest |entry| of mat - mat^dagger
     hermiticity_defect: float
+    #: mat's diagonal if every coefficient is a number operator C_ii, else None
+    diagonal: np.ndarray | None
 
 
 #: photon-number step of the (mode i, mode j) ladder operators of each element kind
@@ -214,7 +216,7 @@ def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np
 
 def matrix(op: Union[QuadOp, FloatOp], basis: FockBasis) -> SparseOperator:
     """Sparse matrix of a quadratic operator (QuadOp or FloatOp), with its
-    1-norm and hermiticity defect."""
+    1-norm, hermiticity defect and, for a diagonal operator, diagonal."""
     dim = basis.dim
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
@@ -232,34 +234,24 @@ def matrix(op: Union[QuadOp, FloatOp], basis: FockBasis) -> SparseOperator:
     one_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
     diff = (mat - mat.getH()).tocoo()
     defect = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-    return SparseOperator(basis, mat, one_norm, defect)
-
-
-def substep_count(generator: SparseOperator, theta: float) -> int:
-    """Substeps :func:`evolve` splits a rotation by ``theta`` into: the 1-norm
-    bound on theta*G over 4, at least 1.  Raises :class:`EvolveError` above
-    :data:`MAX_SUBSTEPS` (an overflowing bound needs inf substeps)."""
-    scale = abs(theta) * generator.one_norm
-    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
-    if substeps > MAX_SUBSTEPS:
-        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
-                          "reduce the stage parameter")
-    return substeps
+    diagonal = (mat.diagonal() if all(e.kind is Kind.MIXED and e.i == e.j for e in op.coeffs)
+                else None)
+    return SparseOperator(basis, mat, one_norm, defect, diagonal)
 
 
 def evolve(state: StateVector, generator: SparseOperator, theta: float,
            tol: float = 1e-12) -> StateVector:
-    """e^{i theta G} |state> by split-step truncated Taylor summation.
+    """e^{i theta G} |state> for a :class:`SparseOperator` G on the state's
+    basis, built once per (generator, cutoff) by :func:`matrix`.
 
-    ``generator`` is a :class:`SparseOperator` on the state's basis, built
-    once per (generator, cutoff) by :func:`matrix` with its 1-norm and
-    hermiticity defect; a defect above 1e-10 raises ``ValueError``.  The
-    series for each substep is summed until the geometric remainder bound
-    drops below the per-step share of ``tol``.  :class:`EvolveError` is
-    raised when the rotation needs more than :data:`MAX_SUBSTEPS` substeps
-    (:func:`substep_count`; the parameter is too large), or when a
-    substep's series does not reach its share within
-    :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight; a larger cutoff
+    A hermiticity defect above 1e-10 raises ``ValueError``; theta = 0 returns
+    the state.  A diagonal G is the exact phase e^{i theta d} per ket, with no
+    series and no ``tol``; it raises :class:`EvolveError` only when |theta|
+    times the 1-norm overflows.  Any other G is split into substeps of
+    1-norm bound at most 4, each a Taylor series summed until its geometric
+    remainder bound is below its share of ``tol``.  :class:`EvolveError` is
+    raised beyond :data:`MAX_SUBSTEPS` substeps (the parameter is too large)
+    or :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight; a larger cutoff
     adds substeps and tightens each share further).
     """
     if generator.basis != state.basis:
@@ -284,17 +276,15 @@ def reachable(generator: SparseOperator, support: np.ndarray) -> np.ndarray:
 def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
                    tol: float = 1e-12, kets: np.ndarray | None = None) -> np.ndarray:
     """e^{i theta G} applied to an amplitude vector, or to every column of an
-    (n, S) array in one series, as :func:`evolve` does.
+    (n, S) array at once, by the rules of :func:`evolve`.
 
-    Each term of the series is one sparse product with all columns, so the
-    matrix is read once per term.  For columns, the remainder bound is taken
-    on the sum of their 2-norms: ``tol`` then bounds the error of every sum
-    of the columns with weights of modulus at most 1, as :func:`evolve`
-    bounds the error of one vector.  With ``kets`` (from :func:`reachable`),
-    the rows of ``amps`` are the amplitudes on those basis kets, all others
-    being 0, and the series runs on G restricted to them; G maps their span
-    into itself, so the restriction changes no amplitude.  The substeps still
-    follow G's 1-norm.  A new array is returned.
+    Each Taylor term is one sparse product with all columns, and the
+    remainder bound is taken on the sum of their 2-norms, so ``tol`` bounds
+    the error of every sum of the columns with weights of modulus at most 1.
+    With ``kets`` (from :func:`reachable`), the rows of ``amps`` are the
+    amplitudes on those basis kets, all others being 0, and G is restricted
+    to them; G maps their span into itself, so this changes no amplitude.
+    Substeps and overflow still follow G's 1-norm.  A new array is returned.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -304,13 +294,24 @@ def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
     if theta == 0.0:
         return np.array(amps, dtype=np.complex128)
 
+    v = np.asarray(amps, dtype=np.complex128)
+    scale = abs(theta) * generator.one_norm
+    if generator.diagonal is not None:
+        if not math.isfinite(scale):
+            raise EvolveError("the phase of a diagonal stage overflows; reduce the stage parameter")
+        d = generator.diagonal if kets is None else generator.diagonal[kets]
+        phase = np.exp(1j * theta * d)
+        return phase * v if v.ndim == 1 else phase[:, None] * v
+
+    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
+    if substeps > MAX_SUBSTEPS:
+        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
+                          "reduce the stage parameter")
     mat = generator.mat if kets is None else generator.mat[kets][:, kets]
-    substeps = substep_count(generator, theta)
     h = theta / substeps
     step_tol = tol / substeps
     h_norm = abs(h) * generator.one_norm
 
-    v = np.asarray(amps, dtype=np.complex128)
     for _ in range(substeps):
         acc = v.copy()
         term = v

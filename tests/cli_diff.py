@@ -1,0 +1,131 @@
+"""Diff the CLI of two source trees over one fixed list of invocations.
+
+    python tests/cli_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a ``bellsim`` package (a
+checkout's ``src``).  Each tree runs every invocation in one child process.
+The script prints how many invocations give byte-identical stdout and exit
+code; for each other one, its exit codes, the largest |new - old| of every
+numeric field of stdout, the stdout lines whose text changed, and a changed
+stderr.  A number is named by the words before it on its line, else by its
+column under the last line without numbers (CSV and the convergence table).
+"""
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+CUSTOM = {"diagonal": [["K_z", 0.7]], "phase": [["K", 0.3], ["J_prime", 0.8], ["J_a", 0.6]],
+          "ou_mandel": [["K_OM", 0.2], ["J_a", math.pi / 2], ["J_BS", math.pi / 2]]}
+FAILURES = [
+    ("run", "--cutoff", "1"), ("run", "--tol", "0"), ("run", "--gamma", "0.5", "--tol", "inf"),
+    ("chsh", "-e", "horne"), ("chsh", "--angles", "1,2,3"), ("convergence", "--cutoffs", "8,6"),
+    ("scan", "--axis", "delta", "--values", "nan"), ("run", "--theta-a", "1e308"),
+    ("chsh", "--angles", "1e308,0,0,0"), ("scan", "--axis", "delta", "--values", "0,1e308"),
+    ("run", "--gamma", "1e6", "--cutoff", "2"), ("run", "--tol", "1e-300", "--cutoff", "12"),
+    ("run", "--gamma", "1e308"), ("run", "-e", "horne", "--phi", "1e308"),
+    ("convergence", "--gamma", "1e308"), ("scan", "--axis", "gamma", "--values", "0.1,1e308"),
+    ("scan", "--axis", "phi", "-e", "horne", "--values", "0.1,1e308", "--format", "json"),
+    ("scan", "--axis", "phi", "-e", "horne", "--gamma", "1e6", "--cutoff", "4", "--values", "0,1"),
+    ("scan", "--axis", "phi", "-e", "horne", "--tol", "1e-100", "--values", "0,0.5,3"),
+    ("run", "-e", "horne", "--phi", "3", "--tol", "1e-80"), ("run", "-e", "horne", "--phi", "1e6"),
+]
+NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])")
+
+
+def invocations(configs: list[str]) -> list[list[str]]:
+    calls = [["verify-algebra"], ["list-generators"], *map(list, FAILURES)]
+    for estimator in ("raw", "conditioned"):
+        for name in ("ideal", "horne", "ou_mandel"):
+            flags = ["-e", name, "--estimator", estimator]
+            calls += [["run", *flags, "--gamma", "0.4", "--phi", "2", "--theta-a", "0.3"],
+                      ["run", *flags, "--gamma", "1", "--phi", "-1.7", "--cutoff", "16"],
+                      ["chsh", *flags, "--gamma", "0.3"],
+                      ["convergence", *flags, "--gamma", "1", "--phi", "1.3"],
+                      *(["scan", "--axis", axis, *flags, "--phi", "0.8", "--points", "5",
+                         "--cutoff", "12"] for axis in ("delta", "gamma", "phi"))]
+        for path in configs:
+            calls += [[command, "--config", path, "--estimator", estimator]
+                      for command in ("run", "chsh", "convergence")]
+            calls.append(["scan", "--axis", "gamma", "--config", path, "--estimator", estimator])
+    return calls
+
+
+def child() -> None:
+    from bellsim.cli import main
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def numbers(line: str, header: list[str]) -> list[tuple[str, float]]:
+    named = []
+    for k, match in enumerate(NUMBER.finditer(line)):
+        words = re.findall(r"[A-Za-z_][\w ]*", line[:match.start()])
+        label = words[-1].strip() if words else (header[k] if k < len(header) else f"#{k}")
+        named.append((label, float(match.group())))
+    return named
+
+
+def compare(old: str, new: str) -> tuple[dict[str, float], list[str]]:
+    """Largest |new - old| per field over lines of equal text, and the changed lines."""
+    deltas, changed, header = {}, [], []
+    for a, b in zip(old.splitlines(), new.splitlines()):
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            changed += [f"  - {a}", f"  + {b}"]
+            continue
+        if not NUMBER.search(a):
+            header = re.split(r"[,\s]+", a.strip())
+        for (label, x), (_, y) in zip(numbers(a, header), numbers(b, header)):
+            gap = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(y - x)
+            deltas[label] = max(deltas.get(label, 0.0), gap)
+    common = min(len(old.splitlines()), len(new.splitlines()))
+    changed += [f"  - {a}" for a in old.splitlines()[common:]]
+    changed += [f"  + {b}" for b in new.splitlines()[common:]]
+    return deltas, changed
+
+
+def main(old_src: str, new_src: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = []
+        for name, stages in CUSTOM.items():
+            configs.append(str(Path(tmp) / f"{name}.json"))
+            Path(configs[-1]).write_text(json.dumps({"experiment": "custom", "stages": stages}))
+        calls = invocations(configs)
+        old, new = (json.loads(subprocess.run(
+            [sys.executable, __file__, "--child"], input=json.dumps(calls), text=True,
+            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout)
+            for src in (old_src, new_src))
+    same = sum(a[:2] == b[:2] for a, b in zip(old, new))
+    print(f"byte-identical stdout and exit code: {same} of {len(calls)}")
+    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(calls, old, new):
+        if (code_a, out_a, err_a) == (code_b, out_b, err_b):
+            continue
+        print(" ".join(argv).replace(tmp, "CONFIG")
+              + (f"  [exit {code_a} -> {code_b}]" if code_a != code_b else ""))
+        deltas, changed = compare(out_a, out_b)
+        moved = {k: v for k, v in deltas.items() if v}
+        if moved:
+            print("  |delta| " + ", ".join(f"{k} {v:.2g}" for k, v in moved.items()))
+        if err_a != err_b:
+            changed.append(f"  stderr {err_a!r} -> {err_b!r}")
+        for line in changed:
+            print(line)
+
+
+if __name__ == "__main__":
+    child() if sys.argv[1:] == ["--child"] else main(*sys.argv[1:])

@@ -17,6 +17,7 @@ from bellsim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    fmt,
     main,
 )
 from bellsim.experiments import ESTIMATORS, PIPELINES, ExperimentSpec
@@ -314,18 +315,22 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     assert err == f"numerical error: {err_line}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("run", "--gamma", "1e308"),
-    ("run", "-e", "horne", "--phi", "1e308"),
-    ("convergence", "--gamma", "1e308"),
+SUBSTEP_LIMIT = "evolution needs inf substeps (limit 100000); reduce the stage parameter"
+PHASE_OVERFLOW = "the phase of a diagonal stage overflows; reduce the stage parameter"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--gamma", "1e308"), SUBSTEP_LIMIT),
+    (("run", "-e", "horne", "--phi", "1e308"), PHASE_OVERFLOW),
+    (("convergence", "--gamma", "1e308"), SUBSTEP_LIMIT),
 ], ids=["gamma", "phi", "convergence"])
-def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv):
-    """|theta| times the generator's 1-norm overflows to inf substeps."""
+def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv, message):
+    """|theta| times the generator's 1-norm overflows: to inf substeps for a
+    Taylor series, to an inf phase for the diagonal J'."""
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err == ("numerical error: evolution needs inf substeps (limit 100000); "
-                   "reduce the stage parameter\n")
+    assert err == f"numerical error: {message}\n"
 
 
 def test_scan_fails_only_the_overflowing_row(capsys):
@@ -529,7 +534,34 @@ def test_report_key_order(tmp_path, capsys):
                                         "cond_degenerate", "failed", "message"]
 
 
-SUBSTEP_LIMIT = "evolution needs inf substeps (limit 100000); reduce the stage parameter"
+PHI_PARITY = [(("--cutoff", str(n), "--gamma", g), phi)
+              for n in (4, 8, 16) for g in ("0.1", "1") for phi in ("0.3", "3", "-1.7")]
+PHI_PARITY += [(("--tol", "1e-80"), "3"), ((), "1e6")]
+
+
+@pytest.mark.parametrize("flags, phi", PHI_PARITY,
+                         ids=[" ".join((*f, "--phi", phi)) for f, phi in PHI_PARITY])
+def test_horne_run_matches_its_phi_row(capsys, tmp_path, flags, phi):
+    """`run -e horne` and the phi row at the same phase print the same fields
+    within 1e-11: both apply J' as the same exact phase, so neither fails on a
+    tight tol or a large phi."""
+    report = tmp_path / "run.json"
+    code, _, err = invoke(capsys, "run", "-e", "horne", *flags, "--phi", phi,
+                          "--output", str(report))
+    assert (code, err) == (EXIT_OK, "")
+    run = json.loads(report.read_text())
+    code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", *flags,
+                          "--values", phi, "--format", "json")
+    assert code == EXIT_OK
+    (row,) = json.loads(out[: out.rindex("}") + 1])["rows"]
+    assert not row["failed"]
+    expected = {"c_raw": run["raw"]["value"], "c_cond": run["conditioned"]["value"],
+                "numerator": run["raw"]["numerator"], "denominator": run["raw"]["denominator"],
+                "leakage": run["leakage"]}
+    for key, value in expected.items():
+        assert row[key] == pytest.approx(value, abs=1e-11), key
+    assert (row["raw_degenerate"], row["cond_degenerate"]) == (
+        run["raw"]["degenerate"], run["conditioned"]["degenerate"])
 
 
 def test_phi_scan_fails_only_the_overflowing_row(capsys):
@@ -539,7 +571,7 @@ def test_phi_scan_fails_only_the_overflowing_row(capsys):
     assert err == ""
     good, failed = json.loads(out[: out.rindex("}") + 1])["rows"]
     assert not good["failed"] and None not in good.values()
-    assert failed["failed"] and failed["message"] == SUBSTEP_LIMIT
+    assert failed["failed"] and failed["message"] == PHASE_OVERFLOW
     code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--values", "0.1,1e308")
     assert code == EXIT_NUMERIC
     header, good, failed, summary = out.splitlines()
@@ -600,9 +632,30 @@ def test_convergence_table(capsys):
                           "--theta-a", "0.39269908169872414", "--cutoffs", "6,8,10")
     assert code == EXIT_OK
     assert "stabilized digits:" in out
-    assert "extrapolated c_raw:" in out
+    assert "extrapolated c_cond:" in out
     lines = [l for l in out.splitlines() if l and l[0].isdigit() or l.startswith("  ")]
     assert len([l for l in out.splitlines() if l.strip().startswith(("6", "8", "10"))]) == 3
+
+
+@pytest.mark.parametrize("estimator, column", [("conditioned", "c_cond"), ("raw", "c_raw")])
+def test_convergence_summary_follows_the_estimator(capsys, tmp_path, estimator, column):
+    """Diffs, stabilized digits, ratio and extrapolation read the chosen
+    estimator's column: c_cond is -1 at every cutoff, c_raw moves with it."""
+    path = tmp_path / "convergence.json"
+    code, out, _ = invoke(capsys, "convergence", "--gamma", "1", "--estimator", estimator,
+                          "--cutoffs", "6,8,10,12", "--output", str(path))
+    assert code == EXIT_OK
+    payload = json.loads(path.read_text())
+    chosen = [row[column] for row in payload["rows"]]
+    assert payload["diffs"] == pytest.approx([abs(b - a) for a, b in zip(chosen, chosen[1:])])
+    assert f"extrapolated_{column}" in payload and len(payload) == 7
+    assert out.splitlines()[-1] == f"extrapolated {column}: {fmt(payload[f'extrapolated_{column}'])}"
+    if estimator == "conditioned":
+        assert payload["stabilized_digits"] >= 15
+        assert payload["extrapolated_c_cond"] == -1.0
+    else:
+        assert payload["stabilized_digits"] == 2
+        assert 0 < payload["contraction_ratio"] < 1
 
 
 # ---------------------------------------------------------------------------

@@ -169,13 +169,22 @@ def test_hermitian_operator_gives_hermitian_matrix():
 
 
 def test_stored_invariants_match_dense_matrix():
+    """The 1-norm, the hermiticity defect, and the diagonal, which is stored
+    exactly when the dense matrix is diagonal."""
     basis = get_basis(4)
+    diagonal_count = 0
     for op in [catalog(name) for name in sorted(names())] + [QuadOp.of(A(1, 2))]:
         sp = matrix(op, basis)
         dense = oracles.dense_operator(op, basis)
         assert sp.one_norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)), rel=1e-14)
         assert sp.hermiticity_defect == pytest.approx(np.max(np.abs(dense - dense.conj().T)),
                                                       abs=1e-14)
+        is_diagonal = np.array_equal(dense, np.diag(np.diag(dense)))
+        assert (sp.diagonal is not None) == is_diagonal, op
+        if is_diagonal:
+            diagonal_count += 1
+            assert np.max(np.abs(sp.diagonal - np.diag(dense))) < 1e-14
+    assert diagonal_count >= 3
 
 
 def test_commutation_transfer():
@@ -222,6 +231,32 @@ def test_evolve_requires_positive_tol():
     basis = get_basis(4)
     with pytest.raises(ValueError):
         evolve(vacuum(basis), matrix(catalog("K"), basis), 0.1, tol=-1e-9)
+
+
+def test_diagonal_generator_is_an_exact_phase(monkeypatch):
+    """A diagonal generator multiplies each ket by e^{i theta d}: no series,
+    so no tol or term limit, and on a subset of kets too; it fails only when
+    |theta| times its 1-norm overflows."""
+    monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
+    rng = np.random.default_rng(5)
+    basis = get_basis(6)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    for name in ("J_prime", "K_z"):
+        generator = matrix(catalog(name), basis)
+        for theta in (0.7, -3.0, 1e6):
+            phase = np.exp(1j * theta * generator.diagonal)
+            out = evolve(StateVector(basis, amps), generator, theta, tol=1e-300)
+            assert np.array_equal(out.amps, phase * amps)
+            kets = np.arange(0, basis.dim, 3)
+            assert np.array_equal(fock.evolve_columns(np.ones((kets.size, 2)), generator, theta,
+                                                      kets=kets),
+                                  np.column_stack([phase[kets]] * 2))
+        reference = oracles.dense_evolve(StateVector(basis, amps), catalog(name), 0.7)
+        assert np.max(np.abs(evolve(StateVector(basis, amps), generator, 0.7).amps
+                             - reference.amps)) < 1e-12
+        with pytest.raises(EvolveError, match="^the phase of a diagonal stage overflows; "
+                                              "reduce the stage parameter$"):
+            evolve(vacuum(basis), generator, 1e308)
 
 
 def test_evolve_nonconvergence_raises(monkeypatch):
