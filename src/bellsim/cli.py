@@ -239,13 +239,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _parse_list(args, flag: str, kind: type) -> list:
+    """The comma-separated list of ``--flag``, each item read by ``kind``."""
+    text = getattr(args, flag)
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --{flag} list: {text!r}") from None
+
+
 def cmd_chsh(args) -> int:
     spec = _build_spec(args)
     if args.angles:
-        try:
-            parts = [float(x) for x in args.angles.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad --angles list: {args.angles!r}") from None
+        parts = _parse_list(args, "angles", float)
         if len(parts) != 4:
             raise ConfigError("--angles requires 'theta_a,theta_a_prime,theta_b,theta_b_prime'")
         angles = ChshAngles(*parts)
@@ -264,10 +270,7 @@ def cmd_chsh(args) -> int:
 
 def _parse_grid(args) -> list[float]:
     if args.values:
-        try:
-            return [float(x) for x in args.values.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad --values list: {args.values!r}") from None
+        return _parse_list(args, "values", float)
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
     if args.points == 1:
@@ -306,28 +309,29 @@ def cmd_scan(args) -> int:
 
 def cmd_convergence(args) -> int:
     spec = _build_spec(args)
-    try:
-        cutoffs = [int(x) for x in args.cutoffs.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --cutoffs list: {args.cutoffs!r}") from None
+    cutoffs = _parse_list(args, "cutoffs", int)
     if len(cutoffs) < 2 or cutoffs[0] < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("--cutoffs must be a strictly increasing list of integers >= 2")
+    column = "c_cond" if spec.estimator == "conditioned" else "c_raw"
     values = []
     for cutoff in cutoffs:
         _, raw, cond = measure(replace(spec, cutoff=cutoff))
         values.append({"cutoff": cutoff, "c_raw": raw.value, "c_cond": cond.value,
-                       "leakage": raw.leakage})
-    column = "c_cond" if spec.estimator == "conditioned" else "c_raw"
+                       "leakage": raw.leakage,
+                       "degenerate": (cond if column == "c_cond" else raw).degenerate})
     chosen = [v[column] for v in values]
     diffs = [abs(b - a) for a, b in zip(chosen, chosen[1:])]
-    stabilized = int(-math.log10(diffs[-1])) if diffs[-1] > 0 else 15
-    if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
-        ratio = diffs[-1] / diffs[-2]
-        extrapolated = chosen[-1] + (chosen[-1] - chosen[-2]) * (
-            ratio / (1 - ratio)) if ratio < 1 else chosen[-1]
-    else:
-        ratio = 0.0
-        extrapolated = chosen[-1]
+    # a degenerate value is a placeholder 0, so digits and extrapolation read nothing from it
+    stabilized = ratio = extrapolated = None
+    if not any(v["degenerate"] for v in values[-2:]):
+        stabilized = int(-math.log10(diffs[-1])) if diffs[-1] > 0 else 15
+        if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
+            ratio = diffs[-1] / diffs[-2]
+            extrapolated = chosen[-1] + (chosen[-1] - chosen[-2]) * (
+                ratio / (1 - ratio)) if ratio < 1 else chosen[-1]
+        else:
+            ratio = 0.0
+            extrapolated = chosen[-1]
     payload = {
         "experiment": spec.name,
         "gamma": spec.gamma,
@@ -343,8 +347,9 @@ def cmd_convergence(args) -> int:
     for v in values:
         lines.append(f"{v['cutoff']:6d}  {fmt(v['c_raw']):16s} {fmt(v['c_cond']):16s} "
                      f"{fmt(v['leakage'])}")
-    lines.append(f"stabilized digits: {stabilized}")
-    lines.append(f"extrapolated {column}: {fmt(extrapolated)}")
+    unread = "n/a (degenerate)"
+    lines.append(f"stabilized digits: {unread if stabilized is None else stabilized}")
+    lines.append(f"extrapolated {column}: {unread if extrapolated is None else fmt(extrapolated)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -127,9 +127,6 @@ class ChshAngles:
             (self.theta_a_prime, self.theta_b_prime),
         )
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.theta_a, self.theta_a_prime, self.theta_b, self.theta_b_prime)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -473,34 +470,43 @@ def _scan_row(value: float, raw: CorrelationReport, cond: CorrelationReport) -> 
                    raw.leakage, raw.degenerate, cond.degenerate)
 
 
-def _failed_row(value: float, exc: Exception) -> ScanRow:
+def _failed_row(value: float, exc: EvolveError) -> ScanRow:
     nan = float("nan")
     return ScanRow(value, nan, nan, nan, nan, nan, failed=True, message=str(exc))
 
 
 def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[ScanRow, ...]:
-    if axis == "delta":
-        # one source state for every row; if it fails, every row fails with it
-        try:
-            source = analyzer_source(spec)
-        except (EvolveError, ValueError) as exc:
-            return tuple(_failed_row(v, exc) for v in values)
-        return tuple(_scan_row(v, source.report("raw", v, 0.0),
-                               source.report("conditioned", v, 0.0)) for v in values)
-    if axis == "phi":
-        return _phi_rows(spec, values)
+    """The one row loop of every axis: the axis's shared part is computed
+    once, then each row is read from it.  Only :class:`EvolveError` makes a
+    failed row, every row's when the shared part fails and one row's when
+    reading it fails; a :class:`ConfigError` propagates."""
+    try:
+        read = _row_reader(spec, axis)
+    except EvolveError as exc:
+        return tuple(_failed_row(v, exc) for v in values)
     rows = []
     for value in values:
         try:
-            _, raw, cond = measure(replace(spec, gamma=value))
-        except (EvolveError, ValueError) as exc:
+            rows.append(_scan_row(value, *read(value)))
+        except EvolveError as exc:
             rows.append(_failed_row(value, exc))
-        else:
-            rows.append(_scan_row(value, raw, cond))
     return tuple(rows)
 
 
-def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
+def _row_reader(spec: ExperimentSpec, axis: str):
+    """An axis's shared part, computed once, as a function from a row's value
+    to its (raw, conditioned) reports: the :class:`AnalyzerSource` for delta,
+    the pair source and splitter columns for phi (:func:`_phi_reader`), and
+    nothing for gamma, whose rows are :func:`measure` of copies of ``spec``."""
+    if axis == "delta":
+        source = analyzer_source(spec)
+        return lambda delta: tuple(source.report(e, delta, 0.0) for e in ESTIMATORS)
+    if axis == "phi":
+        return _phi_reader(spec)
+    return lambda gamma: measure(replace(spec, gamma=gamma))[1:]
+
+
+def _phi_reader(spec: ExperimentSpec):
     """Horne rows over phi from one pair-source state psi_0.
 
     J' is diagonal, so the stage e^{i phi J'} is the phase e^{i phi l} on the
@@ -516,11 +522,8 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     """
     (source_name, gamma), (phase_name, _), (splitter_name, theta) = spec.stages
     basis = get_basis(spec.cutoff)
-    try:
-        source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff),
-                        gamma, spec.tol).amps
-    except (EvolveError, ValueError) as exc:
-        return tuple(_failed_row(v, exc) for v in values)
+    source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff),
+                    gamma, spec.tol).amps
     phase = _stage_operator(phase_name, spec.cutoff)
     splitter = _stage_operator(splitter_name, spec.cutoff)
     kets = fock.reachable(splitter, source != 0)
@@ -530,32 +533,25 @@ def _phi_rows(spec: ExperimentSpec, values: list[float]) -> tuple[ScanRow, ...]:
     splitter_error = None
     try:
         columns = fock.evolve_columns(columns, splitter, theta, spec.tol, kets)
-    except (EvolveError, ValueError) as exc:
+    except EvolveError as exc:
         splitter_error = exc
-    rows = []
-    for phi in values:
-        try:
-            weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, spec.tol,
-                                          occupied[first])
-            if splitter_error is not None:
-                raise splitter_error
-            amps = np.zeros(basis.dim, dtype=np.complex128)
-            amps[kets] = columns @ weights
-            rows.append(_scan_row(phi, *_read(spec, StateVector(basis, amps))))
-        except (EvolveError, ValueError) as exc:
-            rows.append(_failed_row(phi, exc))
-    return tuple(rows)
+
+    def read(phi: float) -> tuple[CorrelationReport, CorrelationReport]:
+        weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, spec.tol,
+                                      occupied[first])
+        if splitter_error is not None:
+            raise splitter_error
+        amps = np.zeros(basis.dim, dtype=np.complex128)
+        amps[kets] = columns @ weights
+        return _read(spec, StateVector(basis, amps))
+
+    return read
 
 
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
-    """Map both estimators over a parameter grid.
-
-    A gamma row is :func:`measure` of a copy of ``spec`` with ``gamma``
-    replaced; delta rows are analyzer settings (value, 0) of one
-    :class:`AnalyzerSource`; phi rows are phase-weighted sums of states
-    computed once from one pair-source state (:func:`_phi_rows`), read by
-    the same estimators as :func:`measure`.  Rows are computed in grid
-    order.  The grid must be non-empty, finite and strictly monotone.
+    """Map both estimators over a parameter grid, one row per value in grid
+    order, by the row loop every axis shares (:func:`_scan_rows`).  The grid
+    must be non-empty, finite and strictly monotone.
     """
     values = [float(v) for v in grid]
     if not values:

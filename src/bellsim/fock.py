@@ -25,7 +25,6 @@ cross-check lives in the test suite as an independent oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -43,10 +42,6 @@ PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0,
 
 MAX_TAYLOR_TERMS = 80
 MAX_SUBSTEPS = 100_000
-
-
-class TruncationWarning(UserWarning):
-    """Emitted when an intermediate vector carries weight near the cutoff."""
 
 
 class EvolveError(RuntimeError):
@@ -341,14 +336,9 @@ def _size(amps: np.ndarray) -> float:
     return float(np.linalg.norm(amps, axis=0).sum())
 
 
-def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6) -> complex:
+def expect_product(state: StateVector, ops: Sequence) -> complex:
     """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application
-    of ``matrix(M, basis)`` for each QuadOp/FloatOp M.
-
-    Quartic products are truncation-sensitive, so an intermediate vector
-    putting more than ``boundary_tol`` of its weight within two photons of
-    the cutoff emits a :class:`TruncationWarning`.
-    """
+    of ``matrix(M, basis)`` for each QuadOp/FloatOp M."""
     if not ops:
         raise ValueError("expect_product requires at least one operator")
     norm = state.norm()
@@ -357,24 +347,11 @@ def expect_product(state: StateVector, ops: Sequence, boundary_tol: float = 1e-6
     v = state.amps
     for op in reversed(list(ops)):
         v = matrix(op, state.basis).mat @ v
-        boundary = _shell_weight(state.basis, v)
-        if boundary > boundary_tol:
-            warnings.warn(
-                f"intermediate vector carries {boundary:.2e} weight on the "
-                f"top two shells (cutoff {state.basis.cutoff}); expectation "
-                "may be truncation-limited",
-                TruncationWarning,
-                stacklevel=2,
-            )
     return complex(np.vdot(state.amps, v))
-
-
-def _shell_weight(basis: FockBasis, amps: np.ndarray) -> float:
-    mask = basis.totals >= max(basis.cutoff - 1, 0)
-    return float(np.sum(np.abs(amps[mask]) ** 2))
 
 
 def leakage(state: StateVector) -> float:
     """Squared amplitude on the top two total-photon shells: a truncation
     diagnostic that does not bound the error in C."""
-    return _shell_weight(state.basis, state.amps)
+    top = state.basis.totals >= max(state.basis.cutoff - 1, 0)
+    return float(np.sum(np.abs(state.amps[top]) ** 2))

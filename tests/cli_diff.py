@@ -24,7 +24,8 @@ from pathlib import Path
 
 CUSTOM = {"diagonal": [["K_z", 0.7]], "phase": [["K", 0.3], ["J_prime", 0.8], ["J_a", 0.6]],
           "ou_mandel": [["K_OM", 0.2], ["J_a", math.pi / 2], ["J_BS", math.pi / 2]]}
-FAILURES = [
+#: failures, each with its exit code and stderr line, and degenerate summaries
+EDGE_CASES = [
     ("run", "--cutoff", "1"), ("run", "--tol", "0"), ("run", "--gamma", "0.5", "--tol", "inf"),
     ("chsh", "-e", "horne"), ("chsh", "--angles", "1,2,3"), ("convergence", "--cutoffs", "8,6"),
     ("scan", "--axis", "delta", "--values", "nan"), ("run", "--theta-a", "1e308"),
@@ -36,12 +37,14 @@ FAILURES = [
     ("scan", "--axis", "phi", "-e", "horne", "--gamma", "1e6", "--cutoff", "4", "--values", "0,1"),
     ("scan", "--axis", "phi", "-e", "horne", "--tol", "1e-100", "--values", "0,0.5,3"),
     ("run", "-e", "horne", "--phi", "3", "--tol", "1e-80"), ("run", "-e", "horne", "--phi", "1e6"),
+    ("scan", "--axis", "gamma", "--theta-a", "1e308", "--values", "0.1,0.2"),
+    ("convergence", "-e", "horne", "--gamma", "1"),
 ]
 NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])")
 
 
 def invocations(configs: list[str]) -> list[list[str]]:
-    calls = [["verify-algebra"], ["list-generators"], *map(list, FAILURES)]
+    calls = [["verify-algebra"], ["list-generators"], *map(list, EDGE_CASES)]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

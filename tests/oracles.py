@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -307,7 +307,7 @@ def refine_chsh_maximizer(spec, start: ChshAngles, initial_step: float = math.pi
     def s_at(values: list[float]) -> float:
         return source.chsh(ChshAngles(*values)).s_value
 
-    current = list(start.as_tuple())
+    current = list(astuple(start))
     best = s_at(current)
     step = initial_step
     while step >= min_step:

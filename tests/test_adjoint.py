@@ -166,6 +166,23 @@ def test_horne_generators_conjugate_exactly():
         {C(1, 3): -half_i, C(2, 4): half_i, C(3, 1): half_i, C(4, 2): -half_i})
 
 
+@pytest.mark.parametrize("name, image", [
+    ("K_prime", -(catalog("K_y_12") + catalog("K_y_34"))),
+    ("J_prime", catalog("J_y_13") - catalog("J_y_24")),
+])
+def test_horne_quarter_turn_is_exact(name, image):
+    """With g = J_BS, ad_g^3 = ad_g on the Horne generators, so the 50/50
+    splitter's conjugation e^{i pi/2 g} x e^{-i pi/2 g} is the rational
+    x + i[g, x] - [g, [g, x]]: pair creation within each channel for K', a
+    y-rotation between the channels for J'."""
+    g, x = catalog("J_BS"), catalog(name)
+    ad_x = commutator(g, x)
+    ad2_x = commutator(g, ad_x)
+    assert commutator(g, ad2_x) == ad_x
+    assert x + ad_x * I - ad2_x == image
+    assert max_coeff_distance(conjugate(g, math.pi / 2, x), image) < 1e-15
+
+
 def test_bs_conjugation_against_dense_oracle():
     basis = FockBasis(6)
     lhs = fock.matrix(conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"),

@@ -343,6 +343,34 @@ def test_scan_fails_only_the_overflowing_row(capsys):
     assert summary.startswith("scan gamma: 2 rows, 1 failed, ")
 
 
+ANALYZER_OVERFLOW = "config error: analyzer angle 1e+308 is too large: 2*theta overflows\n"
+
+
+@pytest.mark.parametrize("axis, argv, stderr, failed", [
+    ("delta", ("--values", "0,1e308"), ANALYZER_OVERFLOW, None),
+    ("delta", ("--gamma", "1e9", "--cutoff", "4", "--values", "0,0.5"), "", 2),
+    ("gamma", ("--theta-a", "1e308", "--values", "0.1,0.2"), ANALYZER_OVERFLOW, None),
+    ("gamma", ("--values", "0.1,1e308"), "", 1),
+    ("phi", ("-e", "horne", "--values", "0,inf"),
+     "config error: scan grid values must be finite numbers\n", None),
+    ("phi", ("-e", "horne", "--values", "0.1,1e308"), "", 1),
+], ids=["delta-config", "delta-numeric", "gamma-config", "gamma-numeric",
+        "phi-config", "phi-numeric"])
+def test_scan_fails_rows_only_on_numerical_errors(capsys, axis, argv, stderr, failed):
+    """One rule for every axis: a config error ends the scan with exit 2, one
+    stderr line and no rows; an evolution error fails rows and exits 3.  Phi
+    rows read no analyzer angle, so their config error is the grid's."""
+    code, out, err = invoke(capsys, "scan", "--axis", axis, *argv)
+    assert err == stderr
+    if failed is None:
+        assert (code, out) == (EXIT_CONFIG, "")
+    else:
+        assert code == EXIT_NUMERIC
+        *rows, summary = out.splitlines()[1:]
+        assert sum(row.endswith(",nan,nan,nan,nan,nan") for row in rows) == failed
+        assert summary.startswith(f"scan {axis}: 2 rows, {failed} failed, ")
+
+
 def test_run_at_huge_angle(capsys):
     """The analyzers are contracted from the source state, never evolved, so
     any finite angle runs."""
@@ -656,6 +684,24 @@ def test_convergence_summary_follows_the_estimator(capsys, tmp_path, estimator, 
     else:
         assert payload["stabilized_digits"] == 2
         assert 0 < payload["contraction_ratio"] < 1
+
+
+def test_convergence_summary_skips_degenerate_values(capsys, tmp_path):
+    """Horne at phi = 0 has no coincidences: every c_cond is the degenerate
+    placeholder 0, so there are no digits to count and nothing to extrapolate."""
+    path = tmp_path / "convergence.json"
+    code, out, _ = invoke(capsys, "convergence", "-e", "horne", "--gamma", "1",
+                          "--output", str(path))
+    assert code == EXIT_OK
+    assert out.splitlines()[-2:] == ["stabilized digits: n/a (degenerate)",
+                                     "extrapolated c_cond: n/a (degenerate)"]
+    payload = json.loads(path.read_text())
+    assert [row["degenerate"] for row in payload["rows"]] == [True] * 4
+    assert [payload[k] for k in ("contraction_ratio", "stabilized_digits",
+                                 "extrapolated_c_cond")] == [None] * 3
+    code, _, _ = invoke(capsys, "convergence", "-e", "horne", "--gamma", "1",
+                        "--estimator", "raw", "--output", str(path))
+    assert [row["degenerate"] for row in json.loads(path.read_text())["rows"]] == [False] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from bellsim.fock import (
     EvolveError,
     FockBasis,
     StateVector,
-    TruncationWarning,
     evolve,
     expect_product,
     fock_state,
@@ -417,13 +416,11 @@ def test_singlet_correlation_is_minus_one():
 
 def test_quartic_product_on_number_state():
     basis = get_basis(4)
-    state = fock_state(basis, (2, 0, 0, 2))  # top shell: boundary warning expected
-    with pytest.warns(TruncationWarning):
-        value = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
+    state = fock_state(basis, (2, 0, 0, 2))  # on the top shell
+    value = expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
     assert value.real == pytest.approx(4.0)
 
 
-@pytest.mark.filterwarnings("ignore::bellsim.fock.TruncationWarning")
 def test_expectation_matches_diagonal_oracle():
     basis = get_basis(8)
     state = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.35)
@@ -432,13 +429,6 @@ def test_expectation_matches_diagonal_oracle():
     onum, oden = oracles.correlation_oracle(state)
     assert num == pytest.approx(onum, abs=1e-12)
     assert den == pytest.approx(oden, abs=1e-12)
-
-
-def test_boundary_warning_fires():
-    basis = get_basis(4)
-    state = fock_state(basis, (2, 0, 2, 0))  # sits on the top shell
-    with pytest.warns(TruncationWarning):
-        expect_product(state, [catalog("sigma_0_a"), catalog("sigma_0_b")])
 
 
 # ---------------------------------------------------------------------------
