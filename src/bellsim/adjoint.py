@@ -1,88 +1,37 @@
-"""Operator conjugation by the adjoint action, from exact nested commutators.
+"""The 50/50 splitter's conjugation, exact: a quarter turn of the adjoint action.
 
-For a generator g the conjugation
+For a generator g and an operator x,
 
-    conjugate(g, theta, x) = e^{i theta g} x e^{-i theta g}
-                           = exp(i theta ad_g)(x),   ad_g(x) = [g, x],
+    conjugate(g, x) = e^{i pi/2 g} x e^{-i pi/2 g} = exp(i pi/2 ad_g)(x),
+    ad_g(x) = [g, x],
 
-is U^† x U for U = e^{-i theta g}.  A squeezing transformation written
-as Y(gamma) = e^{i gamma K} therefore satisfies
-Y^{-1}(gamma) x Y(gamma) = conjugate(K, -gamma, x).
+is U x U^-1 for U = e^{i pi/2 g}, the 50/50 splitter when g = J_BS; the
+inverse turn is conjugate(-g, x).  When ad_g^3 x = ad_g x, ad_g is
+diagonalizable on the orbit of x with eigenvalues in {0, 1, -1}, where
+e^{i pi/2 t} takes the values 1, i and -i.  The interpolating polynomial
+1 + i t - t^2 then gives
 
-Every hermitian catalog generator has a diagonalizable ad_g whose
-eigenvalues lie in :data:`AD_SPECTRUM`, so exp(i theta ad_g) equals the
-polynomial in ad_g that interpolates f(t) = e^{i theta t} on those nodes.
-In Newton form (Higham, *Functions of Matrices*, SIAM 2008, ch. 1) it is
+    conjugate(g, x) = x + i [g, x] - [g, [g, x]],
 
-    f(ad_g) x = sum_k f[l_0, ..., l_k] q_k,
-    q_0 = x,   q_{k+1} = [g, q_k] - l_k q_k,
-
-where the q_k are exact operators built by :func:`~bellsim.algebra.commutator`
-and only the divided differences f[...] are floating point.  Once some q_k
-vanishes the remaining terms do too; a q left over after the last node
-means ad_g has an eigenvalue outside the table or is not diagonalizable,
-and is reported rather than approximated.
+two exact commutators with rational weights.  A generator whose ad_g has
+other eigenvalues on that orbit (J_a on K_OM's has +-1/2, whose quarter
+turn carries sqrt(2) weights) is rejected rather than approximated;
+conjugation at a general angle is the test suite's float reference.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
-
-from .algebra import BasisElement, QuadOp, commutator
-from .rational import HALF, I, ONE, ZERO, CRat
-
-#: the union of the ad_g spectra of the hermitian catalog generators, as
-#: Newton nodes: 0 first, which drops a central scalar from q at once, then
-#: the common ones, so that a {0, +-1} spectrum such as J_BS's stops at 3 terms
-AD_SPECTRUM: tuple[CRat, ...] = (ZERO, ONE, -ONE, HALF, -HALF, I, -I, I * HALF, -I * HALF,
-                                 CRat.of(2), CRat.of(-2))
+from .algebra import QuadOp, commutator
+from .rational import I
 
 
-@dataclass(frozen=True)
-class FloatOp:
-    """A quadratic operator with complex floating-point coefficients.
+def conjugate(g: QuadOp, x: QuadOp) -> QuadOp:
+    """e^{i pi/2 g} x e^{-i pi/2 g} = x + i[g, x] - [g, [g, x]], exactly.
 
-    Produced by :func:`conjugate`; structurally parallel to
-    :class:`~bellsim.algebra.QuadOp` so :func:`bellsim.fock.matrix` accepts either.
+    Raises ``ValueError`` unless ad_g^3 x = ad_g x.
     """
-
-    coeffs: dict[BasisElement, complex] = field(default_factory=dict)
-    scalar: complex = 0.0
-
-
-def _divided_differences(theta: float) -> list[complex]:
-    """f[l_0], f[l_0, l_1], ... of f(t) = e^{i theta t} on :data:`AD_SPECTRUM`."""
-    nodes = [complex(node) for node in AD_SPECTRUM]
-    table = [cmath.exp(1j * theta * node) for node in nodes]
-    for order in range(1, len(nodes)):
-        for k in range(len(nodes) - 1, order - 1, -1):
-            table[k] = (table[k] - table[k - 1]) / (nodes[k] - nodes[k - order])
-    return table
-
-
-def conjugate(g: QuadOp, theta: float, x: QuadOp, tol: float = 1e-12) -> FloatOp:
-    """e^{i theta g} x e^{-i theta g} as the Newton sum over nested commutators.
-
-    Coefficients smaller than ``tol`` are reported as exact zeros.  Raises
-    ``ValueError`` when ad_g restricted to the orbit of ``x`` is not
-    diagonalizable with eigenvalues in :data:`AD_SPECTRUM`.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    coeffs: dict[BasisElement, complex] = {}
-    scalar = 0j
-    q = x
-    for weight, node in zip(_divided_differences(theta), AD_SPECTRUM):
-        for elem, coeff in q.coeffs.items():
-            coeffs[elem] = coeffs.get(elem, 0j) + weight * complex(coeff)
-        scalar += weight * complex(q.scalar)
-        q = commutator(g, q) - q * node
-        if q.is_zero():
-            break
-    else:
-        raise ValueError("ad_g has an eigenvalue outside AD_SPECTRUM or is not "
-                         "diagonalizable on the orbit of x")
-    kept = {e: c for e, c in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
-            if abs(c) > tol}
-    return FloatOp(kept, scalar if abs(scalar) > tol else 0.0)
+    ad_x = commutator(g, x)
+    ad2_x = commutator(g, ad_x)
+    if commutator(g, ad2_x) != ad_x:
+        raise ValueError("ad_g^3 x != ad_g x: the quarter turn of g is not rational on x")
+    return x + ad_x * I - ad2_x

@@ -20,10 +20,10 @@ Families:
 
 ``L_z`` carries a wart: the conventional tabulation of this operator is
 not hermitian (its B-block is not the conjugate of its A-block).  The
-catalog keeps that form unchanged because the conjugation machinery in
-:mod:`bellsim.adjoint` measures, rather than assumes, the coefficients
-that actually appear when su(1,1) squeezing acts on the difference
-operators; see ``tests/test_adjoint.py``.
+catalog keeps that form unchanged because ``tests/test_adjoint.py``
+measures, rather than assumes, the coefficients that actually appear when
+su(1,1) squeezing acts on the difference operators, through the float
+reference conjugation ``oracles.expm_conjugate``.
 """
 
 from __future__ import annotations

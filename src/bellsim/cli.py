@@ -22,7 +22,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .algebra import commutator, verify_closure, verify_structure_constants
+from .adjoint import conjugate
+from .algebra import JKL_TABLE, commutator, verify_closure, verify_structure_constants
 from .catalog import CLOSURE_SUITE, HAMILTONIAN_GENERATORS, catalog, dump_catalog, names
 from .experiments import (
     ANALYZER_PIPELINES,
@@ -80,6 +81,10 @@ def emit_json(payload: dict, output: str | None) -> str:
 
 def _identity_checks():
     """Exact operator identities beyond the closure tables."""
+    # the 50/50 splitter U_BS = e^{i pi/2 J_BS} turns the Horne source into
+    # pair creation within each channel
+    horne = ("J_prime", "K_prime", "L_prime")
+    split = {name: conjugate(catalog("J_BS"), catalog(name)) for name in horne}
     return [
         ("[K, J_a+J_b] = 0",
          commutator(catalog("K"), catalog("J_a") + catalog("J_b")).is_zero()),
@@ -92,6 +97,13 @@ def _identity_checks():
         ("K_x = K_x_14 - K_x_23", catalog("K_x") == catalog("K_x_14") - catalog("K_x_23")),
         ("K_y = K_y_14 - K_y_23", catalog("K_y") == catalog("K_y_14") - catalog("K_y_23")),
         ("K_z = K_z_14 + K_z_23", catalog("K_z") == catalog("K_z_14") + catalog("K_z_23")),
+        ("U_BS K' U_BS^-1 = -(K_y_12 + K_y_34)",
+         split["K_prime"] == -(catalog("K_y_12") + catalog("K_y_34"))),
+        ("U_BS J' U_BS^-1 = J_y_13 - J_y_24",
+         split["J_prime"] == catalog("J_y_13") - catalog("J_y_24")),
+        ("U_BS {J', K', L'} U_BS^-1 closes under JKL, L' fixed",
+         verify_closure([split[name] for name in horne], JKL_TABLE).ok
+         and split["L_prime"] == catalog("L_prime")),
     ]
 
 

@@ -208,7 +208,7 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
     """Matrix of a catalog generator or observable (or of a ``_BS_CONJUGATED``
     generator) at this cutoff, built once per process."""
     if name in _BS_CONJUGATED:
-        op = conjugate(catalog("J_BS"), BS_5050, catalog(_BS_CONJUGATED[name]), tol=1e-15)
+        op = conjugate(catalog("J_BS"), catalog(_BS_CONJUGATED[name]))
     else:
         op = catalog(name)
     return fock.matrix(op, get_basis(cutoff))
@@ -582,9 +582,10 @@ def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
 
     U_BS e^{i phi J'} e^{i gamma K'} |0> equals
     e^{i phi (U_BS J' U_BS^-1)} e^{i gamma (U_BS K' U_BS^-1)} |0> because
-    the splitter leaves the vacuum alone; the conjugated generators come
-    from the adjoint machinery, so agreement of the two routes checks the
-    algebra layer against the Fock layer.
+    the splitter leaves the vacuum alone.  The conjugated generators are the
+    exact quarter turns J_y_13 - J_y_24 and -(K_y_12 + K_y_34) from
+    :func:`~bellsim.adjoint.conjugate`, so agreement of the two routes checks
+    the algebra layer against the Fock layer.
     """
     if spec.name != "horne":
         raise ConfigError("conjugated form is defined for the horne pipeline")

@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .algebra import Kind, QuadOp
-from .adjoint import FloatOp
 
 Occupation = tuple[int, int, int, int]
 
@@ -209,9 +208,9 @@ def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np
     return basis.indices(target[keep]), cols[keep], np.sqrt(factor[keep])
 
 
-def matrix(op: Union[QuadOp, FloatOp], basis: FockBasis) -> SparseOperator:
-    """Sparse matrix of a quadratic operator (QuadOp or FloatOp), with its
-    1-norm, hermiticity defect and, for a diagonal operator, diagonal."""
+def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
+    """Sparse matrix of an exact quadratic operator, with its 1-norm,
+    hermiticity defect and, for a diagonal operator, diagonal."""
     dim = basis.dim
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
@@ -338,7 +337,7 @@ def _size(amps: np.ndarray) -> float:
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:
     """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application
-    of ``matrix(M, basis)`` for each QuadOp/FloatOp M."""
+    of ``matrix(M, basis)`` for each QuadOp M."""
     if not ops:
         raise ValueError("expect_product requires at least one operator")
     norm = state.norm()

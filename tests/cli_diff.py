@@ -44,7 +44,8 @@ NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])
 
 
 def invocations(configs: list[str]) -> list[list[str]]:
-    calls = [["verify-algebra"], ["list-generators"], *map(list, EDGE_CASES)]
+    calls = [["verify-algebra"], ["verify-algebra", "--json"], ["list-generators"],
+             *map(list, EDGE_CASES)]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

@@ -13,9 +13,11 @@ source run, Taylor evolution and estimators, but evolve every analyzer
 setting through its rotation stages, which the library never does.
 :func:`project_pi` is the reference coincidence projection: it zeroes every
 amplitude outside the four ``PI_KEPT`` kets, where the library reads those
-four amplitudes alone.  :func:`expm_conjugate` is the reference conjugation:
-scipy's Pade exponential of the 37x37 float matrix :func:`ad_matrix`, where
-the library sums nested exact commutators.
+four amplitudes alone.  :func:`expm_conjugate` is the reference conjugation
+at any angle: scipy's Pade exponential of the 37x37 float matrix
+:func:`ad_matrix`, applied to a coefficient vector and returned as a
+:class:`FloatOp`; the library conjugates only by the exact quarter turn
+``bellsim.adjoint.conjugate``.
 
 Reference tools shared by the tests and ``make_goldens.py``; no command runs
 them:
@@ -29,8 +31,6 @@ them:
   coefficients;
 * exact span and ad-closure decisions (:func:`coefficient_row`,
   :func:`solve_in_span`, :class:`SpanClosureReport`, :func:`span_closure_under_ad`);
-* :func:`conjugate_by_linearity`, the library's conjugation extended to
-  float operators, for chained conjugations;
 * :func:`random_rational_combination`, :func:`combination` (a float linear
   combination) and :func:`max_coeff_distance`.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -49,12 +49,24 @@ import scipy.linalg
 import scipy.sparse
 
 from bellsim import experiments, fock
-from bellsim.adjoint import FloatOp, conjugate
 from bellsim.algebra import ALL_ELEMENTS, BasisElement, Kind, QuadOp, basis_commutator, commutator
 from bellsim.catalog import catalog
 from bellsim.experiments import ChshAngles
 from bellsim.fock import FockBasis, StateVector
 from bellsim.rational import ONE, ZERO, CRat
+
+
+@dataclass(frozen=True)
+class FloatOp:
+    """A quadratic operator with complex floating-point coefficients, from
+    :func:`operator_from_vector`, :func:`expm_conjugate` and :func:`combination`.
+
+    It has :class:`~bellsim.algebra.QuadOp`'s two fields, so
+    ``fock.matrix`` and the dense oracles here read either.
+    """
+
+    coeffs: dict[BasisElement, complex] = field(default_factory=dict)
+    scalar: complex = 0.0
 
 
 @lru_cache(maxsize=16)
@@ -383,14 +395,6 @@ def expm_conjugate(g: QuadOp, theta: float, x, tol: float = 1e-12) -> FloatOp:
     return operator_from_vector(propagator @ coefficient_vector(x), tol)
 
 
-def conjugate_by_linearity(g: QuadOp, theta: float, x: FloatOp) -> FloatOp:
-    """``conjugate`` extended to a FloatOp: the sum of its coefficients times
-    the conjugated basis elements, with the central scalar unchanged."""
-    return combination((complex(x.scalar), QuadOp({}, ONE)),
-                       *((complex(coeff), conjugate(g, theta, QuadOp.of(elem), tol=1e-300))
-                         for elem, coeff in x.coeffs.items()))
-
-
 # ---------------------------------------------------------------------------
 # exact-layer reference tools
 # ---------------------------------------------------------------------------
@@ -426,7 +430,8 @@ def sigma_rotation_error(delta: float) -> float:
     for channel, sign in (("a", -1.0), ("b", +1.0)):
         sigma_z, sigma_y = catalog(f"sigma_z_{channel}"), catalog(f"sigma_y_{channel}")
         expected = combination((math.cos(delta), sigma_z), (sign * math.sin(delta), sigma_y))
-        worst = max(worst, max_coeff_distance(conjugate(catalog("J"), -delta, sigma_z), expected))
+        moved = expm_conjugate(catalog("J"), -delta, sigma_z)
+        worst = max(worst, max_coeff_distance(moved, expected))
     return worst
 
 

@@ -90,17 +90,16 @@ def test_a02_subalgebra_closures():
 
 def test_a03_beam_splitter_conjugation():
     target = QuadOp.make({A(1, 3): -HALF, A(2, 4): HALF, B(1, 3): -HALF, B(2, 4): HALF})
-    moved = conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"))
-    coeff_err = oracles.max_coeff_distance(moved, target)
+    moved = conjugate(-catalog("J_BS_wv"), catalog("K_prime"))
+    exact = moved == target
     basis = FockBasis(6)
-    lhs = fock.matrix(conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"),
-                                tol=1e-300), basis).mat.toarray()
+    lhs = fock.matrix(moved, basis).mat.toarray()
     rhs = oracles.dense_conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"), basis)
     dense_err = float(np.max(np.abs(lhs - rhs)))
-    ok = coeff_err < 1e-10 and dense_err < 1e-10
+    ok = exact and dense_err < 1e-10
     verdict("A3 conjugation-identity", ok,
-            f"coefficient err {coeff_err:.2e}, dense oracle err {dense_err:.2e}")
-    assert coeff_err < 1e-10
+            f"exact coefficients: {exact}, dense oracle err {dense_err:.2e}")
+    assert exact
     assert dense_err < 1e-10
 
 

@@ -2,9 +2,12 @@
 
 The conjugation identities here are the load-bearing ones for the
 wave-vector (interferometric) Bell test and for the squeezing analysis of
-the correlation function.  Where a tabulated partner operator turns out
-not to span the orbit (the L_z case), the test records the measured
-residual and the coefficients that actually appear.
+the correlation function.  The library's exact quarter turn
+``bellsim.adjoint.conjugate`` serves the 50/50 splitter; every other angle
+goes through the float reference ``oracles.expm_conjugate``.  Where a
+tabulated partner operator turns out not to span the orbit (the L_z case),
+the test records the measured residual and the coefficients that actually
+appear.
 """
 
 import math
@@ -13,25 +16,27 @@ import random
 import numpy as np
 import pytest
 
-from bellsim.adjoint import AD_SPECTRUM, FloatOp, conjugate
+from bellsim.adjoint import conjugate
 from bellsim.algebra import (
+    ALL_ELEMENTS,
     A,
     B,
     C,
+    Kind,
     QuadOp,
     commutator,
 )
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog, names
 from bellsim.fock import FockBasis
 import bellsim.fock as fock
-from bellsim.rational import CRat, HALF, I
+from bellsim.rational import CRat, HALF, I, QUARTER
 
 from oracles import (
     ADJOINT_DIM,
+    FloatOp,
     ad_matrix,
     coefficient_vector,
     combination,
-    conjugate_by_linearity,
     dense_conjugate,
     expm_conjugate,
     max_coeff_distance,
@@ -41,10 +46,9 @@ from oracles import (
 )
 
 
-PASSIVE = tuple(n for n in HAMILTONIAN_GENERATORS
-                if all(e.kind.value == "C" for e in catalog(n).coeffs))
-ACTIVE = tuple(n for n in HAMILTONIAN_GENERATORS if n not in PASSIVE)
-HERMITIAN = tuple(n for n in names() if catalog(n).is_hermitian())
+#: the Hamiltonian generators g with ad_g^3 = ad_g on every basis element,
+#: whose quarter turn :func:`conjugate` takes on any operator
+QUARTER_TURN = ("K_z", "J_BS", "J_PS", "J_BS_wv", "J", "J_prime")
 
 
 # ---------------------------------------------------------------------------
@@ -78,66 +82,69 @@ def test_vector_roundtrip():
     assert max_coeff_distance(back, x) < 1e-15
 
 
-def test_ad_spectrum_is_the_catalog_eigenvalue_union():
-    """Every hermitian catalog generator has its ad eigenvalues in the node
-    table, and every node is some generator's eigenvalue."""
-    assert len(HERMITIAN) == 82
-    union = set()
-    for name in HERMITIAN:
-        for value in np.linalg.eigvals(ad_matrix(catalog(name))):
-            union.add(complex(round(value.real, 8), round(value.imag, 8)))
-    assert union == {complex(node) for node in AD_SPECTRUM}
-    assert len(AD_SPECTRUM) == len(set(AD_SPECTRUM)) == 11
-
-
-def test_conjugate_matches_expm_reference():
-    """The Newton sum over nested commutators against the exponential of
-    the float adjoint matrix, on seeded (hermitian g, catalog x, theta)."""
-    rng = random.Random(11)
-    generator_names = list(names())
-    worst = 0.0
-    for _ in range(300):
-        g = catalog(rng.choice(HERMITIAN))
-        x = catalog(rng.choice(generator_names))
-        theta = rng.uniform(-3.2, 3.2)
-        worst = max(worst, max_coeff_distance(conjugate(g, theta, x, tol=1e-300),
-                                               expm_conjugate(g, theta, x, tol=1e-300)))
-    assert worst < 1e-13
-
-
-# ---------------------------------------------------------------------------
-# conjugate: basics
-# ---------------------------------------------------------------------------
-
-def test_conjugate_requires_positive_tol():
-    with pytest.raises(ValueError):
-        conjugate(catalog("K"), 0.1, catalog("J"), tol=0.0)
-
-
 def test_conjugate_at_zero_angle_is_identity():
     x = catalog("L")
-    assert max_coeff_distance(conjugate(catalog("K"), 0.0, x), x) < 1e-15
-
-
-@pytest.mark.parametrize("g, x", [
-    (3 * catalog("J_BS"), catalog("K_prime")),  # ad eigenvalues +-3 lie off the table
-    (QuadOp.of(A(1, 1)), QuadOp.of(B(1, 1))),   # ad_{A_11} is nilpotent
-], ids=["outside_table", "nilpotent"])
-def test_conjugate_rejects_ad_off_the_table(g, x):
-    with pytest.raises(ValueError, match="AD_SPECTRUM"):
-        conjugate(g, 0.3, x)
-
-
-def test_conjugate_stops_when_the_orbit_closes():
-    # [A_11, A_22] = 0 ends the sum at q_1, before the nilpotency can show
-    assert conjugate(QuadOp.of(A(1, 1)), 0.3, QuadOp.of(A(2, 2))) == FloatOp({A(2, 2): 1 + 0j})
+    assert max_coeff_distance(expm_conjugate(catalog("K"), 0.0, x), x) < 1e-15
 
 
 def test_conjugate_preserves_invariants_of_source():
     # the analyzer-sum operators commute with the pair source
     for name in ("J_z_plus", "J_y_plus", "N_0_minus"):
-        moved = conjugate(catalog("K"), 0.37, catalog(name))
+        moved = expm_conjugate(catalog("K"), 0.37, catalog(name))
         assert max_coeff_distance(moved, catalog(name)) < 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# conjugate: the exact quarter turn
+# ---------------------------------------------------------------------------
+
+def _ad_cubed_is_ad(g: QuadOp, x: QuadOp) -> bool:
+    ad_x = commutator(g, x)
+    return commutator(g, commutator(g, ad_x)) == ad_x
+
+
+def test_quarter_turn_generators():
+    """Exactly six Hamiltonian generators have ad^3 = ad on the whole
+    algebra; all six are passive, which the dense oracle test relies on."""
+    found = tuple(name for name in HAMILTONIAN_GENERATORS
+                  if all(_ad_cubed_is_ad(catalog(name), QuadOp.of(e)) for e in ALL_ELEMENTS))
+    assert len(HAMILTONIAN_GENERATORS) == 68
+    assert found == QUARTER_TURN
+    assert all(e.kind is Kind.MIXED for name in found for e in catalog(name).coeffs)
+
+
+def test_conjugate_matches_expm_reference():
+    """The quarter turn and its inverse by each quarter-turn generator, on
+    every catalog operator, against the exponential of the float adjoint
+    matrix."""
+    for name in QUARTER_TURN:
+        g = catalog(name)
+        for sign in (1, -1):
+            for x in map(catalog, names()):
+                moved = conjugate(g * sign, x)
+                reference = expm_conjugate(g, sign * math.pi / 2, x)
+                assert max_coeff_distance(moved, reference) < 1e-12, (name, sign)
+
+
+@pytest.mark.parametrize("g, x", [
+    (3 * catalog("J_BS"), catalog("K_prime")),  # ad eigenvalues +-3, outside {0, +-1}
+    (QuadOp.of(A(1, 1)), QuadOp.of(B(1, 1))),   # ad_{A_11} is nilpotent
+    (catalog("K"), catalog("J")),               # an active generator
+], ids=["outside_table", "nilpotent", "K_on_J"])
+def test_conjugate_rejects_irrational_quarter_turn(g, x):
+    with pytest.raises(ValueError, match="quarter turn"):
+        conjugate(g, x)
+
+
+def test_ou_mandel_rotation_is_not_a_rational_quarter_turn():
+    """On K_OM's orbit ad_{J_a}^3 = ad_{J_a}/4, so the pi/2 polarization
+    rotation of the ou_mandel pipeline has sqrt(2) weights: conjugate
+    rejects it and it stays with the float reference."""
+    g = catalog("J_a")
+    ad_x = commutator(g, catalog("K_OM"))
+    assert commutator(g, commutator(g, ad_x)) == ad_x * QUARTER
+    with pytest.raises(ValueError, match="quarter turn"):
+        conjugate(g, catalog("K_OM"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +159,16 @@ BS_CONJUGATED_K_PRIME = QuadOp.make({
 
 
 def test_bs_conjugation_reproduces_tabulated_generator():
-    result = conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"))
-    assert max_coeff_distance(result, BS_CONJUGATED_K_PRIME) < 1e-10
+    assert conjugate(-catalog("J_BS_wv"), catalog("K_prime")) == BS_CONJUGATED_K_PRIME
 
 
 def test_horne_generators_conjugate_exactly():
     """K' and J' conjugated by the 50/50 mixer have four coefficients each,
-    exactly +-i/2 after the 1e-15 cut."""
-    half_i = 0.5j
-    assert conjugate(catalog("J_BS"), math.pi / 2, catalog("K_prime"), tol=1e-15) == FloatOp(
+    exactly +-i/2."""
+    half_i = I * HALF
+    assert conjugate(catalog("J_BS"), catalog("K_prime")) == QuadOp.make(
         {A(1, 2): half_i, A(3, 4): half_i, B(1, 2): -half_i, B(3, 4): -half_i})
-    assert conjugate(catalog("J_BS"), math.pi / 2, catalog("J_prime"), tol=1e-15) == FloatOp(
+    assert conjugate(catalog("J_BS"), catalog("J_prime")) == QuadOp.make(
         {C(1, 3): -half_i, C(2, 4): half_i, C(3, 1): half_i, C(4, 2): -half_i})
 
 
@@ -174,19 +180,16 @@ def test_horne_quarter_turn_is_exact(name, image):
     """With g = J_BS, ad_g^3 = ad_g on the Horne generators, so the 50/50
     splitter's conjugation e^{i pi/2 g} x e^{-i pi/2 g} is the rational
     x + i[g, x] - [g, [g, x]]: pair creation within each channel for K', a
-    y-rotation between the channels for J'."""
+    y-rotation between the channels for J'.  The inverse turn undoes it."""
     g, x = catalog("J_BS"), catalog(name)
-    ad_x = commutator(g, x)
-    ad2_x = commutator(g, ad_x)
-    assert commutator(g, ad2_x) == ad_x
-    assert x + ad_x * I - ad2_x == image
-    assert max_coeff_distance(conjugate(g, math.pi / 2, x), image) < 1e-15
+    assert _ad_cubed_is_ad(g, x)
+    assert conjugate(g, x) == image
+    assert conjugate(-g, image) == x
 
 
 def test_bs_conjugation_against_dense_oracle():
     basis = FockBasis(6)
-    lhs = fock.matrix(conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"),
-                                tol=1e-300), basis).mat.toarray()
+    lhs = fock.matrix(conjugate(-catalog("J_BS_wv"), catalog("K_prime")), basis).mat.toarray()
     rhs = dense_conjugate(catalog("J_BS_wv"), -math.pi / 2, catalog("K_prime"), basis)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -198,10 +201,14 @@ def test_xtype_mixer_cannot_reach_tabulated_generator():
     kp = catalog("K_prime")
     partner = QuadOp.make({A(1, 2): HALF, A(3, 4): HALF,
                            B(1, 2): -HALF, B(3, 4): -HALF})
-    for theta in (math.pi / 4, math.pi / 2, -math.pi / 2, 1.234):
-        moved = conjugate(catalog("J_BS"), theta, kp)
+    for theta in (math.pi / 4, 1.234):
+        moved = expm_conjugate(catalog("J_BS"), theta, kp)
         expected = combination((math.cos(theta), kp), (1j * math.sin(theta), partner))
         assert max_coeff_distance(moved, expected) < 1e-12, theta
+        assert max_coeff_distance(moved, BS_CONJUGATED_K_PRIME) > 0.4
+    for sign in (1, -1):
+        moved = conjugate(catalog("J_BS") * sign, kp)
+        assert moved == partner * (I * sign)
         assert max_coeff_distance(moved, BS_CONJUGATED_K_PRIME) > 0.4
 
 
@@ -211,8 +218,8 @@ def test_om_conjugated_source_from_real_rotations():
     the real-rotation phase convention."""
     rot_a = catalog("J_y_12")
     mixer = catalog("J_y_13") + catalog("J_y_24")
-    step1 = conjugate(rot_a, -math.pi, catalog("K_OM"), tol=1e-300)
-    step2 = conjugate_by_linearity(mixer, -math.pi / 2, step1)
+    step1 = expm_conjugate(rot_a, -math.pi, catalog("K_OM"))
+    step2 = expm_conjugate(mixer, -math.pi / 2, step1)
     assert max_coeff_distance(step2, catalog("K_OM_prime")) < 1e-10
 
 
@@ -229,7 +236,7 @@ M_Y = QuadOp.make({A(1, 3): CRat.of(-1), A(2, 4): CRat.of(-1),
 
 def _inverse_squeeze_conjugate(name: str, gamma: float) -> FloatOp:
     # Y^{-1}(g) X Y(g) = conjugate(K, -g, X)
-    return conjugate(catalog("K"), -gamma, catalog(name), tol=1e-300)
+    return expm_conjugate(catalog("K"), -gamma, catalog(name), tol=1e-300)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.7])
@@ -288,35 +295,14 @@ def test_corrected_spans_close():
 
 def test_conjugate_matches_dense_oracle_passive():
     """Number-conserving generators commute with the truncation, so the
-    nested-commutator route must match the dense route entrywise."""
+    exact quarter turn must match the dense route entrywise."""
     rng = random.Random(101)
     basis = FockBasis(6)
     generator_names = list(names())
     for _ in range(20):
-        g = catalog(rng.choice(PASSIVE))
+        g = catalog(rng.choice(QUARTER_TURN))
         x = catalog(rng.choice(generator_names))
-        theta = rng.uniform(-1.5, 1.5)
-        lhs = fock.matrix(conjugate(g, theta, x, tol=1e-300), basis).mat.toarray()
-        rhs = dense_conjugate(g, theta, x, basis)
+        sign = rng.choice((1, -1))
+        lhs = fock.matrix(conjugate(g * sign, x), basis).mat.toarray()
+        rhs = dense_conjugate(g, sign * math.pi / 2, x, basis)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_conjugate_matches_dense_oracle_active():
-    """Pair-creating generators disturb the boundary, so the dense oracle
-    is compared on the deep interior (total photons <= 2) where the
-    truncated propagator is converged; small angles keep the boundary
-    excursion below the tolerance.  Cutoff 8 is the smallest at which these
-    draws converge there: the largest gap is 1.9e-11 (2.2e-14 at cutoff 10,
-    1.9e-08 at cutoff 7)."""
-    rng = random.Random(202)
-    basis = FockBasis(8)
-    keep = np.flatnonzero(basis.totals <= 2)
-    generator_names = list(names())
-    for _ in range(8):
-        g = catalog(rng.choice(ACTIVE))
-        x = catalog(rng.choice(generator_names))
-        theta = rng.uniform(-0.1, 0.1)
-        lhs = fock.matrix(conjugate(g, theta, x, tol=1e-300), basis).mat.toarray()
-        rhs = dense_conjugate(g, theta, x, basis)
-        diff = np.abs(lhs - rhs)[np.ix_(keep, keep)]
-        assert np.max(diff) < 1e-10

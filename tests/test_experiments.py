@@ -351,6 +351,26 @@ def test_chsh_refinement_converges():
     assert best == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.8])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("name", ANALYZER_PIPELINES)
+def test_chsh_maximum_is_the_horodecki_bound(name, estimator, gamma):
+    """Over in-plane analyzers S_max = 2 sqrt(s1^2 + s2^2), where s1 and s2
+    are the singular values of the source's 2x2 correlation tensor (R., P. &
+    M. Horodecki, Phys. Lett. A 200, 340 (1995)); the refined grid search
+    reaches it."""
+    spec = ExperimentSpec(name, estimator=estimator, gamma=gamma)
+    source = experiments.analyzer_source(spec)
+    tensor = (source.raw_tensor / source.raw.denominator if estimator == "raw"
+              else source.cond_tensor)
+    bound = 2.0 * math.hypot(*np.linalg.svd(tensor, compute_uv=False))
+    _, start, _ = oracles.chsh_grid_search(spec)
+    s_max, _ = oracles.refine_chsh_maximizer(spec, start)
+    assert s_max == pytest.approx(bound, abs=1e-12)
+    if (name, estimator, gamma) == ("ou_mandel", "raw", 0.8):
+        assert bound == pytest.approx(1.41075789858, abs=1e-11)  # no violation
+
+
 #: analyzer settings for the route checks, including negative angles and
 #: angles beyond 2 pi
 _SETTINGS = ((0.0, 0.0), (-0.4, 0.3), (1.1, -2.7), (7.0, 6.5), (-6.9, 13.0))
@@ -670,8 +690,7 @@ def test_rotation_identity_zero_shift_exact():
 
 def test_sigma_rotation_quarter_turn():
     # at delta = pi/2 the difference rotation maps sigma_z_a to -sigma_y_a
-    moved = conjugate(catalog("J"), -math.pi / 2, catalog("sigma_z_a"))
-    assert oracles.max_coeff_distance(moved, -catalog("sigma_y_a")) < 1e-10
+    assert conjugate(-catalog("J"), catalog("sigma_z_a")) == -catalog("sigma_y_a")
     assert oracles.sigma_rotation_error(math.pi / 2) < 1e-10
 
 
@@ -699,8 +718,8 @@ def test_ou_mandel_staged_equals_conjugated_source():
     gamma = 0.15
     spec = ExperimentSpec("ou_mandel", gamma=gamma)
     staged = run(spec)
-    transformed = oracles.conjugate_by_linearity(
-        catalog("J_BS"), BS_5050, conjugate(catalog("J_a"), math.pi / 2, catalog("K_OM"), tol=1e-300))
+    rotated = oracles.expm_conjugate(catalog("J_a"), math.pi / 2, catalog("K_OM"))
+    transformed = oracles.expm_conjugate(catalog("J_BS"), BS_5050, rotated)
     basis = get_basis(spec.cutoff)
     direct = fock.evolve(vacuum(basis), fock.matrix(transformed, basis), gamma, spec.tol)
     assert np.max(np.abs(staged.amps - direct.amps)) < 1e-9

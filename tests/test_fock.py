@@ -149,8 +149,7 @@ def test_matrix_against_dense_oracle(name):
 
 
 def test_matrix_equals_column_loop_bitwise():
-    conjugated = [conjugate(catalog("J_BS"), math.pi / 2, catalog(n), tol=1e-15)
-                  for n in ("K_prime", "J_prime")]
+    conjugated = [conjugate(catalog("J_BS"), catalog(n)) for n in ("K_prime", "J_prime")]
     for cutoff in (2, 3, 6):
         basis = get_basis(cutoff)
         for op in [catalog(name) for name in sorted(names())] + conjugated:
