@@ -196,7 +196,7 @@ def _load_config(path: str) -> dict:
 #: config keys, and the ExperimentSpec field each one sets; the spec holds the
 #: defaults, and the flag of the same name, where there is one, overrides the file
 CONFIG_FIELDS = {"experiment": "name", "gamma": "gamma", "theta_a": "theta_a",
-                 "theta_b": "theta_b", "phi": "phi", "cutoff": "cutoff", "tol": "tol",
+                 "theta_b": "theta_b", "phi": "phi", "cutoff": "cutoff",
                  "estimator": "estimator", "stages": "custom_stages"}
 
 
@@ -380,7 +380,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="analyzer angle for channel b (radians)")
     parser.add_argument("--phi", type=float, default=None, help="phase difference (horne)")
     parser.add_argument("--cutoff", type=int, default=None, help="total-photon cutoff (>= 2)")
-    parser.add_argument("--tol", type=float, default=None, help="evolution tolerance (finite, > 0)")
     parser.add_argument("--estimator", choices=ESTIMATORS, default=None)
     parser.add_argument("--output", "-o", default=None, help="write a JSON/CSV report here")
 

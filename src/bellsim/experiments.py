@@ -61,7 +61,6 @@ from .fock import (
 )
 
 DEFAULT_CUTOFF = 8
-DEFAULT_TOL = 1e-12
 ESTIMATORS = ("raw", "conditioned")
 
 #: stage parameter of a 50/50 splitter for the half-normalized J generators
@@ -132,9 +131,12 @@ class ChshAngles:
 class ExperimentSpec:
     """One Bell test: a pipeline name and its physical parameters.
 
-    The named pipelines read ``gamma`` and ``phi`` into their stage list;
-    ``custom`` applies ``custom_stages`` instead.  :func:`measure` reads the
-    analyzer setting ``theta_a``/``theta_b`` from the final state.
+    The named pipelines read ``gamma`` and ``phi`` into their stage list and
+    take no ``custom_stages``; ``custom`` applies ``custom_stages`` instead.
+    :func:`measure` reads the analyzer setting ``theta_a``/``theta_b`` from
+    the final state.  ``cutoff`` is the one accuracy input: every stage is
+    exact on the truncated space up to the fixed Taylor bound
+    :data:`fock.TOL`.
     A spec checks its fields when it is built and raises :class:`ConfigError`
     unless every one is usable.  Settings derived from a spec (scan rows,
     cutoffs) are ``dataclasses.replace`` copies of it, so they are checked too.
@@ -148,7 +150,6 @@ class ExperimentSpec:
     theta_b: float = 0.0
     phi: float = 0.0
     cutoff: int = DEFAULT_CUTOFF
-    tol: float = DEFAULT_TOL
 
     @property
     def stages(self) -> tuple[tuple[str, float], ...]:
@@ -165,8 +166,6 @@ class ExperimentSpec:
             raise ConfigError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
         if not (_is_real(self.cutoff) and isinstance(self.cutoff, Integral) and self.cutoff >= 2):
             raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         for key in ("gamma", "theta_a", "theta_b", "phi"):
             _require_finite(key, getattr(self, key))
         if self.name == "custom":
@@ -186,12 +185,13 @@ class ExperimentSpec:
                     raise ConfigError(str(exc)) from None
                 if not op.is_hermitian():
                     raise ConfigError(f"stage generator {gen_name!r} is not hermitian")
+        elif self.custom_stages != ():
+            raise ConfigError(f"stages apply to the custom pipeline, not {self.name!r}")
 
 
 def horne_spec(gamma: float, phi: float,
-               estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF,
-               tol: float = DEFAULT_TOL) -> ExperimentSpec:
-    return ExperimentSpec("horne", (), estimator, gamma, 0.0, 0.0, phi, cutoff, tol)
+               estimator: str = "conditioned", cutoff: int = DEFAULT_CUTOFF) -> ExperimentSpec:
+    return ExperimentSpec("horne", (), estimator, gamma, 0.0, 0.0, phi, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def run(spec: ExperimentSpec) -> StateVector:
     basis = get_basis(spec.cutoff)
     state = vacuum(basis)
     for gen_name, parameter in spec.stages:
-        state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter, spec.tol)
+        state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter)
     return state
 
 
@@ -513,34 +513,27 @@ def _phi_reader(spec: ExperimentSpec):
     kets of J' eigenvalue l, and the final state is sum_l e^{i phi l} chi_l,
     chi_l being the splitter applied to those kets of psi_0.  The chi_l are
     the columns of one array sent through the splitter in one series
-    (:func:`fock.evolve_columns`) whose ``tol`` bounds every row's error, on
-    only the kets it reaches from psi_0 (:func:`fock.reachable`; 285 of 4845
-    at cutoff 16, 17 sectors).  A row's weights are its phase stage applied,
-    as :func:`run` applies it, to one ket per sector, so a row fails where
-    its run fails: on the source (every row), its phase (that row), then the
-    splitter (every row left).
+    (:func:`fock.evolve_columns`) whose :data:`fock.TOL` bounds every row's
+    error, on only the kets it reaches from psi_0 (:func:`fock.reachable`;
+    285 of 4845 at cutoff 16, 17 sectors).  A row's weights are its phase
+    stage applied, as :func:`run` applies it, to one ket per sector, so a row
+    fails where its run fails: on the source (every row) or its phase (that
+    row).  The splitter is a 50/50 turn on a state of finite norm, so its
+    series converges.
     """
     (source_name, gamma), (phase_name, _), (splitter_name, theta) = spec.stages
     basis = get_basis(spec.cutoff)
-    source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff),
-                    gamma, spec.tol).amps
+    source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff), gamma).amps
     phase = _stage_operator(phase_name, spec.cutoff)
     splitter = _stage_operator(splitter_name, spec.cutoff)
     kets = fock.reachable(splitter, source != 0)
     occupied = np.flatnonzero(source)
     sectors, first = np.unique(phase.diagonal[occupied], return_index=True)
     columns = np.where(phase.diagonal[kets, None] == sectors, source[kets, None], 0.0)
-    splitter_error = None
-    try:
-        columns = fock.evolve_columns(columns, splitter, theta, spec.tol, kets)
-    except EvolveError as exc:
-        splitter_error = exc
+    columns = fock.evolve_columns(columns, splitter, theta, kets)
 
     def read(phi: float) -> tuple[CorrelationReport, CorrelationReport]:
-        weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, spec.tol,
-                                      occupied[first])
-        if splitter_error is not None:
-            raise splitter_error
+        weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, occupied[first])
         amps = np.zeros(basis.dim, dtype=np.complex128)
         amps[kets] = columns @ weights
         return _read(spec, StateVector(basis, amps))
@@ -590,6 +583,6 @@ def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
     if spec.name != "horne":
         raise ConfigError("conjugated form is defined for the horne pipeline")
     state = vacuum(get_basis(spec.cutoff))
-    state = evolve(state, _stage_operator("K_prime@BS", spec.cutoff), spec.gamma, spec.tol)
-    state = evolve(state, _stage_operator("J_prime@BS", spec.cutoff), spec.phi, spec.tol)
+    state = evolve(state, _stage_operator("K_prime@BS", spec.cutoff), spec.gamma)
+    state = evolve(state, _stage_operator("J_prime@BS", spec.cutoff), spec.phi)
     return state

@@ -13,13 +13,16 @@ evolution computed here is exactly unitary on the truncated space.  The
 truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 
 An operator is built once per (generator, cutoff) by :func:`matrix` into
-a :class:`SparseOperator` holding its 1-norm, hermiticity defect and, when
-every coefficient is a number operator C_ii, its diagonal.  :func:`evolve`
+a :class:`SparseOperator` holding its 1-norm, whether it is hermitian
+(decided exactly on the :class:`~bellsim.algebra.QuadOp`) and, when every
+coefficient is a number operator C_ii, its diagonal.  :func:`evolve`
 applies a diagonal generator as the exact phase e^{i theta d} per ket and
-any other by split-step Taylor summation with an a-posteriori remainder
-bound; :func:`evolve_columns` does either on several columns at once, on
-the kets a generator reaches (:func:`reachable`).  The dense-exponential
-cross-check lives in the test suite as an independent oracle.
+any other by split-step Taylor summation, each substep summed until an
+a-posteriori remainder bound is below its share of the fixed :data:`TOL`;
+:func:`evolve_columns` does either on several columns at once, on the kets
+a generator reaches (:func:`reachable`).  The cutoff is therefore the one
+accuracy input.  The dense-exponential cross-check lives in the test suite
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -39,12 +42,18 @@ Occupation = tuple[int, int, int, int]
 #: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
 PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
+#: bound on the 2-norm error of one Taylor-summed stage, shared by its substeps
+TOL = 1e-12
+#: a substep of 1-norm bound 4 on columns of summed norm up to sqrt(41) reaches
+#: its share of TOL within 33 terms, even at MAX_SUBSTEPS; the limit stops a
+#: series on non-finite amplitudes
 MAX_TAYLOR_TERMS = 80
 MAX_SUBSTEPS = 100_000
 
 
 class EvolveError(RuntimeError):
-    """Evolution failed: the stage parameter is too large or ``tol`` too tight."""
+    """Evolution failed: the stage parameter is too large, or the series does
+    not converge."""
 
 
 def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -179,8 +188,8 @@ class SparseOperator:
     mat: sparse.csr_matrix
     #: largest column sum of |entries|
     one_norm: float
-    #: largest |entry| of mat - mat^dagger
-    hermiticity_defect: float
+    #: the operator equals its adjoint (``QuadOp.is_hermitian``)
+    hermitian: bool
     #: mat's diagonal if every coefficient is a number operator C_ii, else None
     diagonal: np.ndarray | None
 
@@ -210,7 +219,7 @@ def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np
 
 def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
     """Sparse matrix of an exact quadratic operator, with its 1-norm,
-    hermiticity defect and, for a diagonal operator, diagonal."""
+    hermiticity and, for a diagonal operator, diagonal."""
     dim = basis.dim
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
@@ -226,31 +235,26 @@ def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
     if scalar != 0.0:
         mat = mat + scalar * sparse.identity(dim, dtype=np.complex128, format="csr")
     one_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
-    diff = (mat - mat.getH()).tocoo()
-    defect = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     diagonal = (mat.diagonal() if all(e.kind is Kind.MIXED and e.i == e.j for e in op.coeffs)
                 else None)
-    return SparseOperator(basis, mat, one_norm, defect, diagonal)
+    return SparseOperator(basis, mat, one_norm, op.is_hermitian(), diagonal)
 
 
-def evolve(state: StateVector, generator: SparseOperator, theta: float,
-           tol: float = 1e-12) -> StateVector:
+def evolve(state: StateVector, generator: SparseOperator, theta: float) -> StateVector:
     """e^{i theta G} |state> for a :class:`SparseOperator` G on the state's
     basis, built once per (generator, cutoff) by :func:`matrix`.
 
-    A hermiticity defect above 1e-10 raises ``ValueError``; theta = 0 returns
-    the state.  A diagonal G is the exact phase e^{i theta d} per ket, with no
-    series and no ``tol``; it raises :class:`EvolveError` only when |theta|
-    times the 1-norm overflows.  Any other G is split into substeps of
-    1-norm bound at most 4, each a Taylor series summed until its geometric
-    remainder bound is below its share of ``tol``.  :class:`EvolveError` is
-    raised beyond :data:`MAX_SUBSTEPS` substeps (the parameter is too large)
-    or :data:`MAX_TAYLOR_TERMS` terms (``tol`` is too tight; a larger cutoff
-    adds substeps and tightens each share further).
+    A non-hermitian G raises ``ValueError``; theta = 0 returns the state.  A
+    diagonal G is the exact phase e^{i theta d} per ket, with no series; it
+    raises :class:`EvolveError` only when |theta| times the 1-norm
+    overflows.  Any other G is split into substeps of 1-norm bound at most
+    4, each a Taylor series summed until its geometric remainder bound is
+    below its share of :data:`TOL`.  :class:`EvolveError` is raised beyond
+    :data:`MAX_SUBSTEPS` substeps (the parameter is too large).
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
-    return StateVector(state.basis, evolve_columns(state.amps, generator, theta, tol))
+    return StateVector(state.basis, evolve_columns(state.amps, generator, theta))
 
 
 def reachable(generator: SparseOperator, support: np.ndarray) -> np.ndarray:
@@ -268,23 +272,21 @@ def reachable(generator: SparseOperator, support: np.ndarray) -> np.ndarray:
 
 
 def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
-                   tol: float = 1e-12, kets: np.ndarray | None = None) -> np.ndarray:
+                   kets: np.ndarray | None = None) -> np.ndarray:
     """e^{i theta G} applied to an amplitude vector, or to every column of an
     (n, S) array at once, by the rules of :func:`evolve`.
 
     Each Taylor term is one sparse product with all columns, and the
-    remainder bound is taken on the sum of their 2-norms, so ``tol`` bounds
-    the error of every sum of the columns with weights of modulus at most 1.
+    remainder bound is taken on the sum of their 2-norms, so :data:`TOL`
+    bounds the error of every sum of the columns with weights of modulus at
+    most 1.
     With ``kets`` (from :func:`reachable`), the rows of ``amps`` are the
     amplitudes on those basis kets, all others being 0, and G is restricted
     to them; G maps their span into itself, so this changes no amplitude.
     Substeps and overflow still follow G's 1-norm.  A new array is returned.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if generator.hermiticity_defect > 1e-10:
-        raise ValueError("evolution generator must be hermitian "
-                         f"(defect {generator.hermiticity_defect:.2e})")
+    if not generator.hermitian:
+        raise ValueError("evolution generator must be hermitian")
     if theta == 0.0:
         return np.array(amps, dtype=np.complex128)
 
@@ -303,7 +305,7 @@ def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
                           "reduce the stage parameter")
     mat = generator.mat if kets is None else generator.mat[kets][:, kets]
     h = theta / substeps
-    step_tol = tol / substeps
+    step_bound = TOL / substeps
     h_norm = abs(h) * generator.one_norm
 
     for _ in range(substeps):
@@ -316,14 +318,11 @@ def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
             ratio = h_norm / (k + 1)
             if ratio < 1.0:
                 remainder = _size(term) * ratio / (1.0 - ratio)
-                if remainder <= step_tol:
+                if remainder <= step_bound:
                     converged = True
                     break
         if not converged:
-            raise EvolveError(
-                f"Taylor series did not reach tol={tol:g} within "
-                f"{MAX_TAYLOR_TERMS} terms; relax tol"
-            )
+            raise EvolveError(f"Taylor series did not converge within {MAX_TAYLOR_TERMS} terms")
         v = acc
     return v
 

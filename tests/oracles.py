@@ -61,12 +61,25 @@ class FloatOp:
     """A quadratic operator with complex floating-point coefficients, from
     :func:`operator_from_vector`, :func:`expm_conjugate` and :func:`combination`.
 
-    It has :class:`~bellsim.algebra.QuadOp`'s two fields, so
-    ``fock.matrix`` and the dense oracles here read either.
+    It has :class:`~bellsim.algebra.QuadOp`'s two fields and its
+    ``is_hermitian``, so ``fock.matrix`` and the dense oracles here read
+    either.
     """
 
     coeffs: dict[BasisElement, complex] = field(default_factory=dict)
     scalar: complex = 0.0
+
+    def is_hermitian(self) -> bool:
+        """Each coefficient is the conjugate of its adjoint partner's (A_ij and
+        B_ij, C_ij and C_ji) and the scalar is real, within 1e-10."""
+        def partner(elem: BasisElement) -> BasisElement:
+            if elem.kind is Kind.MIXED:
+                return BasisElement(Kind.MIXED, elem.j, elem.i)
+            flipped = Kind.PAIR_ANNIHILATE if elem.kind is Kind.PAIR_CREATE else Kind.PAIR_CREATE
+            return BasisElement(flipped, elem.i, elem.j)
+        return abs(complex(self.scalar).imag) <= 1e-10 and all(
+            abs(complex(c) - complex(self.coeffs.get(partner(e), 0.0)).conjugate()) <= 1e-10
+            for e, c in self.coeffs.items())
 
 
 @lru_cache(maxsize=16)
@@ -252,7 +265,7 @@ def run_with_analyzers(spec, theta_a: float, theta_b: float) -> StateVector:
     state = experiments.run(spec)
     for name, theta in (("J_a", theta_a), ("J_b", theta_b)):
         generator = fock.matrix(catalog(name), state.basis)
-        state = fock.evolve(state, generator, 2.0 * theta, spec.tol)
+        state = fock.evolve(state, generator, 2.0 * theta)
     return state
 
 
@@ -388,10 +401,20 @@ def ad_matrix(g: QuadOp) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=64)
+def _propagator(terms: tuple, scalar: CRat, theta: float) -> np.ndarray:
+    """scipy's Pade exponential of i theta ad_matrix(g), for g given by its
+    ``terms()`` and scalar (a QuadOp is unhashable); read-only."""
+    propagator = scipy.linalg.expm(1j * theta * ad_matrix(QuadOp(dict(terms), scalar)))
+    propagator.flags.writeable = False
+    return propagator
+
+
 def expm_conjugate(g: QuadOp, theta: float, x, tol: float = 1e-12) -> FloatOp:
     """e^{i theta g} x e^{-i theta g} as scipy's Pade exponential of
-    i theta ad_matrix(g) applied to the coefficient vector of x."""
-    propagator = scipy.linalg.expm(1j * theta * ad_matrix(g))
+    i theta ad_matrix(g) applied to the coefficient vector of x.  The
+    exponential is built once per (g, theta)."""
+    propagator = _propagator(tuple(g.terms()), g.scalar, theta)
     return operator_from_vector(propagator @ coefficient_vector(x), tol)
 
 

@@ -223,7 +223,6 @@ def test_a09_post_selection_fidelity():
 def test_a10_oracle_equivalence():
     rng = random.Random(71)
     basis = get_basis(6)
-    tol = 1e-12
     worst_state = 0.0
     worst_drift = 0.0
     for _ in range(20):
@@ -232,14 +231,14 @@ def test_a10_oracle_equivalence():
         for _ in range(rng.randint(1, 3)):
             g = catalog(rng.choice(list(HAMILTONIAN_GENERATORS)))
             theta = rng.uniform(-0.5, 0.5)
-            state = evolve(state, fock.matrix(g, basis), theta, tol=tol)
+            state = evolve(state, fock.matrix(g, basis), theta)
             reference = oracles.dense_evolve(reference, g, theta)
             drift = abs(state.norm() - 1.0)
-            budget = tol + leakage(state)
+            budget = fock.TOL + leakage(state)
             worst_drift = max(worst_drift, drift - budget)
         worst_state = max(worst_state, float(np.max(np.abs(state.amps - reference.amps))))
     ok = worst_state < 1e-10 and worst_drift <= 0.0
     verdict("A10 oracle-equivalence", ok,
-            f"max state err {worst_state:.2e}; unitarity drift within tol+leakage")
+            f"max state err {worst_state:.2e}; unitarity drift within TOL+leakage")
     assert worst_state < 1e-10
     assert worst_drift <= 0.0

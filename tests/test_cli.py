@@ -157,8 +157,8 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("run", "--cutoff", "1"),
-    ("run", "--tol", "0"),
-    ("run", "--tol", "-1"),
+    ("run", "--gamma", "nan"),
+    ("run", "-e", "horne", "--phi", "inf"),
     ("chsh", "--experiment", "horne"),
     ("chsh", "--angles", "1,2,3"),
     ("chsh", "--angles", "1,2,x,3"),
@@ -170,7 +170,7 @@ def test_run_custom_pipeline_from_config(tmp_path, capsys):
     ("scan", "--axis", "delta", "--values", "inf"),
     ("scan", "--axis", "delta", "--start", "nan", "--points", "3"),
     ("convergence", "--cutoffs", "6,6"),
-    ("run", "--gamma", "0.5", "--tol", "inf", "--estimator", "raw"),
+    ("scan", "--axis", "phi", "-e", "ideal", "--points", "3"),
 ])
 def test_config_errors(capsys, argv):
     code, _, err = invoke(capsys, *argv)
@@ -235,8 +235,10 @@ _CUSTOM = {"experiment": "custom", "stages": [["K", 0.1], ["J_a", 0.4]]}
     (_CUSTOM, ("scan", "--axis", "delta", "--points", "3")),
     (_CUSTOM, ("scan", "--axis", "gamma", "--points", "3")),
     ({"tol": float("inf")}, ("run",)),
+    ({"experiment": "ideal", "stages": "x"}, ("run",)),
+    ({"experiment": "ideal", "stages": [["nope", 1]]}, ("run",)),
 ], ids=[*(f"payload{k}" for k in range(6)), "custom-chsh", "custom-scan-delta",
-        "custom-scan-gamma", "tol-infinity"])
+        "custom-scan-gamma", "tol-infinity", "ideal-stages-text", "ideal-stages-list"])
 def test_config_file_errors(tmp_path, capsys, payload, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
@@ -263,6 +265,19 @@ def test_unknown_config_key(tmp_path, capsys):
     code, _, err = invoke(capsys, "run", "--config", str(config))
     assert code == EXIT_CONFIG
     assert "gamm" in err
+
+
+def test_tol_is_not_an_input(capsys):
+    """The Taylor bound is the fixed ``fock.TOL``: ``--tol`` is an unknown
+    argument of every experiment command (a ``tol`` config key is an
+    unknown key, see ``test_config_file_errors``)."""
+    for command in (("run",), ("chsh",), ("scan", "--axis", "delta"), ("convergence",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--gamma", "0.5", "--tol", "0.5", "--estimator", "raw"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --tol 0.5\n")
 
 
 def test_missing_config_file(capsys):
@@ -297,18 +312,15 @@ def test_run_nonconvergence_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
     code, _, err = invoke(capsys, "run", "--gamma", "0.4")
     assert code == EXIT_NUMERIC
-    assert err == "numerical error: Taylor series did not reach tol=1e-12 within 1 terms; relax tol\n"
+    assert err == "numerical error: Taylor series did not converge within 1 terms\n"
 
 
 @pytest.mark.parametrize("argv, err_line", [
     (("run", "--gamma", "1e6", "--cutoff", "2"),
      "evolution needs 250000 substeps (limit 100000); reduce the stage parameter"),
-    (("run", "--gamma", "0.1", "--tol", "1e-300", "--cutoff", "12"),
-     "Taylor series did not reach tol=1e-300 within 80 terms; relax tol"),
-], ids=["substeps", "taylor"])
+], ids=["substeps"])
 def test_numerical_error_names_its_remedy(capsys, argv, err_line):
-    """Each evolution failure prints one line with its own remedy: a larger
-    cutoff needs more substeps and tightens each one's share of tol."""
+    """An evolution failure prints one line with its remedy."""
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
@@ -380,8 +392,8 @@ def test_run_at_huge_angle(capsys):
 
 
 def test_run_setting_keeps_relative_accuracy(capsys):
-    """At gamma = 1e-6 the pair amplitudes are ~1e-6, so an absolute tol on
-    an evolved analyzer would cost digits; the contracted setting prints
+    """At gamma = 1e-6 the pair amplitudes are ~1e-6, so the absolute Taylor
+    bound on an evolved analyzer would cost digits; the contracted setting prints
     -cos 0.6 exactly."""
     code, out, _ = invoke(capsys, "run", "--gamma", "1e-6", "--theta-a", "0.3")
     assert code == EXIT_OK
@@ -416,9 +428,9 @@ def test_no_command_evolves_the_analyzers(capsys, monkeypatch):
         names_by_op[id(op)] = name
         return op
 
-    def recording_evolve(state, generator, theta, tol):
+    def recording_evolve(state, generator, theta):
         evolved.append((names_by_op[id(generator)], theta))
-        return evolve(state, generator, theta, tol)
+        return evolve(state, generator, theta)
 
     monkeypatch.setattr(experiments, "_stage_operator", recording_stage_operator)
     monkeypatch.setattr(experiments, "evolve", recording_evolve)
@@ -564,7 +576,7 @@ def test_report_key_order(tmp_path, capsys):
 
 PHI_PARITY = [(("--cutoff", str(n), "--gamma", g), phi)
               for n in (4, 8, 16) for g in ("0.1", "1") for phi in ("0.3", "3", "-1.7")]
-PHI_PARITY += [(("--tol", "1e-80"), "3"), ((), "1e6")]
+PHI_PARITY += [((), "1e6")]
 
 
 @pytest.mark.parametrize("flags, phi", PHI_PARITY,
@@ -572,7 +584,7 @@ PHI_PARITY += [(("--tol", "1e-80"), "3"), ((), "1e6")]
 def test_horne_run_matches_its_phi_row(capsys, tmp_path, flags, phi):
     """`run -e horne` and the phi row at the same phase print the same fields
     within 1e-11: both apply J' as the same exact phase, so neither fails on a
-    tight tol or a large phi."""
+    large phi."""
     report = tmp_path / "run.json"
     code, _, err = invoke(capsys, "run", "-e", "horne", *flags, "--phi", phi,
                           "--output", str(report))
@@ -627,7 +639,7 @@ def test_phi_scan_fails_every_row_with_the_source(capsys, gamma, message):
     (("run",), "--theta-a"),
     (("run",), "--theta-b"),
     (("run", "-e", "horne"), "--phi"),
-    (("run",), "--tol"),
+    (("convergence", "--cutoffs", "3,4"), "--gamma"),
     (("scan", "--axis", "phi", "-e", "horne", "--stop", "1", "--points", "3"), "--start"),
     (("scan", "--axis", "delta", "--start", "-1", "--points", "3"), "--stop"),
     (("scan", "--axis", "phi", "-e", "horne"), "--values"),
@@ -637,11 +649,7 @@ def test_negative_exponent_is_read_as_a_value(capsys, command, flag):
     value = "-1e-3,0.5" if flag == "--values" else "-1e-3"
     spaced = invoke(capsys, *command, "--cutoff", "4", flag, value)
     assert spaced == invoke(capsys, *command, "--cutoff", "4", f"{flag}={value}")
-    if flag == "--tol":
-        assert spaced == (EXIT_CONFIG, "",
-                          "config error: tol must be a finite positive number, got -0.001\n")
-    else:
-        assert spaced[0] == EXIT_OK
+    assert spaced[0] == EXIT_OK
 
 
 def test_scan_phi_axis(capsys):

@@ -65,10 +65,9 @@ def test_builders_produce_valid_specs():
     (lambda: horne_spec(math.nan, 0.3), "gamma must be a finite number, got nan"),
     (lambda: horne_spec(0.1, math.inf), "phi must be a finite number, got inf"),
     (lambda: horne_spec(0.1, 0.3, cutoff=1), "cutoff must be an integer >= 2, got 1"),
-    (lambda: horne_spec(0.1, 0.3, tol=math.inf), "tol must be a finite positive number, got inf"),
     (lambda: replace(ExperimentSpec(), gamma=math.nan), "gamma must be a finite number, got nan"),
     (lambda: ChshAngles(0, math.nan, 0, 0), "theta_a_prime must be a finite number, got nan"),
-], ids=["horne-gamma-nan", "horne-phi-inf", "horne-cutoff-1", "horne-tol-inf",
+], ids=["horne-gamma-nan", "horne-phi-inf", "horne-cutoff-1",
         "replace-gamma-nan", "chsh-angle-nan"])
 def test_rejected_when_built(build, message):
     with pytest.raises(ConfigError) as err:
@@ -95,11 +94,12 @@ def test_non_hermitian_stage_rejected():
 
 
 def test_bad_estimator_cutoff_tol():
+    """The cutoff is the one accuracy input: a spec has no ``tol`` field."""
     with pytest.raises(ConfigError):
         ExperimentSpec("ideal", (), estimator="median")
     with pytest.raises(ConfigError):
         ExperimentSpec("ideal", (), cutoff=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         ExperimentSpec("ideal", (), tol=0.0)
 
 
@@ -145,14 +145,34 @@ def test_diagonal_custom_stage_is_an_exact_phase():
 @pytest.mark.parametrize("cutoff", [4, 8, 12, 16])
 def test_horne_leakage_is_the_source_leakage(cutoff):
     """J' and J_BS keep every total-photon shell, so the Horne state has its
-    pair source's weight on the top two shells, within tol."""
+    pair source's weight on the top two shells, within the Taylor bound."""
     for gamma in (0.1, 0.4, 1.0):
         spec = horne_spec(gamma, 0.0, cutoff=cutoff)
         source = fock.evolve(vacuum(get_basis(cutoff)),
-                             experiments._stage_operator("K_prime", cutoff), gamma, spec.tol)
+                             experiments._stage_operator("K_prime", cutoff), gamma)
         for phi in (0.0, 0.3, 3.0, -1.7):
             leak = fock.leakage(run(replace(spec, phi=phi)))
-            assert leak == pytest.approx(fock.leakage(source), abs=spec.tol)
+            assert leak == pytest.approx(fock.leakage(source), abs=fock.TOL)
+
+
+@pytest.mark.parametrize("name, phi, k", [("ideal", 0.0, 1.0), ("horne", 0.0, 1.0),
+                                           ("horne", 0.7, 1.0), ("ou_mandel", 0.0, 0.5)])
+@pytest.mark.parametrize("gamma", [0.1, 0.7])
+def test_pair_number_is_su11_coherent(name, phi, k, gamma):
+    """Each named output is the SU(1,1) coherent state e^{i gamma K~}|0>, with
+    Bargmann index k = 1 for the four-mode sources and 1/2 for the two-mode
+    K_OM, so n pairs have P(n) = C(n+2k-1, n) tanh^{2n}(gamma/2) /
+    cosh^{4k}(gamma/2).  The phase and the splitter keep the photon number.
+    Checked on the shells n <= N/4, far below the cutoff N = 30."""
+    cutoff = 30
+    state = run(ExperimentSpec(name, gamma=gamma, phi=phi, cutoff=cutoff))
+    shells = np.bincount(state.basis.totals, weights=np.abs(state.amps) ** 2)
+    assert not np.any(shells[1::2])
+    t, c = math.tanh(gamma / 2), math.cosh(gamma / 2)
+    for n in range(cutoff // 4 + 1):
+        exact = math.gamma(n + 2 * k) / (math.factorial(n) * math.gamma(2 * k))
+        exact *= t ** (2 * n) / c ** (4 * k)
+        assert shells[2 * n] == pytest.approx(exact, rel=0, abs=1e-14), n
 
 
 def test_run_matches_dense_stage_oracle():
@@ -534,7 +554,7 @@ def test_scan_marks_failed_rows():
     table = scan(ExperimentSpec("ideal", gamma=0.1, cutoff=4), "gamma", [0.1, 1e9])
     assert not table.rows[0].failed
     assert table.rows[1].failed
-    assert "substeps" in table.rows[1].message or "tol" in table.rows[1].message
+    assert "substeps" in table.rows[1].message
 
 
 def test_delta_scan_at_huge_angle():
@@ -610,7 +630,7 @@ def test_phi_route_preconditions(cutoff):
 
 @pytest.mark.parametrize("gamma, cutoff", PHI_CASES + [(1e-30, 16), (1e-320, 16)])
 def test_phi_rows_match_staged_runs(gamma, cutoff):
-    """Both routes bound the error of the final state by tol in absolute terms,
+    """Both routes bound the error of the final state by TOL in absolute terms,
     down to a coincidence weight far below it and a subnormal gamma."""
     spec = horne_spec(gamma, 0.0, cutoff=cutoff)
     for row in scan(spec, "phi", PHI_GRID).rows:
@@ -622,17 +642,6 @@ def test_phi_rows_match_staged_runs(gamma, cutoff):
         assert row.denominator == pytest.approx(raw.denominator, abs=1e-12)
         assert row.leakage == pytest.approx(raw.leakage, abs=1e-12)
         assert (row.raw_degenerate, row.cond_degenerate) == (raw.degenerate, cond.degenerate)
-
-
-def test_phi_rows_share_the_splitter_failure():
-    """Every row's state comes out of one splitter series, so when that series
-    cannot reach tol every row fails with its message; the source converges."""
-    spec = horne_spec(0.1, 0.0, tol=1e-100)
-    fock.evolve(vacuum(get_basis(spec.cutoff)), experiments._stage_operator("K_prime", spec.cutoff),
-                spec.gamma, spec.tol)
-    rows = scan(spec, "phi", [0.0, 0.5, 3.0]).rows
-    message = "Taylor series did not reach tol=1e-100 within 80 terms; relax tol"
-    assert [(row.failed, row.message) for row in rows] == [(True, message)] * 3
 
 
 def test_dense_horne_reference_matches_dense_stages():
@@ -721,7 +730,7 @@ def test_ou_mandel_staged_equals_conjugated_source():
     rotated = oracles.expm_conjugate(catalog("J_a"), math.pi / 2, catalog("K_OM"))
     transformed = oracles.expm_conjugate(catalog("J_BS"), BS_5050, rotated)
     basis = get_basis(spec.cutoff)
-    direct = fock.evolve(vacuum(basis), fock.matrix(transformed, basis), gamma, spec.tol)
+    direct = fock.evolve(vacuum(basis), fock.matrix(transformed, basis), gamma)
     assert np.max(np.abs(staged.amps - direct.amps)) < 1e-9
 
 
