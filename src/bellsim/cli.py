@@ -32,6 +32,7 @@ from .experiments import (
     ConfigError,
     ESTIMATORS,
     PIPELINES,
+    SCAN_AXES,
     ExperimentSpec,
     chsh,
     measure,
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "ideal and ou_mandel, --axis phi takes horne, and "
                                    "--axis gamma takes all three.")
     _add_common(p)
-    p.add_argument("--axis", choices=("delta", "gamma", "phi"), required=True)
+    p.add_argument("--axis", choices=SCAN_AXES, required=True)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--stop", type=float, default=math.pi)
     p.add_argument("--points", type=int, default=65)

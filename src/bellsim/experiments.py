@@ -31,9 +31,10 @@ dependence an observable rather than an assumption.
 
 The analyzers are never evolved: both estimators read the source state, and
 every setting swaps in a numerator contracted from a 2x2 sigma tensor of it
-(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).  Horne
-phi scans run the pair source once too: J' is diagonal, so each row is a
-phase-weighted sum of J'-sector states sent through the splitter once.
+(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).  A
+delta scan reads every row from one such source; a gamma or phi row is
+:func:`measure` of the spec with that value, so it is exactly a :func:`run`.
+Every stage is evolved by :func:`fock.evolve`, on the kets it reaches.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ from .fock import (
 )
 
 DEFAULT_CUTOFF = 8
+#: the largest cutoff: its basis holds C(64, 4) = 635376 kets, and a run there
+#: needs about 0.5 GB, growing as cutoff^4
+MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
 #: stage parameter of a 50/50 splitter for the half-normalized J generators
@@ -166,6 +170,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
         if not (_is_real(self.cutoff) and isinstance(self.cutoff, Integral) and self.cutoff >= 2):
             raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
+        if self.cutoff > MAX_CUTOFF:
+            raise ConfigError(f"cutoff must be at most {MAX_CUTOFF}, got {self.cutoff!r}")
         for key in ("gamma", "theta_a", "theta_b", "phi"):
             _require_finite(key, getattr(self, key))
         if self.name == "custom":
@@ -388,14 +394,8 @@ def measure(spec: ExperimentSpec) -> tuple[StateVector, CorrelationReport, Corre
     if spec.name in ANALYZER_PIPELINES and (spec.theta_a or spec.theta_b):
         source = _reduce(spec, state)
         return state, *(source.report(e, spec.theta_a, spec.theta_b) for e in ESTIMATORS)
-    return state, *_read(spec, state)
-
-
-def _read(spec: ExperimentSpec, state: StateVector) -> tuple[CorrelationReport, CorrelationReport]:
-    """Both estimators read from ``state``, reported at ``spec``'s gamma and
-    analyzer difference."""
     delta = spec.theta_a - spec.theta_b
-    return (correlation_raw(state, spec.gamma, delta),
+    return (state, correlation_raw(state, spec.gamma, delta),
             correlation_conditioned(state, spec.gamma, delta))
 
 
@@ -496,49 +496,12 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
 def _row_reader(spec: ExperimentSpec, axis: str):
     """An axis's shared part, computed once, as a function from a row's value
     to its (raw, conditioned) reports: the :class:`AnalyzerSource` for delta,
-    the pair source and splitter columns for phi (:func:`_phi_reader`), and
-    nothing for gamma, whose rows are :func:`measure` of copies of ``spec``."""
+    and nothing for gamma and phi, whose rows are :func:`measure` of copies
+    of ``spec``, so each is exactly a :func:`run`."""
     if axis == "delta":
         source = analyzer_source(spec)
         return lambda delta: tuple(source.report(e, delta, 0.0) for e in ESTIMATORS)
-    if axis == "phi":
-        return _phi_reader(spec)
-    return lambda gamma: measure(replace(spec, gamma=gamma))[1:]
-
-
-def _phi_reader(spec: ExperimentSpec):
-    """Horne rows over phi from one pair-source state psi_0.
-
-    J' is diagonal, so the stage e^{i phi J'} is the phase e^{i phi l} on the
-    kets of J' eigenvalue l, and the final state is sum_l e^{i phi l} chi_l,
-    chi_l being the splitter applied to those kets of psi_0.  The chi_l are
-    the columns of one array sent through the splitter in one series
-    (:func:`fock.evolve_columns`) whose :data:`fock.TOL` bounds every row's
-    error, on only the kets it reaches from psi_0 (:func:`fock.reachable`;
-    285 of 4845 at cutoff 16, 17 sectors).  A row's weights are its phase
-    stage applied, as :func:`run` applies it, to one ket per sector, so a row
-    fails where its run fails: on the source (every row) or its phase (that
-    row).  The splitter is a 50/50 turn on a state of finite norm, so its
-    series converges.
-    """
-    (source_name, gamma), (phase_name, _), (splitter_name, theta) = spec.stages
-    basis = get_basis(spec.cutoff)
-    source = evolve(vacuum(basis), _stage_operator(source_name, spec.cutoff), gamma).amps
-    phase = _stage_operator(phase_name, spec.cutoff)
-    splitter = _stage_operator(splitter_name, spec.cutoff)
-    kets = fock.reachable(splitter, source != 0)
-    occupied = np.flatnonzero(source)
-    sectors, first = np.unique(phase.diagonal[occupied], return_index=True)
-    columns = np.where(phase.diagonal[kets, None] == sectors, source[kets, None], 0.0)
-    columns = fock.evolve_columns(columns, splitter, theta, kets)
-
-    def read(phi: float) -> tuple[CorrelationReport, CorrelationReport]:
-        weights = fock.evolve_columns(np.ones(len(sectors)), phase, phi, occupied[first])
-        amps = np.zeros(basis.dim, dtype=np.complex128)
-        amps[kets] = columns @ weights
-        return _read(spec, StateVector(basis, amps))
-
-    return read
+    return lambda value: measure(replace(spec, **{axis: value}))[1:]
 
 
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:

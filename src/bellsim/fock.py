@@ -15,20 +15,22 @@ truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 An operator is built once per (generator, cutoff) by :func:`matrix` into
 a :class:`SparseOperator` holding its 1-norm, whether it is hermitian
 (decided exactly on the :class:`~bellsim.algebra.QuadOp`) and, when every
-coefficient is a number operator C_ii, its diagonal.  :func:`evolve`
-applies a diagonal generator as the exact phase e^{i theta d} per ket and
-any other by split-step Taylor summation, each substep summed until an
-a-posteriori remainder bound is below its share of the fixed :data:`TOL`;
-:func:`evolve_columns` does either on several columns at once, on the kets
-a generator reaches (:func:`reachable`).  The cutoff is therefore the one
-accuracy input.  The dense-exponential cross-check lives in the test suite
+coefficient is a number operator C_ii, its diagonal.  :func:`evolve`, the
+one evolution path, applies a diagonal generator as the exact phase
+e^{i theta d} per ket and any other by split-step Taylor summation, each
+substep summed until an a-posteriori remainder bound is below its share of
+the fixed :data:`TOL`.  The series runs on the kets the generator reaches
+from the state's support (from the vacuum a pipeline stays on a short pair
+ladder: 1496 of 46376 kets for ``horne`` at cutoff 30); the operator keeps
+those kets and its matrix on them per support.  The cutoff is therefore the
+one accuracy input.  The dense-exponential cross-check lives in the test suite
 as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -44,11 +46,14 @@ PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0,
 
 #: bound on the 2-norm error of one Taylor-summed stage, shared by its substeps
 TOL = 1e-12
-#: a substep of 1-norm bound 4 on columns of summed norm up to sqrt(41) reaches
-#: its share of TOL within 33 terms, even at MAX_SUBSTEPS; the limit stops a
-#: series on non-finite amplitudes
+#: a substep of 1-norm bound 4 on a unit vector reaches its share of TOL within
+#: 32 terms, even at MAX_SUBSTEPS; the limit stops a series on non-finite
+#: amplitudes
 MAX_TAYLOR_TERMS = 80
 MAX_SUBSTEPS = 100_000
+#: supports one operator keeps restricted; a named pipeline's stage sees one
+#: support at every parameter where no amplitude underflows to 0
+MAX_SUPPORTS = 8
 
 
 class EvolveError(RuntimeError):
@@ -102,12 +107,6 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.keys)
 
-    def index_of(self, occ: Sequence[int]) -> int:
-        key = tuple(int(n) for n in occ)
-        if len(key) != 4 or min(key) < 0 or sum(key) > self.cutoff:
-            raise ValueError(f"occupation {key} outside basis with cutoff {self.cutoff}")
-        return int(self.indices(np.array(key)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FockBasis) and other.cutoff == self.cutoff
 
@@ -155,9 +154,6 @@ class StateVector:
         na, nb = self.norm(), other.norm()
         return float(np.clip(abs(self.inner(other)) ** 2 / (na * nb) ** 2, 0.0, 1.0))
 
-    def amplitude(self, occ: Sequence[int]) -> complex:
-        return complex(self.amps[self.basis.index_of(occ)])
-
     def to_records(self, threshold: float = 1e-12) -> list[dict]:
         """JSON-ready amplitude records in deterministic basis order."""
         out = []
@@ -169,14 +165,11 @@ class StateVector:
         return out
 
 
-def fock_state(basis: FockBasis, occ: Sequence[int]) -> StateVector:
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index_of(occ)] = 1.0
-    return StateVector(basis, amps)
-
-
 def vacuum(basis: FockBasis) -> StateVector:
-    return fock_state(basis, (0, 0, 0, 0))
+    """The state with no photons: total 0 sorts first, so basis index 0."""
+    amps = np.zeros(basis.dim, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(basis, amps)
 
 
 @dataclass(frozen=True)
@@ -192,6 +185,24 @@ class SparseOperator:
     hermitian: bool
     #: mat's diagonal if every coefficient is a number operator C_ii, else None
     diagonal: np.ndarray | None
+    #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
+    _restrictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def restricted(self, support: np.ndarray) -> tuple[np.ndarray | slice, sparse.csr_matrix]:
+        """(kets, mat on them): the ascending indices of the kets that repeated
+        products with mat reach from the boolean mask ``support``, the smallest
+        set holding it that mat maps into itself, and mat's rows and columns
+        there; the whole basis is ``slice(None)`` with mat itself, uncopied."""
+        key = support.tobytes()
+        if key not in self._restrictions:
+            pattern, reached, grown = abs(self.mat), None, support
+            while not np.array_equal(grown, reached):
+                reached, grown = grown, grown | (pattern @ grown.astype(float) > 0)
+            kets = slice(None) if reached.all() else np.flatnonzero(reached)
+            if len(self._restrictions) >= MAX_SUPPORTS:
+                del self._restrictions[next(iter(self._restrictions))]
+            self._restrictions[key] = (kets, self.mat if reached.all() else self.mat[kets][:, kets])
+        return self._restrictions[key]
 
 
 #: photon-number step of the (mode i, mode j) ladder operators of each element kind
@@ -244,66 +255,36 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     """e^{i theta G} |state> for a :class:`SparseOperator` G on the state's
     basis, built once per (generator, cutoff) by :func:`matrix`.
 
-    A non-hermitian G raises ``ValueError``; theta = 0 returns the state.  A
-    diagonal G is the exact phase e^{i theta d} per ket, with no series; it
-    raises :class:`EvolveError` only when |theta| times the 1-norm
-    overflows.  Any other G is split into substeps of 1-norm bound at most
-    4, each a Taylor series summed until its geometric remainder bound is
-    below its share of :data:`TOL`.  :class:`EvolveError` is raised beyond
+    A non-hermitian G raises ``ValueError``; theta = 0 returns a copy of the
+    state.  A diagonal G is the exact phase e^{i theta d} per ket, with no
+    series; it raises :class:`EvolveError` only when |theta| times the
+    1-norm overflows.  Any other G is split into substeps of 1-norm bound at
+    most 4, each a Taylor series summed until its geometric remainder bound
+    is below its share of :data:`TOL`, on the kets G reaches from the
+    state's support (:meth:`SparseOperator.restricted`): they hold every
+    term, so the result is the whole-basis series'.  Substeps and the bound
+    follow G's full 1-norm.  :class:`EvolveError` is raised beyond
     :data:`MAX_SUBSTEPS` substeps (the parameter is too large).
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
-    return StateVector(state.basis, evolve_columns(state.amps, generator, theta))
-
-
-def reachable(generator: SparseOperator, support: np.ndarray) -> np.ndarray:
-    """Ascending basis indices of the kets that repeated products with the
-    generator reach from the kets of the boolean mask ``support``: the
-    smallest set of kets holding them whose span the generator maps into
-    itself.  e^{i theta G} keeps a vector on those kets."""
-    pattern = abs(generator.mat)
-    reached = np.asarray(support, dtype=bool)
-    while True:
-        grown = reached | (pattern @ reached.astype(float) > 0)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
-
-
-def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
-                   kets: np.ndarray | None = None) -> np.ndarray:
-    """e^{i theta G} applied to an amplitude vector, or to every column of an
-    (n, S) array at once, by the rules of :func:`evolve`.
-
-    Each Taylor term is one sparse product with all columns, and the
-    remainder bound is taken on the sum of their 2-norms, so :data:`TOL`
-    bounds the error of every sum of the columns with weights of modulus at
-    most 1.
-    With ``kets`` (from :func:`reachable`), the rows of ``amps`` are the
-    amplitudes on those basis kets, all others being 0, and G is restricted
-    to them; G maps their span into itself, so this changes no amplitude.
-    Substeps and overflow still follow G's 1-norm.  A new array is returned.
-    """
     if not generator.hermitian:
         raise ValueError("evolution generator must be hermitian")
     if theta == 0.0:
-        return np.array(amps, dtype=np.complex128)
+        return StateVector(state.basis, state.amps.copy())
 
-    v = np.asarray(amps, dtype=np.complex128)
     scale = abs(theta) * generator.one_norm
     if generator.diagonal is not None:
         if not math.isfinite(scale):
             raise EvolveError("the phase of a diagonal stage overflows; reduce the stage parameter")
-        d = generator.diagonal if kets is None else generator.diagonal[kets]
-        phase = np.exp(1j * theta * d)
-        return phase * v if v.ndim == 1 else phase[:, None] * v
+        return StateVector(state.basis, np.exp(1j * theta * generator.diagonal) * state.amps)
 
     substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
     if substeps > MAX_SUBSTEPS:
         raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
                           "reduce the stage parameter")
-    mat = generator.mat if kets is None else generator.mat[kets][:, kets]
+    kets, mat = generator.restricted(state.amps != 0)
+    v = state.amps[kets]
     h = theta / substeps
     step_bound = TOL / substeps
     h_norm = abs(h) * generator.one_norm
@@ -317,21 +298,16 @@ def evolve_columns(amps: np.ndarray, generator: SparseOperator, theta: float,
             acc += term
             ratio = h_norm / (k + 1)
             if ratio < 1.0:
-                remainder = _size(term) * ratio / (1.0 - ratio)
+                remainder = float(np.linalg.norm(term)) * ratio / (1.0 - ratio)
                 if remainder <= step_bound:
                     converged = True
                     break
         if not converged:
             raise EvolveError(f"Taylor series did not converge within {MAX_TAYLOR_TERMS} terms")
         v = acc
-    return v
-
-
-def _size(amps: np.ndarray) -> float:
-    """2-norm of a vector; sum of the column 2-norms of an (n, S) array."""
-    if amps.ndim == 1:
-        return float(np.linalg.norm(amps))
-    return float(np.linalg.norm(amps, axis=0).sum())
+    amps = np.zeros(state.basis.dim, dtype=np.complex128)
+    amps[kets] = v
+    return StateVector(state.basis, amps)
 
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:

@@ -46,7 +46,7 @@ EDGE_CASES = [
     ("scan", "--axis", "phi", "-e", "horne", "--gamma", "1e6", "--cutoff", "4", "--values", "0,1"),
     ("run", "-e", "horne", "--phi", "1e6"),
     ("scan", "--axis", "gamma", "--theta-a", "1e308", "--values", "0.1,0.2"),
-    ("convergence", "-e", "horne", "--gamma", "1"),
+    ("convergence", "-e", "horne", "--gamma", "1"), ("run", "--cutoff", "99999999"),
 ]
 NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])")
 
@@ -80,6 +80,9 @@ def child() -> None:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a traceback: exit 1, compared by its last line
+                code = 1
+                err.write(f"{type(exc).__name__}: {exc}\n")
         results.append([code, out.getvalue(), err.getvalue()])
     json.dump(results, sys.stdout)
 
@@ -87,7 +90,7 @@ def child() -> None:
 def numbers(line: str, header: list[str]) -> list[tuple[str, float]]:
     named = []
     for k, match in enumerate(NUMBER.finditer(line)):
-        words = re.findall(r"[A-Za-z_][\w ]*", line[:match.start()])
+        words = re.findall(r"[A-Za-z_][\w ]*", NUMBER.sub(" ", line[:match.start()]))
         label = words[-1].strip() if words else (header[k] if k < len(header) else f"#{k}")
         named.append((label, float(match.group())))
     return named

@@ -5,9 +5,12 @@ evolution: operators are assembled from explicitly constructed dense
 creation/annihilation matrices, exponentials go through scipy's Pade
 implementation, and diagonal expectations are direct occupation sums.
 Agreement between these oracles and the library is what the oracle tests
-certify.  The one exception is :func:`column_loop_matrix`, which shares the
-library's matrix-element arithmetic on purpose, to pin the vectorized
-matrix build bit for bit.  :func:`run_with_analyzers`,
+certify.  The exceptions are :func:`column_loop_matrix` and
+:func:`taylor_evolve`, which share the library's arithmetic on purpose: the
+first builds a matrix one column at a time, to pin the vectorized build bit
+for bit, and the second sums ``fock.evolve``'s Taylor series over the whole
+basis, to pin the series that the library runs only on the kets a generator
+reaches.  :func:`run_with_analyzers`,
 :func:`correlation_by_run` and :func:`chsh_grid_by_runs` use the library's
 source run, Taylor evolution and estimators, but evolve every analyzer
 setting through its rotation stages, which the library never does.
@@ -32,7 +35,9 @@ them:
 * exact span and ad-closure decisions (:func:`coefficient_row`,
   :func:`solve_in_span`, :class:`SpanClosureReport`, :func:`span_closure_under_ad`);
 * :func:`random_rational_combination`, :func:`combination` (a float linear
-  combination) and :func:`max_coeff_distance`.
+  combination) and :func:`max_coeff_distance`;
+* number states and amplitudes by occupation tuple (:func:`index_of`,
+  :func:`amplitude`, :func:`fock_state`).
 """
 
 from __future__ import annotations
@@ -82,6 +87,26 @@ class FloatOp:
             for e, c in self.coeffs.items())
 
 
+def index_of(basis: FockBasis, occ: Sequence[int]) -> int:
+    """Basis index of one (n1, n2, n3, n4); ``ValueError`` outside the basis."""
+    key = tuple(int(n) for n in occ)
+    if len(key) != 4 or min(key) < 0 or sum(key) > basis.cutoff:
+        raise ValueError(f"occupation {key} outside basis with cutoff {basis.cutoff}")
+    return int(basis.indices(np.array(key)))
+
+
+def amplitude(state: StateVector, occ: Sequence[int]) -> complex:
+    """The state's amplitude on one occupation tuple."""
+    return complex(state.amps[index_of(state.basis, occ)])
+
+
+def fock_state(basis: FockBasis, occ: Sequence[int]) -> StateVector:
+    """The number state of one occupation tuple."""
+    amps = np.zeros(basis.dim, dtype=np.complex128)
+    amps[index_of(basis, occ)] = 1.0
+    return StateVector(basis, amps)
+
+
 @lru_cache(maxsize=16)
 def _dense_mode_ops(cutoff: int) -> tuple[np.ndarray, ...]:
     """Dense annihilation matrices for the four modes, built by direct
@@ -95,7 +120,7 @@ def _dense_mode_ops(cutoff: int) -> tuple[np.ndarray, ...]:
             if occ[mode] > 0:
                 target = list(occ)
                 target[mode] -= 1
-                a[basis.index_of(target), col] = math.sqrt(occ[mode])
+                a[index_of(basis, target), col] = math.sqrt(occ[mode])
         ops.append(a)
     return tuple(ops)
 
@@ -146,7 +171,7 @@ def column_loop_matrix(op, basis: FockBasis) -> scipy.sparse.csr_matrix:
                 factor *= target[mode] + 1 if create else target[mode]
                 target[mode] += 1 if create else -1
             if factor and sum(target) <= basis.cutoff:
-                rows.append(basis.index_of(target))
+                rows.append(index_of(basis, target))
                 cols.append(col)
                 vals.append(complex(coeff) * math.sqrt(factor))
     dim = basis.dim
@@ -164,6 +189,45 @@ def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
     mat = fock.matrix(generator, state.basis).mat.toarray()
     propagator = scipy.linalg.expm(1j * theta * mat)
     return StateVector(state.basis, propagator @ state.amps)
+
+
+def taylor_evolve(state: StateVector, generator, theta: float) -> StateVector:
+    """``fock.evolve`` with its split-step Taylor series summed over the whole
+    basis, for a hermitian non-diagonal :class:`~bellsim.fock.SparseOperator`
+    (the library runs it on the kets the generator reaches): the same
+    substeps, terms and remainder rule, so the two agree bit for bit."""
+    if theta == 0.0:
+        return StateVector(state.basis, state.amps.copy())
+    substeps = max(1, math.ceil(abs(theta) * generator.one_norm / 4.0))
+    h = theta / substeps
+    h_norm = abs(h) * generator.one_norm
+    v = state.amps
+    for _ in range(substeps):
+        acc = v.copy()
+        term = v
+        for k in range(1, fock.MAX_TAYLOR_TERMS + 1):
+            term = (1j * h / k) * (generator.mat @ term)
+            acc += term
+            ratio = h_norm / (k + 1)
+            if ratio < 1.0 and (np.linalg.norm(term) * ratio / (1.0 - ratio)
+                                <= fock.TOL / substeps):
+                break
+        else:
+            raise fock.EvolveError("Taylor series did not converge")
+        v = acc
+    return StateVector(state.basis, v)
+
+
+def taylor_run(spec) -> StateVector:
+    """``experiments.run`` with every non-diagonal stage summed over the whole
+    basis by :func:`taylor_evolve`; diagonal stages are ``fock.evolve``'s
+    exact phase."""
+    state = fock.vacuum(fock.get_basis(spec.cutoff))
+    for name, theta in spec.stages:
+        generator = fock.matrix(catalog(name), state.basis)
+        step = fock.evolve if generator.diagonal is not None else taylor_evolve
+        state = step(state, generator, theta)
+    return state
 
 
 def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import oracles
-from oracles import correlation, project_pi
+from oracles import amplitude, correlation, fock_state, project_pi
 from bellsim.adjoint import conjugate
 from bellsim.algebra import (
     A,
@@ -37,7 +37,7 @@ from bellsim.experiments import (
     chsh,
     run,
 )
-from bellsim.fock import FockBasis, StateVector, evolve, fock_state, get_basis, leakage, vacuum
+from bellsim.fock import FockBasis, StateVector, evolve, get_basis, leakage, vacuum
 import bellsim.fock as fock
 from bellsim.rational import HALF
 
@@ -156,7 +156,7 @@ def test_a06_perturbative_states():
         stable = stable and bounded and drift < 0.25
         details.append(f"{name}: r/g^2 = {ratios[0.01]:.3f} (drift {drift:.1%})")
     state = evolve(vac, fock.matrix(catalog("K_OM"), basis), 0.01)
-    amp = state.amplitude((1, 0, 1, 0))
+    amp = amplitude(state, (1, 0, 1, 0))
     rel_err = abs(amp - 0.005j) / 0.005
     ok = stable and rel_err < 1e-4
     verdict("A6 perturbative-states", ok,

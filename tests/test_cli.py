@@ -20,7 +20,7 @@ from bellsim.cli import (
     fmt,
     main,
 )
-from bellsim.experiments import ESTIMATORS, PIPELINES, ExperimentSpec
+from bellsim.experiments import ESTIMATORS, MAX_CUTOFF, PIPELINES, ExperimentSpec
 
 SCHEMA = GOLDEN_DIR.parent.parent / "docs" / "experiment_config.schema.json"
 
@@ -257,6 +257,7 @@ def test_config_schema_matches_cli():
             assert prop["default"] == getattr(defaults, CONFIG_FIELDS[key]), key
     assert properties["experiment"]["enum"] == list(PIPELINES)
     assert properties["estimator"]["enum"] == list(ESTIMATORS)
+    assert properties["cutoff"]["maximum"] == MAX_CUTOFF
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -278,6 +279,14 @@ def test_tol_is_not_an_input(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: unrecognized arguments: --tol 0.5\n")
+
+
+def test_huge_cutoff_is_a_config_error(capsys):
+    """A cutoff whose basis cannot be built is refused before any array is
+    allocated."""
+    code, out, err = invoke(capsys, "run", "--cutoff", "99999999")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: cutoff must be at most 60, got 99999999\n"
 
 
 def test_missing_config_file(capsys):
@@ -582,9 +591,8 @@ PHI_PARITY += [((), "1e6")]
 @pytest.mark.parametrize("flags, phi", PHI_PARITY,
                          ids=[" ".join((*f, "--phi", phi)) for f, phi in PHI_PARITY])
 def test_horne_run_matches_its_phi_row(capsys, tmp_path, flags, phi):
-    """`run -e horne` and the phi row at the same phase print the same fields
-    within 1e-11: both apply J' as the same exact phase, so neither fails on a
-    large phi."""
+    """`run -e horne` and the phi row at the same phase print the same fields:
+    the row is that run, so neither fails on a large phi."""
     report = tmp_path / "run.json"
     code, _, err = invoke(capsys, "run", "-e", "horne", *flags, "--phi", phi,
                           "--output", str(report))
@@ -599,7 +607,7 @@ def test_horne_run_matches_its_phi_row(capsys, tmp_path, flags, phi):
                 "numerator": run["raw"]["numerator"], "denominator": run["raw"]["denominator"],
                 "leakage": run["leakage"]}
     for key, value in expected.items():
-        assert row[key] == pytest.approx(value, abs=1e-11), key
+        assert row[key] == value, key
     assert (row["raw_degenerate"], row["cond_degenerate"]) == (
         run["raw"]["degenerate"], run["conditioned"]["degenerate"])
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import GOLDEN_DIR
 
 import oracles
-from oracles import correlation, project_pi
+from oracles import amplitude, correlation, fock_state, project_pi
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog
 from bellsim.experiments import (
     ANALYZER_PIPELINES,
@@ -33,7 +33,7 @@ from bellsim.experiments import (
     run,
     scan,
 )
-from bellsim.fock import StateVector, expect_product, fock_state, get_basis, vacuum
+from bellsim.fock import StateVector, expect_product, get_basis, vacuum
 from bellsim.adjoint import conjugate
 import bellsim.experiments as experiments
 import bellsim.fock as fock
@@ -114,16 +114,16 @@ def test_angles_only_for_analyzer_pipelines():
 
 def test_zero_squeeze_returns_vacuum():
     state = run(ExperimentSpec("ideal", gamma=0.0))
-    assert state.amplitude((0, 0, 0, 0)) == pytest.approx(1.0)
+    assert amplitude(state, (0, 0, 0, 0)) == pytest.approx(1.0)
     assert state.norm() == pytest.approx(1.0)
 
 
 def test_small_gamma_state_is_vacuum_plus_singlet_pair():
     gamma = 1e-3
     state = run(ExperimentSpec("ideal", gamma=gamma))
-    assert abs(state.amplitude((0, 0, 0, 0)) - 1.0) < gamma ** 2
-    assert state.amplitude((1, 0, 0, 1)) == pytest.approx(0.5j * gamma, rel=1e-3)
-    assert state.amplitude((0, 1, 1, 0)) == pytest.approx(-0.5j * gamma, rel=1e-3)
+    assert abs(amplitude(state, (0, 0, 0, 0)) - 1.0) < gamma ** 2
+    assert amplitude(state, (1, 0, 0, 1)) == pytest.approx(0.5j * gamma, rel=1e-3)
+    assert amplitude(state, (0, 1, 1, 0)) == pytest.approx(-0.5j * gamma, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", sorted(_RECIPES))
@@ -173,6 +173,38 @@ def test_pair_number_is_su11_coherent(name, phi, k, gamma):
         exact = math.gamma(n + 2 * k) / (math.factorial(n) * math.gamma(2 * k))
         exact *= t ** (2 * n) / c ** (4 * k)
         assert shells[2 * n] == pytest.approx(exact, rel=0, abs=1e-14), n
+
+
+#: the named pipelines at two cutoffs, and custom lists with a zero-parameter
+#: stage, a diagonal stage and two pair sources
+WHOLE_BASIS_CASES = [ExperimentSpec(name, gamma=0.7, phi=1.3 if name == "horne" else 0.0,
+                                    cutoff=cutoff)
+                     for name in _RECIPES for cutoff in (8, 16)]
+WHOLE_BASIS_CASES += [ExperimentSpec("custom", stages, cutoff=cutoff)
+                      for stages in ((("K", 0.3), ("J_a", 0.0)), (("K", 0.3), ("K_z", 0.5)),
+                                     (("K", 0.3), ("K_OM", 0.2)))
+                      for cutoff in (8, 16)]
+
+
+@pytest.mark.parametrize("spec", WHOLE_BASIS_CASES,
+                         ids=[f"{s.name}-{s.cutoff}" if s.name != "custom"
+                              else f"custom-{s.custom_stages[1][0]}-{s.cutoff}"
+                              for s in WHOLE_BASIS_CASES])
+def test_run_is_the_whole_basis_series(spec):
+    """``run`` sums each Taylor series only on the kets the stage reaches from
+    the state's support.  Summed over the whole basis, each series is exactly
+    0 on every other ket, and the final state is ``run``'s bit for bit."""
+    state = vacuum(get_basis(spec.cutoff))
+    for name, theta in spec.stages:
+        generator = fock.matrix(catalog(name), state.basis)
+        if generator.diagonal is None:
+            reached = np.zeros(state.basis.dim, dtype=bool)
+            reached[generator.restricted(state.amps != 0)[0]] = True
+            state = oracles.taylor_evolve(state, generator, theta)
+            assert not np.any(state.amps[~reached]), name
+        else:
+            state = fock.evolve(state, generator, theta)
+    assert run(spec).amps.tobytes() == state.amps.tobytes()
 
 
 def test_run_matches_dense_stage_oracle():
@@ -618,9 +650,10 @@ PHI_GRID = [-0.7, 0.0, 0.3, 1.1, math.pi + 0.4, 4.5]
 
 @pytest.mark.parametrize("cutoff", [2, 6, 8, 16])
 def test_phi_route_preconditions(cutoff):
-    """Phi rows apply J' as a phase per ket and the splitter once per J'
-    eigenvalue: J' must be diagonal in the Fock basis and J_BS must map each
-    total-photon shell into itself."""
+    """J' is diagonal in the Fock basis, so ``fock.evolve`` applies it as an
+    exact phase and no phi fails on a Taylor series, and J_BS maps each
+    total-photon shell into itself, so a Horne state has its source's
+    leakage."""
     assert experiments._stage_operator("J_prime", cutoff).diagonal is not None
     splitter = experiments._stage_operator("J_BS", cutoff).mat.tocoo()
     totals = get_basis(cutoff).totals
@@ -630,18 +663,13 @@ def test_phi_route_preconditions(cutoff):
 
 @pytest.mark.parametrize("gamma, cutoff", PHI_CASES + [(1e-30, 16), (1e-320, 16)])
 def test_phi_rows_match_staged_runs(gamma, cutoff):
-    """Both routes bound the error of the final state by TOL in absolute terms,
-    down to a coincidence weight far below it and a subnormal gamma."""
+    """Every phi row is ``measure`` at its phi, field for field, down to a
+    coincidence weight far below TOL and a subnormal gamma."""
     spec = horne_spec(gamma, 0.0, cutoff=cutoff)
     for row in scan(spec, "phi", PHI_GRID).rows:
         _, raw, cond = experiments.measure(replace(spec, phi=row.parameter))
         assert not row.failed
-        assert row.c_raw == pytest.approx(raw.value, abs=1e-10)
-        assert row.c_cond == pytest.approx(cond.value, abs=1e-12)
-        assert row.numerator == pytest.approx(raw.numerator, abs=1e-12)
-        assert row.denominator == pytest.approx(raw.denominator, abs=1e-12)
-        assert row.leakage == pytest.approx(raw.leakage, abs=1e-12)
-        assert (row.raw_degenerate, row.cond_degenerate) == (raw.degenerate, cond.degenerate)
+        assert row == experiments._scan_row(row.parameter, raw, cond)
 
 
 def test_dense_horne_reference_matches_dense_stages():
@@ -653,25 +681,22 @@ def test_dense_horne_reference_matches_dense_stages():
 
 
 def test_phi_rows_against_dense_reference():
-    """Per field (c_raw, c_cond, numerator, denominator, leakage), the phi
-    rows' largest error over the grid is at most twice the staged route's,
-    both measured against a reference with no Taylor series."""
+    """Against a reference with no Taylor series, each phi row's numerator,
+    denominator, leakage and c_cond are within 1e-12, and c_raw, whose
+    denominator is ~gamma^2, within 1e-10."""
     def fields(row):
         return np.array([row.c_raw, row.c_cond, row.numerator, row.denominator, row.leakage])
 
-    phi_rows, staged = np.zeros(5), np.zeros(5)
+    errors = np.zeros(5)
     for gamma, cutoff in PHI_CASES:
         spec = horne_spec(gamma, 0.0, cutoff=cutoff)
         for row in scan(spec, "phi", PHI_GRID).rows:
-            at_phi = replace(spec, phi=row.parameter)
-            dense = oracles.dense_horne_state(at_phi)
+            dense = oracles.dense_horne_state(replace(spec, phi=row.parameter))
             expected = fields(experiments._scan_row(row.parameter, correlation_raw(dense),
                                                     correlation_conditioned(dense)))
-            run_row = experiments._scan_row(row.parameter, *experiments.measure(at_phi)[1:])
-            phi_rows = np.maximum(phi_rows, np.abs(fields(row) - expected))
-            staged = np.maximum(staged, np.abs(fields(run_row) - expected))
-    assert phi_rows[0] < 1e-10
-    assert np.all(phi_rows <= 2.0 * staged)
+            errors = np.maximum(errors, np.abs(fields(row) - expected))
+    assert errors[0] < 1e-10
+    assert np.all(errors[1:] < 1e-12)
 
 
 # ---------------------------------------------------------------------------
