@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, replace
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -396,7 +397,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    never changes it."""
     parser = _Parser(
         prog="bellsim",
         description="Four-mode boson algebra and Bell-test simulator",

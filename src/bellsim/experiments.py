@@ -138,9 +138,9 @@ class ExperimentSpec:
     The named pipelines read ``gamma`` and ``phi`` into their stage list and
     take no ``custom_stages``; ``custom`` applies ``custom_stages`` instead.
     :func:`measure` reads the analyzer setting ``theta_a``/``theta_b`` from
-    the final state.  ``cutoff`` is the one accuracy input: every stage is
-    exact on the truncated space up to the fixed Taylor bound
-    :data:`fock.TOL`.
+    the final state.  ``cutoff`` is the one accuracy input: every passive
+    stage is exact on the truncated space, and every pair source is exact
+    there up to the fixed Taylor bound :data:`fock.TOL`.
     A spec checks its fields when it is built and raises :class:`ConfigError`
     unless every one is usable.  Settings derived from a spec (scan rows,
     cutoffs) are ``dataclasses.replace`` copies of it, so they are checked too.

@@ -14,24 +14,31 @@ truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 
 An operator is built once per (generator, cutoff) by :func:`matrix` into
 a :class:`SparseOperator` holding its 1-norm, whether it is hermitian
-(decided exactly on the :class:`~bellsim.algebra.QuadOp`) and, when every
-coefficient is a number operator C_ii, its diagonal.  :func:`evolve`, the
-one evolution path, applies a diagonal generator as the exact phase
-e^{i theta d} per ket and any other by split-step Taylor summation, each
-substep summed until an a-posteriori remainder bound is below its share of
-the fixed :data:`TOL`.  The series runs on the kets the generator reaches
-from the state's support (from the vacuum a pipeline stays on a short pair
-ladder: 1496 of 46376 kets for ``horne`` at cutoff 30); the operator keeps
-those kets and its matrix on them per support.  The cutoff is therefore the
-one accuracy input.  The dense-exponential cross-check lives in the test suite
-as an independent oracle.
+(decided exactly on the :class:`~bellsim.algebra.QuadOp`) and the exact
+operator.  :func:`evolve` is the one evolution path.  A passive generator,
+every coefficient a C_ij (phase shifters, polarization rotators, beam
+splitters), is applied exactly, with no series.  Each one the commands
+build couples the modes in disjoint pairs (one that couples three modes is
+rejected), so it is a phase per ket times one two-mode factor per pair,
+and each factor acts on blocks of fixed n_i + n_j through the
+eigenvectors of one small tridiagonal matrix per block size
+(:class:`PassiveFactors`).  Such a stage never leaves its shell, so
+truncation is exact for it too.  Only an active generator, a pair source,
+runs a split-step Taylor series, each substep summed until an
+a-posteriori remainder bound is below its share of the fixed :data:`TOL`.
+Both routes act on the kets the generator reaches from the state's
+support (from the vacuum a pipeline stays on a short pair ladder: 1496 of
+46376 kets for ``horne`` at cutoff 30); the operator keeps that set-up per
+support.  The cutoff is therefore the one accuracy input.  The
+dense-exponential cross-check lives in the test suite as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +58,7 @@ TOL = 1e-12
 #: amplitudes
 MAX_TAYLOR_TERMS = 80
 MAX_SUBSTEPS = 100_000
-#: supports one operator keeps restricted; a named pipeline's stage sees one
+#: supports one operator keeps set up; a named pipeline's stage sees one
 #: support at every parameter where no amplitude underflows to 0
 MAX_SUPPORTS = 8
 
@@ -183,26 +190,156 @@ class SparseOperator:
     one_norm: float
     #: the operator equals its adjoint (``QuadOp.is_hermitian``)
     hermitian: bool
-    #: mat's diagonal if every coefficient is a number operator C_ii, else None
-    diagonal: np.ndarray | None
-    #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
-    _restrictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: the exact operator, which :func:`evolve` splits into factors when passive
+    op: QuadOp = field(repr=False, compare=False)
+    #: what :func:`evolve` needs per support (:meth:`restricted` or
+    #: :meth:`blocks`), the oldest dropped beyond MAX_SUPPORTS
+    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def passive(self) -> bool:
+        """Every coefficient is a C_ij: the operator keeps the photon number
+        of each pair of modes it mixes (phase shifters, rotators, splitters)."""
+        return all(e.kind is Kind.MIXED for e in self.op.coeffs)
+
+    def _per_support(self, support: np.ndarray, build):
+        key = support.tobytes()
+        if key not in self._supports:
+            if len(self._supports) >= MAX_SUPPORTS:
+                del self._supports[next(iter(self._supports))]
+            self._supports[key] = build(support)
+        return self._supports[key]
 
     def restricted(self, support: np.ndarray) -> tuple[np.ndarray | slice, sparse.csr_matrix]:
         """(kets, mat on them): the ascending indices of the kets that repeated
         products with mat reach from the boolean mask ``support``, the smallest
         set holding it that mat maps into itself, and mat's rows and columns
         there; the whole basis is ``slice(None)`` with mat itself, uncopied."""
-        key = support.tobytes()
-        if key not in self._restrictions:
+        def reach(support):
             pattern, reached, grown = abs(self.mat), None, support
             while not np.array_equal(grown, reached):
                 reached, grown = grown, grown | (pattern @ grown.astype(float) > 0)
-            kets = slice(None) if reached.all() else np.flatnonzero(reached)
-            if len(self._restrictions) >= MAX_SUPPORTS:
-                del self._restrictions[next(iter(self._restrictions))]
-            self._restrictions[key] = (kets, self.mat if reached.all() else self.mat[kets][:, kets])
-        return self._restrictions[key]
+            if reached.all():
+                return slice(None), self.mat
+            kets = np.flatnonzero(reached)
+            return kets, self.mat[kets][:, kets]
+        return self._per_support(support, reach)
+
+    @cached_property
+    def factors(self) -> "PassiveFactors":
+        """The passive operator as commuting factors (:class:`PassiveFactors`);
+        ``ValueError`` if it couples three or more modes together."""
+        return PassiveFactors.of(self.op, self.basis.cutoff)
+
+    def blocks(self, support: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, list]:
+        """(kets, weights, pair blocks) of a passive operator on the boolean
+        mask ``support``: the support's kets and their phase weights (None if
+        every weight is 0), and for each pair factor (i, j), in order, the
+        blocks that meet the support as grown by the earlier pairs.  A
+        factor's blocks are one index array, block after block, each block
+        the kets with n_i = 0..s and n_j = s-n_i, with a (s, start, stop)
+        span per block size."""
+        def build(support):
+            factors, occ = self.factors, self.basis.occupations
+            kets = np.flatnonzero(support)
+            weights = None
+            if factors.const or np.any(factors.weights):
+                weights = occ[kets] @ factors.weights + factors.const
+            pair_blocks, reached = [], support.copy()
+            for i, j, _, _ in factors.pairs:
+                # each block's first ket, n_i = 0 and n_j = s
+                first = occ[np.flatnonzero(reached)]
+                totals = first[:, i] + first[:, j]
+                first[:, i], first[:, j] = 0, totals
+                _, unique = np.unique(self.basis.indices(first), return_index=True)
+                first, totals = first[unique], totals[unique]
+                index, spans, start = [np.zeros(0, dtype=np.intp)], [], 0
+                for s in np.unique(totals).tolist():
+                    members = np.repeat(first[totals == s][:, None, :], s + 1, axis=1)
+                    members[:, :, i] = np.arange(s + 1)
+                    members[:, :, j] = s - np.arange(s + 1)
+                    index.append(self.basis.indices(members.reshape(-1, 4)))
+                    spans.append((s, start, start + index[-1].size))
+                    start += index[-1].size
+                index = np.concatenate(index)
+                reached[index] = True
+                pair_blocks.append((index, spans))
+            return kets, weights, pair_blocks
+        return self._per_support(support, build)
+
+
+@dataclass(frozen=True)
+class PassiveFactors:
+    """A passive generator as a product of commuting factors.
+
+    Each mode that the generator couples to no other contributes a phase
+    weight d_m n_m; with the scalar and the 1/2 of each C_mm, a ket's weight
+    is ``const + weights @ n``.  Each coupled pair (i, j) is a two-mode
+    factor a C_ii + b C_jj + c C_ij + c* C_ji = c^dagger h c + (a+b)/2, with
+    h = [[a, c], [c*, b]] = W diag(mu) W^dagger.  It keeps s = n_i + n_j and
+    the other modes' photon numbers, so it acts on blocks of s+1 kets, all
+    with one tridiagonal matrix H_s.  The modes d = W^dagger c diagonalize
+    it: column k of V_s is the ket with k photons in d_0 and s-k in d_1, of
+    eigenvalue mu_0 k + mu_1 (s-k) + (a+b)/2, built once for every s up to
+    the cutoff by :func:`_next_shell`.  Truncation is exact: no block leaves
+    its shell.
+    """
+
+    weights: np.ndarray
+    const: float
+    #: per coupled pair: its 0-based modes i < j, the eigenvalues of
+    #: H_0..H_cutoff end to end (those of H_s start at s(s+1)/2), and V per s
+    pairs: tuple[tuple[int, int, np.ndarray, list[np.ndarray]], ...]
+
+    @staticmethod
+    def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
+        coeff = {(e.i - 1, e.j - 1): complex(c) for e, c in op.coeffs.items()}
+        coupled = sorted({(min(m), max(m)) for m in coeff if m[0] != m[1]})
+        modes = [m for pair in coupled for m in pair]
+        if len(modes) != len(set(modes)):
+            raise ValueError("a passive generator may couple modes only in disjoint pairs, "
+                             f"got couplings {[(i + 1, j + 1) for i, j in coupled]}")
+        weights = np.zeros(4)
+        for m in set(range(4)) - set(modes):
+            weights[m] = coeff.get((m, m), 0.0).real
+        const = complex(op.scalar).real + 0.5 * float(weights.sum())
+        pairs = []
+        for i, j in coupled:
+            a, b, c = (coeff.get((i, i), 0.0).real, coeff.get((j, j), 0.0).real,
+                       coeff.get((i, j), 0.0))
+            mu, w = np.linalg.eigh(np.array([[a, c], [c.conjugate(), b]]))
+            lams, vecs, v = [], [], np.ones((1, 1), dtype=complex)
+            for s in range(cutoff + 1):
+                if s:
+                    v = _next_shell(v, w)
+                k = np.arange(s + 1)
+                lams.append(mu[0] * k + mu[1] * (s - k) + (a + b) / 2)
+                vecs.append(v)
+            pairs.append((i, j, np.concatenate(lams), vecs))
+        return PassiveFactors(weights, const, tuple(pairs))
+
+
+def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V_s from V_{s-1} (:class:`PassiveFactors`).  Column k of V_s is
+    d_0^dagger on column k-1 of V_{s-1} over sqrt(k), and equally d_1^dagger
+    on column k over sqrt(s-k), where d_q^dagger = W_0q c_i^dagger +
+    W_1q c_j^dagger takes n_i = m (n_j = s-1-m) to m+1 with sqrt(m+1), and
+    n_j up with sqrt(s-m).  Their mean with weights k/s and (s-k)/s keeps
+    rounding from growing with s (Risbo's recursion for Wigner d-matrices,
+    J. Geodesy 70, 383 (1996))."""
+    s = len(v)
+    m = np.arange(s)[:, None]
+    k = np.arange(s + 1)
+    padded = np.zeros((s, s + 2), dtype=complex)
+    padded[:, 1:-1] = v
+
+    def create(q: int, columns: np.ndarray) -> np.ndarray:
+        out = np.zeros((s + 1, s + 1), dtype=complex)
+        out[1:] += w[0, q] * np.sqrt(m + 1.0) * columns
+        out[:-1] += w[1, q] * np.sqrt(s - m + 0.0) * columns
+        return out
+
+    return (create(0, padded[:, :-1]) * np.sqrt(k) + create(1, padded[:, 1:]) * np.sqrt(s - k)) / s
 
 
 #: photon-number step of the (mode i, mode j) ladder operators of each element kind
@@ -229,8 +366,8 @@ def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np
 
 
 def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
-    """Sparse matrix of an exact quadratic operator, with its 1-norm,
-    hermiticity and, for a diagonal operator, diagonal."""
+    """Sparse matrix of an exact quadratic operator, with its 1-norm and
+    hermiticity."""
     dim = basis.dim
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
@@ -246,9 +383,7 @@ def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
     if scalar != 0.0:
         mat = mat + scalar * sparse.identity(dim, dtype=np.complex128, format="csr")
     one_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
-    diagonal = (mat.diagonal() if all(e.kind is Kind.MIXED and e.i == e.j for e in op.coeffs)
-                else None)
-    return SparseOperator(basis, mat, one_norm, op.is_hermitian(), diagonal)
+    return SparseOperator(basis, mat, one_norm, op.is_hermitian(), op)
 
 
 def evolve(state: StateVector, generator: SparseOperator, theta: float) -> StateVector:
@@ -256,28 +391,34 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     basis, built once per (generator, cutoff) by :func:`matrix`.
 
     A non-hermitian G raises ``ValueError``; theta = 0 returns a copy of the
-    state.  A diagonal G is the exact phase e^{i theta d} per ket, with no
-    series; it raises :class:`EvolveError` only when |theta| times the
-    1-norm overflows.  Any other G is split into substeps of 1-norm bound at
-    most 4, each a Taylor series summed until its geometric remainder bound
-    is below its share of :data:`TOL`, on the kets G reaches from the
-    state's support (:meth:`SparseOperator.restricted`): they hold every
-    term, so the result is the whole-basis series'.  Substeps and the bound
-    follow G's full 1-norm.  :class:`EvolveError` is raised beyond
+    state.  A passive G (:attr:`SparseOperator.passive`) is exact, with no
+    series: the phase e^{i theta w} on each nonzero ket, then each two-mode
+    factor as V e^{i theta lam} V^dagger on the blocks it reaches from the
+    state's support (:meth:`SparseOperator.blocks`).  It raises
+    ``ValueError`` if G couples three or more modes together, and
+    :class:`EvolveError` only when |theta| times the 1-norm overflows.  An
+    active G, a pair source, is split into substeps of 1-norm bound at most
+    4, each a Taylor series summed until its geometric remainder bound is
+    below its share of :data:`TOL`, on the kets G reaches from the state's
+    support (:meth:`SparseOperator.restricted`): they hold every term, so
+    the result is the whole-basis series'.  Substeps and the bound follow
+    G's full 1-norm.  :class:`EvolveError` is raised beyond
     :data:`MAX_SUBSTEPS` substeps (the parameter is too large).
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
     if not generator.hermitian:
         raise ValueError("evolution generator must be hermitian")
+    if generator.passive:
+        factors = generator.factors
     if theta == 0.0:
         return StateVector(state.basis, state.amps.copy())
 
     scale = abs(theta) * generator.one_norm
-    if generator.diagonal is not None:
+    if generator.passive:
         if not math.isfinite(scale):
             raise EvolveError("the phase of a diagonal stage overflows; reduce the stage parameter")
-        return StateVector(state.basis, np.exp(1j * theta * generator.diagonal) * state.amps)
+        return StateVector(state.basis, _apply_passive(state.amps, generator, factors, theta))
 
     substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
     if substeps > MAX_SUBSTEPS:
@@ -308,6 +449,28 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)
+
+
+def _apply_passive(amps: np.ndarray, generator: SparseOperator, factors: PassiveFactors,
+                   theta: float) -> np.ndarray:
+    """e^{i theta G} amps for a passive G: the phases on the nonzero kets, then
+    each pair factor as one gather, one matrix product per block size and one
+    scatter."""
+    kets, weights, pair_blocks = generator.blocks(amps != 0)
+    out = amps.copy()
+    if weights is not None:
+        out[kets] = np.exp(1j * theta * weights) * amps[kets]
+    for (_, _, lam, vecs), (index, spans) in zip(factors.pairs, pair_blocks):
+        phases = np.exp(1j * theta * lam)
+        x = out[index]
+        y = np.empty_like(x)
+        for s, start, stop in spans:
+            v = vecs[s]
+            unitary = (v * phases[s * (s + 1) // 2:][:s + 1]) @ v.conj().T
+            np.matmul(x[start:stop].reshape(-1, s + 1), unitary.T,
+                      out=y[start:stop].reshape(-1, s + 1))
+        out[index] = y
+    return out
 
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:

@@ -28,6 +28,7 @@ CONFIGS = {
     "phase": {"experiment": "custom", "stages": [["K", 0.3], ["J_prime", 0.8], ["J_a", 0.6]]},
     "ou_mandel": {"experiment": "custom",
                   "stages": [["K_OM", 0.2], ["J_a", math.pi / 2], ["J_BS", math.pi / 2]]},
+    "small_gamma": {"experiment": "custom", "stages": [["K", 1e-6], ["J_a", 0.6]]},
 }
 #: config documents that ``run`` rejects with exit code 2
 REJECTED_CONFIGS = {

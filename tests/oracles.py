@@ -10,9 +10,11 @@ certify.  The exceptions are :func:`column_loop_matrix` and
 first builds a matrix one column at a time, to pin the vectorized build bit
 for bit, and the second sums ``fock.evolve``'s Taylor series over the whole
 basis, to pin the series that the library runs only on the kets a generator
-reaches.  :func:`run_with_analyzers`,
-:func:`correlation_by_run` and :func:`chsh_grid_by_runs` use the library's
-source run, Taylor evolution and estimators, but evolve every analyzer
+reaches.  :func:`reached_dense_evolve` takes scipy's exponential on the
+kets a generator reaches, found by the library's ``restricted``.
+:func:`run_with_analyzers`, :func:`correlation_by_run` and
+:func:`chsh_grid_by_runs` use the library's source run, evolution and
+estimators, but evolve every analyzer
 setting through its rotation stages, which the library never does.
 :func:`project_pi` is the reference coincidence projection: it zeroes every
 amplitude outside the four ``PI_KEPT`` kets, where the library reads those
@@ -191,9 +193,20 @@ def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
     return StateVector(state.basis, propagator @ state.amps)
 
 
+def reached_dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
+    """:func:`dense_evolve` for a :class:`~bellsim.fock.SparseOperator`, with
+    scipy's exponential taken only on the kets the generator reaches from the
+    state's support (``SparseOperator.restricted``), a set it maps into
+    itself: the same state, with no dim x dim exponential at high cutoffs."""
+    kets, mat = generator.restricted(state.amps != 0)
+    amps = np.zeros_like(state.amps)
+    amps[kets] = scipy.linalg.expm(1j * theta * mat.toarray()) @ state.amps[kets]
+    return StateVector(state.basis, amps)
+
+
 def taylor_evolve(state: StateVector, generator, theta: float) -> StateVector:
     """``fock.evolve`` with its split-step Taylor series summed over the whole
-    basis, for a hermitian non-diagonal :class:`~bellsim.fock.SparseOperator`
+    basis, for a hermitian active :class:`~bellsim.fock.SparseOperator`
     (the library runs it on the kets the generator reaches): the same
     substeps, terms and remainder rule, so the two agree bit for bit."""
     if theta == 0.0:
@@ -216,18 +229,6 @@ def taylor_evolve(state: StateVector, generator, theta: float) -> StateVector:
             raise fock.EvolveError("Taylor series did not converge")
         v = acc
     return StateVector(state.basis, v)
-
-
-def taylor_run(spec) -> StateVector:
-    """``experiments.run`` with every non-diagonal stage summed over the whole
-    basis by :func:`taylor_evolve`; diagonal stages are ``fock.evolve``'s
-    exact phase."""
-    state = fock.vacuum(fock.get_basis(spec.cutoff))
-    for name, theta in spec.stages:
-        generator = fock.matrix(catalog(name), state.basis)
-        step = fock.evolve if generator.diagonal is not None else taylor_evolve
-        state = step(state, generator, theta)
-    return state
 
 
 def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:

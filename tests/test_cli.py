@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from bellsim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_parser,
     fmt,
     main,
 )
@@ -352,6 +357,20 @@ def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv, message)
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err == f"numerical error: {message}\n"
+
+
+@pytest.mark.parametrize("theta, code, err", [
+    (1e20, EXIT_OK, ""), (1e308, EXIT_NUMERIC, f"numerical error: {PHASE_OVERFLOW}\n"),
+], ids=["finite", "overflow"])
+def test_passive_stage_at_huge_angle(tmp_path, capsys, theta, code, err):
+    """A splitter stage needs no substeps at any angle: it runs unless
+    |theta| times its 1-norm overflows."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "custom",
+                                  "stages": [["K", 0.1], ["J_BS", theta]]}))
+    result = invoke(capsys, "run", "--config", str(config), "--cutoff", "4")
+    assert result[0] == code and result[2] == err
+    assert result[1].startswith("C = ") == (code == EXIT_OK)
 
 
 def test_scan_fails_only_the_overflowing_row(capsys):
@@ -740,3 +759,34 @@ def test_byte_identical_scan(tmp_path, capsys):
                "--output", str(path))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+#: what the ``bellsim`` console script runs
+LAUNCH = "import sys; from bellsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """The parser is built once per process, and reusing it changes nothing:
+    in one process, a good call, a usage error (exit 2) and another
+    subcommand each print what a fresh process prints, with its exit code."""
+    assert build_parser() is build_parser()
+    calls = [("run", "--gamma", "0.2"), ("run", "--no-such-flag"), ("chsh", "--gamma", "0.3")]
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], text=True,
+                              env={**os.environ, "PYTHONPATH": path},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in calls]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        fresh.append((proc.returncode, out, err))
+    reused = []
+    for argv in calls:
+        try:
+            reused.append(invoke(capsys, *argv))
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            reused.append((exc.code, captured.out, captured.err))
+    assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
+    assert reused == fresh

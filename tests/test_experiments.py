@@ -191,20 +191,25 @@ WHOLE_BASIS_CASES += [ExperimentSpec("custom", stages, cutoff=cutoff)
                               else f"custom-{s.custom_stages[1][0]}-{s.cutoff}"
                               for s in WHOLE_BASIS_CASES])
 def test_run_is_the_whole_basis_series(spec):
-    """``run`` sums each Taylor series only on the kets the stage reaches from
-    the state's support.  Summed over the whole basis, each series is exactly
-    0 on every other ket, and the final state is ``run``'s bit for bit."""
+    """``run`` sums each pair source's Taylor series only on the kets the stage
+    reaches from the state's support.  Summed over the whole basis, each
+    series is exactly 0 on every other ket.  A list of pair sources alone
+    gives ``run``'s state bit for bit; passive stages, which ``run`` applies
+    exactly, are applied here by scipy's exponential, within 1e-12."""
     state = vacuum(get_basis(spec.cutoff))
     for name, theta in spec.stages:
         generator = fock.matrix(catalog(name), state.basis)
-        if generator.diagonal is None:
-            reached = np.zeros(state.basis.dim, dtype=bool)
-            reached[generator.restricted(state.amps != 0)[0]] = True
-            state = oracles.taylor_evolve(state, generator, theta)
-            assert not np.any(state.amps[~reached]), name
-        else:
-            state = fock.evolve(state, generator, theta)
-    assert run(spec).amps.tobytes() == state.amps.tobytes()
+        if generator.passive:
+            state = oracles.reached_dense_evolve(state, generator, theta)
+            continue
+        reached = np.zeros(state.basis.dim, dtype=bool)
+        reached[generator.restricted(state.amps != 0)[0]] = True
+        state = oracles.taylor_evolve(state, generator, theta)
+        assert not np.any(state.amps[~reached]), name
+    if all(not fock.matrix(catalog(name), state.basis).passive for name, _ in spec.stages):
+        assert run(spec).amps.tobytes() == state.amps.tobytes()
+    else:
+        assert np.max(np.abs(run(spec).amps - state.amps)) < 1e-12
 
 
 def test_run_matches_dense_stage_oracle():
@@ -214,6 +219,24 @@ def test_run_matches_dense_stage_oracle():
     for name, par in spec.stages:
         reference = oracles.dense_evolve(reference, catalog(name), par)
     assert np.max(np.abs(state.amps - reference.amps)) < 1e-10
+
+
+def test_small_gamma_custom_rotation_is_exact():
+    """At gamma = 1e-6 the pair amplitudes are ~5e-7, so an absolute Taylor
+    bound on the rotation would cost relative digits; the passive stage is
+    exact, and raw C is -cos 0.6 up to its O(gamma^2) source term."""
+    spec = ExperimentSpec("custom", (("K", 1e-6), ("J_a", 0.6)), estimator="raw")
+    _, raw, _ = experiments.measure(spec)
+    assert raw.value == pytest.approx(-math.cos(0.6), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1e-6])
+def test_small_gamma_ou_mandel_is_exact(gamma):
+    """ou_mandel's rotation and splitter are exact at any gamma, so the
+    conditioned C at N=30 is -cos 2(theta_a - theta_b) to rounding."""
+    spec = ExperimentSpec("ou_mandel", gamma=gamma, theta_a=0.3, theta_b=0.1, cutoff=30)
+    _, _, cond = experiments.measure(spec)
+    assert cond.value == pytest.approx(-math.cos(0.4), rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +673,11 @@ PHI_GRID = [-0.7, 0.0, 0.3, 1.1, math.pi + 0.4, 4.5]
 
 @pytest.mark.parametrize("cutoff", [2, 6, 8, 16])
 def test_phi_route_preconditions(cutoff):
-    """J' is diagonal in the Fock basis, so ``fock.evolve`` applies it as an
-    exact phase and no phi fails on a Taylor series, and J_BS maps each
-    total-photon shell into itself, so a Horne state has its source's
-    leakage."""
-    assert experiments._stage_operator("J_prime", cutoff).diagonal is not None
+    """J' couples no modes, so ``fock.evolve`` applies it as an exact phase
+    and no phi fails on a Taylor series, and J_BS maps each total-photon
+    shell into itself, so a Horne state has its source's leakage."""
+    assert experiments._stage_operator("J_prime", cutoff).factors.pairs == ()
+    assert experiments._stage_operator("J_BS", cutoff).passive
     splitter = experiments._stage_operator("J_BS", cutoff).mat.tocoo()
     totals = get_basis(cutoff).totals
     moved = totals[splitter.row] != totals[splitter.col]

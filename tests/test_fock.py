@@ -7,9 +7,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import bellsim.experiments as experiments
 import bellsim.fock as fock
 from bellsim.adjoint import conjugate
-from bellsim.algebra import ALL_ELEMENTS, A, QuadOp, commutator
+from bellsim.algebra import ALL_ELEMENTS, A, Kind, QuadOp, commutator
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog, names
 from bellsim.fock import (
     PI_KEPT,
@@ -26,6 +27,13 @@ from bellsim.fock import (
 
 import oracles
 from oracles import amplitude, fock_state, index_of, project_pi
+
+#: the hermitian catalog generators with only C_ij coefficients, and the Horne
+#: phase conjugated by the 50/50 splitter
+PASSIVE_GENERATORS = sorted(
+    name for name in names()
+    if catalog(name).is_hermitian() and all(e.kind is Kind.MIXED for e in catalog(name).coeffs)
+) + ["J_prime@BS"]
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +184,19 @@ def test_hermitian_operator_gives_hermitian_matrix():
 
 
 def test_stored_invariants_match_dense_matrix():
-    """The 1-norm, the hermiticity flag, and the diagonal, which is stored
-    exactly when the dense matrix is diagonal."""
+    """The 1-norm, the hermiticity flag, and the passive flag, which is set
+    exactly when the dense matrix keeps the total photon number."""
     basis = get_basis(4)
-    diagonal_count = 0
+    moves = basis.totals[:, None] != basis.totals[None, :]
+    passive_count = 0
     for op in [catalog(name) for name in sorted(names())] + [QuadOp.of(A(1, 2))]:
         sp = matrix(op, basis)
         dense = oracles.dense_operator(op, basis)
         assert sp.one_norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)), rel=1e-14)
         assert sp.hermitian == np.allclose(dense, dense.conj().T, rtol=0, atol=1e-14), op
-        is_diagonal = np.array_equal(dense, np.diag(np.diag(dense)))
-        assert (sp.diagonal is not None) == is_diagonal, op
-        if is_diagonal:
-            diagonal_count += 1
-            assert np.max(np.abs(sp.diagonal - np.diag(dense))) < 1e-14
-    assert diagonal_count >= 3
+        assert sp.passive == (not np.any(dense[moves])), op
+        passive_count += sp.passive
+    assert passive_count >= 50
 
 
 def test_commutation_transfer():
@@ -243,7 +249,8 @@ def test_evolve_rejects_operator_on_other_basis():
 def test_diagonal_generator_is_an_exact_phase(monkeypatch):
     """A diagonal generator multiplies each ket by e^{i theta d}: no series,
     so no term limit, and a ket off the state's support stays exactly 0; it
-    fails only when |theta| times its 1-norm overflows."""
+    fails only when |theta| times its 1-norm overflows.  With a one-term
+    series limit every other passive stage runs too: none sums a series."""
     monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
     rng = np.random.default_rng(5)
     basis = get_basis(6)
@@ -251,19 +258,73 @@ def test_diagonal_generator_is_an_exact_phase(monkeypatch):
     sparse_amps = np.where(np.arange(basis.dim) % 3 == 0, amps, 0.0)
     for name in ("J_prime", "K_z"):
         generator = matrix(catalog(name), basis)
+        assert generator.factors.pairs == ()
         for theta in (0.7, -3.0, 1e6):
-            phase = np.exp(1j * theta * generator.diagonal)
+            phase = np.exp(1j * theta * generator.mat.diagonal())
             for vector in (amps, sparse_amps):
                 out = evolve(StateVector(basis, vector), generator, theta)
                 assert np.array_equal(out.amps, phase * vector)
             assert not np.any(out.amps[sparse_amps == 0])
-        assert not generator._restrictions
         reference = oracles.dense_evolve(StateVector(basis, amps), catalog(name), 0.7)
         assert np.max(np.abs(evolve(StateVector(basis, amps), generator, 0.7).amps
                              - reference.amps)) < 1e-12
+    for name in PASSIVE_GENERATORS:
+        generator = experiments._stage_operator(name, basis.cutoff)
+        for theta in (0.7, -3.0, 1e6):
+            out = evolve(StateVector(basis, amps), generator, theta)
+            assert out.norm() == pytest.approx(np.linalg.norm(amps), rel=1e-12), name
         with pytest.raises(EvolveError, match="^the phase of a diagonal stage overflows; "
                                               "reduce the stage parameter$"):
             evolve(vacuum(basis), generator, 1e308)
+
+
+def test_passive_generators_couple_at_most_two_modes():
+    """Each passive catalog generator, and the Horne phase conjugated by the
+    splitter, couples the four modes in disjoint pairs or not at all, so it
+    splits into single-mode phases and two-mode factors."""
+    assert len(PASSIVE_GENERATORS) == 51
+    for name in PASSIVE_GENERATORS:
+        generator = experiments._stage_operator(name, 2)
+        coupled = [{e.i, e.j} for e in generator.op.coeffs if e.i != e.j]
+        assert all(a == b or not a & b for a in coupled for b in coupled), name
+        pairs = generator.factors.pairs
+        assert sorted({(i + 1, j + 1) for i, j, _, _ in pairs}) == sorted(
+            {tuple(sorted(m)) for m in coupled}), name
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+def test_passive_evolution_matches_dense_exponential(cutoff):
+    """Every passive generator, on a generic state and on a state with a few
+    kets, against scipy's Pade exponential of the same truncated matrix; the
+    map is unitary (checked as a whole matrix at cutoff 3)."""
+    rng = np.random.default_rng(cutoff)
+    basis = get_basis(cutoff)
+    generic = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    few = np.where(rng.random(basis.dim) < 0.1, generic, 0.0)
+    for name in PASSIVE_GENERATORS:
+        generator = experiments._stage_operator(name, cutoff)
+        for amps in (generic, few):
+            theta = rng.uniform(-4.0, 4.0)
+            state = StateVector(basis, amps)
+            out = evolve(state, generator, theta).amps
+            reference = oracles.dense_evolve(state, generator.op, theta).amps
+            assert np.max(np.abs(out - reference)) < 1e-13, name
+        if cutoff == 3:
+            unitary = np.column_stack([evolve(StateVector(basis, column), generator, 0.9).amps
+                                       for column in np.eye(basis.dim)])
+            assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(basis.dim))) < 1e-13
+
+
+def test_passive_generator_coupling_three_modes_is_rejected():
+    """A passive generator that couples three modes has no two-mode factors:
+    ``matrix`` builds it, and ``evolve`` rejects it as it rejects a
+    non-hermitian one, whatever the angle."""
+    basis = get_basis(4)
+    generator = matrix(catalog("J_x_12") + catalog("J_x_23"), basis)
+    assert generator.hermitian and generator.passive and generator.mat.nnz
+    for theta in (0.0, 0.5):
+        with pytest.raises(ValueError, match="couple modes only in disjoint pairs"):
+            evolve(vacuum(basis), generator, theta)
 
 
 def test_evolve_nonconvergence_raises(monkeypatch):
@@ -274,34 +335,37 @@ def test_evolve_nonconvergence_raises(monkeypatch):
 
 
 def test_evolve_on_reached_kets():
-    """The splitter keeps a pair-source state on the kets it reaches from the
-    state's support, a set it maps into itself.  The series on those kets
-    gives the whole-basis series bit for bit, which is exactly 0 off them.
-    The kets and the matrix on them are built once per support; a support
-    that reaches the whole basis uses the full matrix, uncopied, and an
-    operator keeps at most MAX_SUPPORTS supports."""
+    """A pair source keeps a state on the kets it reaches from the state's
+    support, a set it maps into itself.  The series on those kets gives the
+    whole-basis series bit for bit, which is exactly 0 off them.  The kets
+    and the matrix on them are built once per support; a support that
+    reaches the whole basis uses the full matrix, uncopied, and an operator
+    keeps at most MAX_SUPPORTS supports."""
     basis = get_basis(8)
-    source = evolve(vacuum(basis), matrix(catalog("K_prime"), basis), 0.3)
-    splitter = matrix(catalog("J_BS"), basis)
-    kets, mat = splitter.restricted(source.amps != 0)
+    rng = np.random.default_rng(8)
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.indices(np.array([(1, 0, 0, 0), (0, 2, 1, 0), (3, 0, 0, 1)]))] = rng.normal(size=3)
+    source = StateVector(basis, amps)
+    generator = matrix(catalog("K_x_13"), basis)
+    kets, mat = generator.restricted(source.amps != 0)
     assert 0 < kets.size < basis.dim and np.all(np.diff(kets) > 0)
     inside = np.isin(np.arange(basis.dim), kets)
     assert np.all(inside[source.amps != 0])
-    assert splitter.mat[~inside][:, kets].nnz == 0
-    assert (mat != splitter.mat[kets][:, kets]).nnz == 0
-    full = oracles.taylor_evolve(source, splitter, math.pi / 2).amps
+    assert generator.mat[~inside][:, kets].nnz == 0
+    assert (mat != generator.mat[kets][:, kets]).nnz == 0
+    full = oracles.taylor_evolve(source, generator, 0.8).amps
     assert not np.any(full[~inside])
-    assert evolve(source, splitter, math.pi / 2).amps.tobytes() == full.tobytes()
-    assert splitter.restricted(source.amps != 0)[0] is kets
+    assert evolve(source, generator, 0.8).amps.tobytes() == full.tobytes()
+    assert generator.restricted(source.amps != 0)[0] is kets
 
     generic = StateVector(basis, np.ones(basis.dim))
-    whole, mat = splitter.restricted(generic.amps != 0)
-    assert whole == slice(None) and mat is splitter.mat
-    assert (evolve(generic, splitter, 0.3).amps.tobytes()
-            == oracles.taylor_evolve(generic, splitter, 0.3).amps.tobytes())
+    whole, mat = generator.restricted(generic.amps != 0)
+    assert whole == slice(None) and mat is generator.mat
+    assert (evolve(generic, generator, 0.3).amps.tobytes()
+            == oracles.taylor_evolve(generic, generator, 0.3).amps.tobytes())
     for k in range(fock.MAX_SUPPORTS + 2):
-        splitter.restricted(np.arange(basis.dim) == k)
-    assert len(splitter._restrictions) == fock.MAX_SUPPORTS
+        generator.restricted(np.arange(basis.dim) == k)
+    assert len(generator._supports) == fock.MAX_SUPPORTS
 
 
 def test_unitarity_and_reversibility():
