@@ -27,11 +27,14 @@ truncation is exact for it too.  Only an active generator, a pair source,
 runs a split-step Taylor series, each substep summed until an
 a-posteriori remainder bound is below its share of the fixed :data:`TOL`.
 Both routes act on the kets the generator reaches from the state's
-support (from the vacuum a pipeline stays on a short pair ladder: 1496 of
-46376 kets for ``horne`` at cutoff 30); the operator keeps that set-up per
-support.  The cutoff is therefore the one accuracy input.  The
-dense-exponential cross-check lives in the test suite as an independent
-oracle.
+support, the smallest set holding it that the generator maps into itself
+(from the vacuum a pipeline stays on a short pair ladder: 1496 of 46376
+kets for ``horne`` at cutoff 30).  For a passive generator that set is a
+union of whole blocks of each pair factor.  The operator keeps the kets,
+and what each route applies on them, per support
+(:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
+accuracy input.  The dense-exponential cross-check lives in the test suite
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -162,14 +165,11 @@ class StateVector:
         return float(np.clip(abs(self.inner(other)) ** 2 / (na * nb) ** 2, 0.0, 1.0))
 
     def to_records(self, threshold: float = 1e-12) -> list[dict]:
-        """JSON-ready amplitude records in deterministic basis order."""
-        out = []
-        for k, occ in enumerate(self.basis.occupations.tolist()):
-            a = self.amps[k]
-            if abs(a) > threshold:
-                out.append({"n1": occ[0], "n2": occ[1], "n3": occ[2], "n4": occ[3],
-                            "re": float(a.real), "im": float(a.imag)})
-        return out
+        """JSON-ready records of the amplitudes above ``threshold`` in
+        modulus, in deterministic basis order."""
+        kept = np.flatnonzero(np.abs(self.amps) > threshold)
+        return [{"n1": n1, "n2": n2, "n3": n3, "n4": n4, "re": float(a.real), "im": float(a.imag)}
+                for (n1, n2, n3, n4), a in zip(self.basis.occupations[kept].tolist(), self.amps[kept])]
 
 
 def vacuum(basis: FockBasis) -> StateVector:
@@ -192,8 +192,7 @@ class SparseOperator:
     hermitian: bool
     #: the exact operator, which :func:`evolve` splits into factors when passive
     op: QuadOp = field(repr=False, compare=False)
-    #: what :func:`evolve` needs per support (:meth:`restricted` or
-    #: :meth:`blocks`), the oldest dropped beyond MAX_SUPPORTS
+    #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -202,70 +201,54 @@ class SparseOperator:
         of each pair of modes it mixes (phase shifters, rotators, splitters)."""
         return all(e.kind is Kind.MIXED for e in self.op.coeffs)
 
-    def _per_support(self, support: np.ndarray, build):
-        key = support.tobytes()
-        if key not in self._supports:
-            if len(self._supports) >= MAX_SUPPORTS:
-                del self._supports[next(iter(self._supports))]
-            self._supports[key] = build(support)
-        return self._supports[key]
-
-    def restricted(self, support: np.ndarray) -> tuple[np.ndarray | slice, sparse.csr_matrix]:
-        """(kets, mat on them): the ascending indices of the kets that repeated
-        products with mat reach from the boolean mask ``support``, the smallest
-        set holding it that mat maps into itself, and mat's rows and columns
-        there; the whole basis is ``slice(None)`` with mat itself, uncopied."""
-        def reach(support):
-            pattern, reached, grown = abs(self.mat), None, support
-            while not np.array_equal(grown, reached):
-                reached, grown = grown, grown | (pattern @ grown.astype(float) > 0)
-            if reached.all():
-                return slice(None), self.mat
-            kets = np.flatnonzero(reached)
-            return kets, self.mat[kets][:, kets]
-        return self._per_support(support, reach)
-
     @cached_property
     def factors(self) -> "PassiveFactors":
         """The passive operator as commuting factors (:class:`PassiveFactors`);
         ``ValueError`` if it couples three or more modes together."""
         return PassiveFactors.of(self.op, self.basis.cutoff)
 
-    def blocks(self, support: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, list]:
-        """(kets, weights, pair blocks) of a passive operator on the boolean
-        mask ``support``: the support's kets and their phase weights (None if
-        every weight is 0), and for each pair factor (i, j), in order, the
-        blocks that meet the support as grown by the earlier pairs.  A
-        factor's blocks are one index array, block after block, each block
-        the kets with n_i = 0..s and n_j = s-n_i, with a (s, start, stop)
-        span per block size."""
-        def build(support):
-            factors, occ = self.factors, self.basis.occupations
-            kets = np.flatnonzero(support)
+    def restricted(self, support: np.ndarray) -> tuple[np.ndarray, object]:
+        """(kets, set-up) of a hermitian operator: the ascending indices of the
+        kets that repeated products with mat reach from the boolean mask
+        ``support``, the smallest set holding it that mat maps into itself,
+        and what :func:`evolve` applies on them.  For an active operator that is mat's rows and
+        columns there.  For a passive one it is (weights, pair blocks): the
+        kets' phase weights (None if every weight is 0), and for each pair
+        factor (i, j), in order, the positions among the kets of its blocks,
+        which the set holds whole.  A factor's positions are one array,
+        block after block, each block the kets with n_i = 0..s and
+        n_j = s-n_i, with a (s, start, stop) span per block size."""
+        key = support.tobytes()
+        if key in self._supports:
+            return self._supports[key]
+        # mat is hermitian, so the nonzero columns of row k are the kets k reaches
+        reached, new = support.copy(), np.flatnonzero(support)
+        while new.size:
+            rows = self.mat[new]
+            new = np.unique(rows.indices[rows.data != 0])
+            new = new[~reached[new]]
+            reached[new] = True
+        kets = np.flatnonzero(reached)
+        if self.passive:
+            factors, occ = self.factors, self.basis.occupations[kets]
             weights = None
             if factors.const or np.any(factors.weights):
-                weights = occ[kets] @ factors.weights + factors.const
-            pair_blocks, reached = [], support.copy()
+                weights = occ @ factors.weights + factors.const
+            pair_blocks = []
             for i, j, _, _ in factors.pairs:
-                # each block's first ket, n_i = 0 and n_j = s
-                first = occ[np.flatnonzero(reached)]
-                totals = first[:, i] + first[:, j]
-                first[:, i], first[:, j] = 0, totals
-                _, unique = np.unique(self.basis.indices(first), return_index=True)
-                first, totals = first[unique], totals[unique]
-                index, spans, start = [np.zeros(0, dtype=np.intp)], [], 0
-                for s in np.unique(totals).tolist():
-                    members = np.repeat(first[totals == s][:, None, :], s + 1, axis=1)
-                    members[:, :, i] = np.arange(s + 1)
-                    members[:, :, j] = s - np.arange(s + 1)
-                    index.append(self.basis.indices(members.reshape(-1, 4)))
-                    spans.append((s, start, start + index[-1].size))
-                    start += index[-1].size
-                index = np.concatenate(index)
-                reached[index] = True
-                pair_blocks.append((index, spans))
-            return kets, weights, pair_blocks
-        return self._per_support(support, build)
+                totals = occ[:, i] + occ[:, j]
+                others = [occ[:, m] for m in range(4) if m not in (i, j)]
+                counts = np.bincount(totals)
+                spans = [(s, stop - n, stop) for s, (n, stop)
+                         in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if n]
+                pair_blocks.append((np.lexsort((occ[:, i], *others, totals)), spans))
+            set_up = weights, pair_blocks
+        else:
+            set_up = self.mat[kets][:, kets]
+        if len(self._supports) >= MAX_SUPPORTS:
+            del self._supports[next(iter(self._supports))]
+        self._supports[key] = kets, set_up
+        return kets, set_up
 
 
 @dataclass(frozen=True)
@@ -391,86 +374,77 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     basis, built once per (generator, cutoff) by :func:`matrix`.
 
     A non-hermitian G raises ``ValueError``; theta = 0 returns a copy of the
-    state.  A passive G (:attr:`SparseOperator.passive`) is exact, with no
-    series: the phase e^{i theta w} on each nonzero ket, then each two-mode
-    factor as V e^{i theta lam} V^dagger on the blocks it reaches from the
-    state's support (:meth:`SparseOperator.blocks`).  It raises
-    ``ValueError`` if G couples three or more modes together, and
-    :class:`EvolveError` only when |theta| times the 1-norm overflows.  An
-    active G, a pair source, is split into substeps of 1-norm bound at most
-    4, each a Taylor series summed until its geometric remainder bound is
-    below its share of :data:`TOL`, on the kets G reaches from the state's
-    support (:meth:`SparseOperator.restricted`): they hold every term, so
-    the result is the whole-basis series'.  Substeps and the bound follow
-    G's full 1-norm.  :class:`EvolveError` is raised beyond
-    :data:`MAX_SUBSTEPS` substeps (the parameter is too large).
+    state.  Both routes run on the kets G reaches from the state's support
+    (:meth:`SparseOperator.restricted`), a set G maps into itself, so
+    every other amplitude stays 0.  A passive G
+    (:attr:`SparseOperator.passive`) is exact, with no series: the phase
+    e^{i theta w} on each ket, then each two-mode factor as
+    V e^{i theta lam} V^dagger on its blocks.  It raises ``ValueError`` if G
+    couples three or more modes together, and :class:`EvolveError` only
+    when |theta| times the 1-norm overflows.  An active G, a pair source,
+    is split into substeps of 1-norm bound at most 4, each a Taylor series
+    summed until its geometric remainder bound is below its share of
+    :data:`TOL`; the kets hold every term, so the result is the whole-basis
+    series'.  Substeps and the bound follow G's full 1-norm.
+    :class:`EvolveError` is raised beyond :data:`MAX_SUBSTEPS` substeps (the
+    parameter is too large).
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
     if not generator.hermitian:
         raise ValueError("evolution generator must be hermitian")
-    if generator.passive:
+    passive = generator.passive
+    if passive:
         factors = generator.factors
     if theta == 0.0:
         return StateVector(state.basis, state.amps.copy())
 
     scale = abs(theta) * generator.one_norm
-    if generator.passive:
-        if not math.isfinite(scale):
-            raise EvolveError("the phase of a diagonal stage overflows; reduce the stage parameter")
-        return StateVector(state.basis, _apply_passive(state.amps, generator, factors, theta))
-
+    if passive and not math.isfinite(scale):
+        raise EvolveError("the phase of a passive stage overflows; reduce the stage parameter")
     substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
-    if substeps > MAX_SUBSTEPS:
+    if not passive and substeps > MAX_SUBSTEPS:
         raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
                           "reduce the stage parameter")
-    kets, mat = generator.restricted(state.amps != 0)
+    kets, set_up = generator.restricted(state.amps != 0)
     v = state.amps[kets]
-    h = theta / substeps
-    step_bound = TOL / substeps
-    h_norm = abs(h) * generator.one_norm
-
-    for _ in range(substeps):
-        acc = v.copy()
-        term = v
-        converged = False
-        for k in range(1, MAX_TAYLOR_TERMS + 1):
-            term = (1j * h / k) * (mat @ term)
-            acc += term
-            ratio = h_norm / (k + 1)
-            if ratio < 1.0:
-                remainder = float(np.linalg.norm(term)) * ratio / (1.0 - ratio)
-                if remainder <= step_bound:
-                    converged = True
-                    break
-        if not converged:
-            raise EvolveError(f"Taylor series did not converge within {MAX_TAYLOR_TERMS} terms")
-        v = acc
+    if passive:
+        weights, pair_blocks = set_up
+        if weights is not None:
+            v = np.exp(1j * theta * weights) * v
+        for (_, _, lam, vecs), (index, spans) in zip(factors.pairs, pair_blocks):
+            phases = np.exp(1j * theta * lam)
+            x = v[index]
+            y = np.empty_like(x)
+            for s, start, stop in spans:
+                vs = vecs[s]
+                unitary = (vs * phases[s * (s + 1) // 2:][:s + 1]) @ vs.conj().T
+                np.matmul(x[start:stop].reshape(-1, s + 1), unitary.T,
+                          out=y[start:stop].reshape(-1, s + 1))
+            v[index] = y
+    else:
+        h = theta / substeps
+        step_bound = TOL / substeps
+        h_norm = abs(h) * generator.one_norm
+        for _ in range(substeps):
+            acc = v.copy()
+            term = v
+            converged = False
+            for k in range(1, MAX_TAYLOR_TERMS + 1):
+                term = (1j * h / k) * (set_up @ term)
+                acc += term
+                ratio = h_norm / (k + 1)
+                if ratio < 1.0:
+                    remainder = float(np.linalg.norm(term)) * ratio / (1.0 - ratio)
+                    if remainder <= step_bound:
+                        converged = True
+                        break
+            if not converged:
+                raise EvolveError(f"Taylor series did not converge within {MAX_TAYLOR_TERMS} terms")
+            v = acc
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)
-
-
-def _apply_passive(amps: np.ndarray, generator: SparseOperator, factors: PassiveFactors,
-                   theta: float) -> np.ndarray:
-    """e^{i theta G} amps for a passive G: the phases on the nonzero kets, then
-    each pair factor as one gather, one matrix product per block size and one
-    scatter."""
-    kets, weights, pair_blocks = generator.blocks(amps != 0)
-    out = amps.copy()
-    if weights is not None:
-        out[kets] = np.exp(1j * theta * weights) * amps[kets]
-    for (_, _, lam, vecs), (index, spans) in zip(factors.pairs, pair_blocks):
-        phases = np.exp(1j * theta * lam)
-        x = out[index]
-        y = np.empty_like(x)
-        for s, start, stop in spans:
-            v = vecs[s]
-            unitary = (v * phases[s * (s + 1) // 2:][:s + 1]) @ v.conj().T
-            np.matmul(x[start:stop].reshape(-1, s + 1), unitary.T,
-                      out=y[start:stop].reshape(-1, s + 1))
-        out[index] = y
-    return out
 
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:

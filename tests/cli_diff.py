@@ -29,6 +29,8 @@ CONFIGS = {
     "ou_mandel": {"experiment": "custom",
                   "stages": [["K_OM", 0.2], ["J_a", math.pi / 2], ["J_BS", math.pi / 2]]},
     "small_gamma": {"experiment": "custom", "stages": [["K", 1e-6], ["J_a", 0.6]]},
+    "two_sources": {"experiment": "custom",
+                    "stages": [["K", 0.3], ["J_BS", 1.0], ["K_OM", 0.2], ["J_BS_wv", 0.7]]},
 }
 #: config documents that ``run`` rejects with exit code 2
 REJECTED_CONFIGS = {
@@ -54,7 +56,8 @@ NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])
 
 def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
     calls = [["verify-algebra"], ["verify-algebra", "--json"], ["list-generators"],
-             *map(list, EDGE_CASES), *(["run", "--config", path] for path in rejected)]
+             *map(list, EDGE_CASES), *(["run", "--config", path] for path in rejected),
+             ["run", "-e", "horne", "--phi", "0.7", "--cutoff", "30"]]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

@@ -11,7 +11,8 @@ first builds a matrix one column at a time, to pin the vectorized build bit
 for bit, and the second sums ``fock.evolve``'s Taylor series over the whole
 basis, to pin the series that the library runs only on the kets a generator
 reaches.  :func:`reached_dense_evolve` takes scipy's exponential on the
-kets a generator reaches, found by the library's ``restricted``.
+kets a generator reaches, found by the library's ``restricted``, of the
+matrix it reads off the library's whole matrix.
 :func:`run_with_analyzers`, :func:`correlation_by_run` and
 :func:`chsh_grid_by_runs` use the library's source run, evolution and
 estimators, but evolve every analyzer
@@ -197,10 +198,13 @@ def reached_dense_evolve(state: StateVector, generator, theta: float) -> StateVe
     """:func:`dense_evolve` for a :class:`~bellsim.fock.SparseOperator`, with
     scipy's exponential taken only on the kets the generator reaches from the
     state's support (``SparseOperator.restricted``), a set it maps into
-    itself: the same state, with no dim x dim exponential at high cutoffs."""
-    kets, mat = generator.restricted(state.amps != 0)
+    itself: the same state, with no dim x dim exponential at high cutoffs.
+    The matrix on those kets is read here off the whole one, for either
+    route."""
+    kets = generator.restricted(state.amps != 0)[0]
+    mat = generator.mat[kets][:, kets].toarray()
     amps = np.zeros_like(state.amps)
-    amps[kets] = scipy.linalg.expm(1j * theta * mat.toarray()) @ state.amps[kets]
+    amps[kets] = scipy.linalg.expm(1j * theta * mat) @ state.amps[kets]
     return StateVector(state.basis, amps)
 
 

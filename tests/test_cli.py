@@ -342,7 +342,7 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
 
 
 SUBSTEP_LIMIT = "evolution needs inf substeps (limit 100000); reduce the stage parameter"
-PHASE_OVERFLOW = "the phase of a diagonal stage overflows; reduce the stage parameter"
+PHASE_OVERFLOW = "the phase of a passive stage overflows; reduce the stage parameter"
 
 
 @pytest.mark.parametrize("argv, message", [

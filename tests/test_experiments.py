@@ -175,6 +175,26 @@ def test_pair_number_is_su11_coherent(name, phi, k, gamma):
         assert shells[2 * n] == pytest.approx(exact, rel=0, abs=1e-14), n
 
 
+#: p = tanh^2(gamma/2) at gamma = 0.3
+P_03 = math.tanh(0.3 / 2) ** 2
+
+
+@pytest.mark.parametrize("name, phi, exact, tol", [
+    ("ideal", 0.0, -1 / (1 + 2 * P_03), 1e-12),
+    ("ou_mandel", 0.0, -(1 - P_03) / (1 + 5 * P_03), 1e-12),
+    ("horne", 0.7, -math.sin(0.7) ** 2 / (math.sin(0.7) ** 2 + 2 * P_03), 1e-12),
+    ("horne", 2.2, -math.sin(2.2) ** 2 / (math.sin(2.2) ** 2 + 2 * P_03), 1e-12),
+    ("horne", 0.0, 0.0, 1e-20),
+], ids=["ideal", "ou_mandel", "horne-0.7", "horne-2.2", "horne-0"])
+def test_raw_correlation_closed_form(name, phi, exact, tol):
+    """Raw C at Delta = 0, N = 30 and gamma = 0.3 meets each pipeline's
+    closed form in p = tanh^2(gamma/2), the per-shell sums weighed by the
+    pair number's P(n): -1/(1+2p), -(1-p)/(1+5p) and
+    -sin^2(phi)/(sin^2(phi)+2p), which is 0 exactly at phi = 0."""
+    state = run(ExperimentSpec(name, gamma=0.3, phi=phi, cutoff=30))
+    assert correlation_raw(state).value == pytest.approx(exact, rel=0, abs=tol)
+
+
 #: the named pipelines at two cutoffs, and custom lists with a zero-parameter
 #: stage, a diagonal stage and two pair sources
 WHOLE_BASIS_CASES = [ExperimentSpec(name, gamma=0.7, phi=1.3 if name == "horne" else 0.0,

@@ -273,7 +273,7 @@ def test_diagonal_generator_is_an_exact_phase(monkeypatch):
         for theta in (0.7, -3.0, 1e6):
             out = evolve(StateVector(basis, amps), generator, theta)
             assert out.norm() == pytest.approx(np.linalg.norm(amps), rel=1e-12), name
-        with pytest.raises(EvolveError, match="^the phase of a diagonal stage overflows; "
+        with pytest.raises(EvolveError, match="^the phase of a passive stage overflows; "
                                               "reduce the stage parameter$"):
             evolve(vacuum(basis), generator, 1e308)
 
@@ -338,9 +338,9 @@ def test_evolve_on_reached_kets():
     """A pair source keeps a state on the kets it reaches from the state's
     support, a set it maps into itself.  The series on those kets gives the
     whole-basis series bit for bit, which is exactly 0 off them.  The kets
-    and the matrix on them are built once per support; a support that
-    reaches the whole basis uses the full matrix, uncopied, and an operator
-    keeps at most MAX_SUPPORTS supports."""
+    and the matrix on them are built once per support, a support that
+    reaches the whole basis too, and an operator keeps at most MAX_SUPPORTS
+    supports."""
     basis = get_basis(8)
     rng = np.random.default_rng(8)
     amps = np.zeros(basis.dim, dtype=complex)
@@ -360,12 +360,37 @@ def test_evolve_on_reached_kets():
 
     generic = StateVector(basis, np.ones(basis.dim))
     whole, mat = generator.restricted(generic.amps != 0)
-    assert whole == slice(None) and mat is generator.mat
+    assert np.array_equal(whole, np.arange(basis.dim)) and (mat != generator.mat).nnz == 0
     assert (evolve(generic, generator, 0.3).amps.tobytes()
             == oracles.taylor_evolve(generic, generator, 0.3).amps.tobytes())
     for k in range(fock.MAX_SUPPORTS + 2):
         generator.restricted(np.arange(basis.dim) == k)
     assert len(generator._supports) == fock.MAX_SUPPORTS
+
+
+def test_passive_set_up_is_the_one_per_support():
+    """A passive stage's set-up per support is what ``restricted`` returns:
+    asking for it first, then evolving on the same support, reads the same
+    cache entry.  The kets are the closure under the matrix, a union of
+    whole blocks of each pair factor, laid out block after block."""
+    basis = get_basis(8)
+    source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
+    generator = matrix(catalog("J_BS"), basis)
+    kets = generator.restricted(source.amps != 0)[0]
+    out = evolve(source, generator, 1.0)
+    reference = oracles.reached_dense_evolve(source, generator, 1.0)
+    assert np.max(np.abs(out.amps - reference.amps)) < 1e-12
+    again, (_, pair_blocks) = generator.restricted(source.amps != 0)
+    assert again is kets
+    occ = basis.occupations[kets]
+    for (i, j, _, _), (index, spans) in zip(generator.factors.pairs, pair_blocks):
+        assert np.array_equal(np.sort(index), np.arange(kets.size))
+        others = [m for m in range(4) if m not in (i, j)]
+        for s, start, stop in spans:
+            block = occ[index[start:stop]].reshape(-1, s + 1, 4)
+            assert np.all(block[:, :, i] == np.arange(s + 1))
+            assert np.all(block[:, :, j] == s - np.arange(s + 1))
+            assert np.all(block[:, :, others] == block[:, :1, others])
 
 
 def test_unitarity_and_reversibility():
