@@ -36,7 +36,7 @@ from .experiments import (
     SCAN_AXES,
     ExperimentSpec,
     chsh,
-    measure,
+    readout,
     scan,
 )
 from .fock import EvolveError
@@ -221,11 +221,12 @@ def _build_spec(args) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _build_spec(args)
-    state, raw, cond = measure(spec)
+    source = readout(spec)
+    raw, cond = source.reports(spec.theta_a, spec.theta_b)
     chosen = cond if spec.estimator == "conditioned" else raw
     stages = [[n, p] for n, p in spec.stages]
     if spec.name in ANALYZER_PIPELINES:
-        # the analyzers end the pipeline; measure contracts them, run never evolves them
+        # the analyzers end the pipeline; the readout contracts them, run never evolves them
         stages += [["J_a", 2.0 * spec.theta_a], ["J_b", 2.0 * spec.theta_b]]
     payload = {
         "experiment": spec.name,
@@ -237,9 +238,9 @@ def cmd_run(args) -> int:
         "degenerate": chosen.degenerate,
         "raw": asdict(raw),
         "conditioned": asdict(cond),
-        "norm": state.norm(),
+        "norm": source.state.norm(),
         "leakage": raw.leakage,
-        "state": state.to_records() if args.dump_state else None,
+        "state": source.state.to_records() if args.dump_state else None,
     }
     if payload["state"] is None:
         del payload["state"]
@@ -329,7 +330,7 @@ def cmd_convergence(args) -> int:
     column = "c_cond" if spec.estimator == "conditioned" else "c_raw"
     values = []
     for cutoff in cutoffs:
-        _, raw, cond = measure(replace(spec, cutoff=cutoff))
+        raw, cond = readout(replace(spec, cutoff=cutoff)).reports(spec.theta_a, spec.theta_b)
         values.append({"cutoff": cutoff, "c_raw": raw.value, "c_cond": cond.value,
                        "leakage": raw.leakage,
                        "degenerate": (cond if column == "c_cond" else raw).degenerate})

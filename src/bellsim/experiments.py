@@ -29,11 +29,11 @@ The two agree as the squeeze parameter gamma -> 0 and their measured
 difference is O(gamma^2); the scan and report tooling makes that
 dependence an observable rather than an assumption.
 
-The analyzers are never evolved: both estimators read the source state, and
-every setting swaps in a numerator contracted from a 2x2 sigma tensor of it
-(:class:`AnalyzerSource`; :func:`measure` for a spec's own setting).  A
-delta scan reads every row from one such source; a gamma or phi row is
-:func:`measure` of the spec with that value, so it is exactly a :func:`run`.
+The analyzers are never evolved.  Every command reads the stages' final state
+through :func:`readout` (:class:`Readout`): each estimator once, and a setting
+as a numerator contracted from a 2x2 sigma tensor of the state.  A delta scan
+reads every row from one readout; a gamma or phi row is the readout of the
+spec with that value, so it is exactly a :func:`run`.
 Every stage is evolved by :func:`fock.evolve`, on the kets it reaches.
 """
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -52,7 +52,6 @@ from .adjoint import conjugate
 from .catalog import catalog, UnknownGeneratorError
 from .fock import (
     EvolveError,
-    FockBasis,
     SparseOperator,
     StateVector,
     evolve,
@@ -137,7 +136,7 @@ class ExperimentSpec:
 
     The named pipelines read ``gamma`` and ``phi`` into their stage list and
     take no ``custom_stages``; ``custom`` applies ``custom_stages`` instead.
-    :func:`measure` reads the analyzer setting ``theta_a``/``theta_b`` from
+    :func:`readout` reads the analyzer setting ``theta_a``/``theta_b`` off
     the final state.  ``cutoff`` is the one accuracy input: every passive
     stage is exact on the truncated space, and every pair source is exact
     there up to the fixed Taylor bound :data:`fock.TOL`.
@@ -294,25 +293,8 @@ def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
 
 
 # ---------------------------------------------------------------------------
-# analyzer settings from one source state
+# one readout of the final state
 # ---------------------------------------------------------------------------
-
-def _sigma_tensors(amps: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of an amplitude vector and
-    of its (unnormalized) projection onto the coincidence kets.
-
-    The channel-a and channel-b observables are hermitian and commute, so
-    T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal and two sparse products.
-    Each keeps its channel's photon number, so it commutes with the projection,
-    and the coincidence columns of the same products give the projected tensor.
-    """
-    z_a, z_b = basis.channel_weights[:2]
-    side_a = np.stack([z_a * amps, _stage_operator("sigma_y_a", basis.cutoff).mat @ amps])
-    side_b = np.stack([z_b * amps, _stage_operator("sigma_y_b", basis.cutoff).mat @ amps])
-    kept = basis.coincidence
-    return ((side_a.conj() @ side_b.T).real,
-            (side_a[:, kept].conj() @ side_b[:, kept].T).real)
-
 
 def _analyzer_vector(theta: float) -> np.ndarray:
     """u(theta): an analyzer at theta, the rotation e^{i 2 theta J}, turns
@@ -323,9 +305,9 @@ def _analyzer_vector(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AnalyzerSource:
-    """An analyzer pipeline's final state, which the analyzers read, reduced
-    to what every setting (theta_a, theta_b) reads.
+class Readout:
+    """A spec's final state and both estimators on it, which every analyzer
+    setting (theta_a, theta_b) reads.
 
     The analyzers are passive rotations inside channel a and channel b.  They
     keep each channel's photon number, so they commute with the coincidence
@@ -333,32 +315,60 @@ class AnalyzerSource:
     leakage unchanged, and they turn sigma_z into a combination of sigma_z
     and sigma_y (checked by ``sigma_rotation_error`` in tests/oracles.py).  Each
     estimator's numerator is therefore u(theta_a)^T T u(theta_b) for a 2x2
-    tensor T of the source state, and everything else in a report at that
-    setting is the source state's own report, degenerate flag included.
+    tensor T of the final state (:attr:`tensors`), and everything else in a
+    report at that setting is the state's own report, degenerate flag included.
     """
 
     spec: ExperimentSpec
-    #: :func:`correlation_raw` and :func:`correlation_conditioned` of the source
+    state: StateVector
+    #: :func:`correlation_raw` and :func:`correlation_conditioned` of the
+    #: state, at the spec's own delta
     raw: CorrelationReport
     conditioned: CorrelationReport
-    #: T of the normalized state, and of its renormalized coincidence
-    #: projection (None when the coincidence weight is degenerate)
-    raw_tensor: np.ndarray
-    cond_tensor: np.ndarray | None
+
+    @cached_property
+    def tensors(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of the normalized
+        state, and of its renormalized coincidence projection (None when the
+        coincidence weight is degenerate); computed on first use.
+
+        The channel-a and channel-b observables are hermitian and commute, so
+        T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal and two sparse products.
+        Each keeps its channel's photon number, so it commutes with the projection,
+        and the coincidence columns of the same products give the projected tensor.
+        """
+        amps, basis = self.state.normalized().amps, self.state.basis
+        z_a, z_b = basis.channel_weights[:2]
+        side_a = np.stack([z_a * amps, _stage_operator("sigma_y_a", basis.cutoff).mat @ amps])
+        side_b = np.stack([z_b * amps, _stage_operator("sigma_y_b", basis.cutoff).mat @ amps])
+        raw = (side_a.conj() @ side_b.T).real
+        if self.conditioned.degenerate:
+            return raw, None
+        kept = basis.coincidence
+        weight = np.vdot(amps[kept], amps[kept]).real
+        return raw, (side_a[:, kept].conj() @ side_b[:, kept].T).real / weight
 
     def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
-        """One estimator at one setting: the source report with the contracted
-        numerator, its value and the setting's delta swapped in."""
+        """One estimator at one setting.  A pipeline without analyzers ignores
+        the angles, and at (0, 0) of a spec with delta 0 the state's own report
+        is the answer; otherwise the numerator contracted from :attr:`tensors`,
+        its value and the setting's delta are swapped into the state's own
+        report."""
+        own = self.raw if estimator == "raw" else self.conditioned
         delta = theta_a - theta_b
+        if self.spec.name not in ANALYZER_PIPELINES or not (theta_a or theta_b or own.delta):
+            return own
         u_a, u_b = _analyzer_vector(theta_a), _analyzer_vector(theta_b)
-        if estimator == "raw":
-            num = float(u_a @ self.raw_tensor @ u_b)
-            value = 0.0 if self.raw.degenerate else num / self.raw.denominator
-            return replace(self.raw, value=value, numerator=num, delta=delta)
-        if self.conditioned.degenerate:
-            return replace(self.conditioned, delta=delta)
-        value = float(u_a @ self.cond_tensor @ u_b)
-        return replace(self.conditioned, value=value, numerator=value, delta=delta)
+        if estimator == "conditioned" and own.degenerate:
+            return replace(own, delta=delta)
+        # a conditioned report's denominator is 1, so its value is the numerator
+        num = float(u_a @ self.tensors[estimator == "conditioned"] @ u_b)
+        value = 0.0 if own.degenerate else num / own.denominator
+        return replace(own, value=value, numerator=num, delta=delta)
+
+    def reports(self, theta_a: float, theta_b: float) -> tuple[CorrelationReport, CorrelationReport]:
+        """The raw and the conditioned :meth:`report` at one setting."""
+        return self.report("raw", theta_a, theta_b), self.report("conditioned", theta_a, theta_b)
 
     def chsh(self, angles: "ChshAngles") -> "ChshReport":
         spec = self.spec
@@ -366,37 +376,12 @@ class AnalyzerSource:
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
 
-def _reduce(spec: ExperimentSpec, state: StateVector) -> AnalyzerSource:
-    """The :class:`AnalyzerSource` of ``spec``'s final state."""
-    state = state.normalized()
-    raw, cond = correlation_raw(state, spec.gamma), correlation_conditioned(state, spec.gamma)
-    raw_tensor, kept_tensor = _sigma_tensors(state.amps, state.basis)
-    kept = state.amps[state.basis.coincidence]
-    cond_tensor = None if cond.degenerate else kept_tensor / np.vdot(kept, kept).real
-    return AnalyzerSource(spec, raw, cond, raw_tensor, cond_tensor)
-
-
-def analyzer_source(spec: ExperimentSpec) -> AnalyzerSource:
-    """Run ``spec`` once and reduce its state to an :class:`AnalyzerSource`;
-    the spec is checked when built, so this only rejects a pipeline without
-    analyzers."""
-    if spec.name not in ANALYZER_PIPELINES:
-        raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
-                          f"expected one of {ANALYZER_PIPELINES}")
-    return _reduce(spec, run(spec))
-
-
-def measure(spec: ExperimentSpec) -> tuple[StateVector, CorrelationReport, CorrelationReport]:
-    """The final state of ``spec`` and both estimators at its analyzer setting:
-    contracted from the state's :class:`AnalyzerSource` when an ``ideal`` or
-    ``ou_mandel`` angle is nonzero, read from the state otherwise."""
+def readout(spec: ExperimentSpec) -> Readout:
+    """Run ``spec``'s stages once and read both estimators off the final state."""
     state = run(spec)
-    if spec.name in ANALYZER_PIPELINES and (spec.theta_a or spec.theta_b):
-        source = _reduce(spec, state)
-        return state, *(source.report(e, spec.theta_a, spec.theta_b) for e in ESTIMATORS)
     delta = spec.theta_a - spec.theta_b
-    return (state, correlation_raw(state, spec.gamma, delta),
-            correlation_conditioned(state, spec.gamma, delta))
+    return Readout(spec, state, correlation_raw(state, spec.gamma, delta),
+                   correlation_conditioned(state, spec.gamma, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +411,12 @@ class ChshReport:
 
 
 def chsh(spec: ExperimentSpec, angles: ChshAngles) -> ChshReport:
-    """Evaluate S = |C(a,b) + C(a,b') + C(a',b) - C(a',b')|."""
-    return analyzer_source(spec).chsh(angles)
+    """Evaluate S = |C(a,b) + C(a,b') + C(a',b) - C(a',b')| from one
+    :func:`readout` of an analyzer pipeline."""
+    if spec.name not in ANALYZER_PIPELINES:
+        raise ConfigError(f"pipeline {spec.name!r} does not take analyzer angles; "
+                          f"expected one of {ANALYZER_PIPELINES}")
+    return readout(spec).chsh(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +484,15 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
 
 def _row_reader(spec: ExperimentSpec, axis: str):
     """An axis's shared part, computed once, as a function from a row's value
-    to its (raw, conditioned) reports: the :class:`AnalyzerSource` for delta,
-    and nothing for gamma and phi, whose rows are :func:`measure` of copies
-    of ``spec``, so each is exactly a :func:`run`."""
+    to its (raw, conditioned) reports: the spec's :class:`Readout` for delta,
+    read at (delta, 0), and nothing for gamma and phi, whose rows are the
+    readouts of copies of ``spec`` at its own setting, so each is exactly a
+    :func:`run`."""
     if axis == "delta":
-        source = analyzer_source(spec)
-        return lambda delta: tuple(source.report(e, delta, 0.0) for e in ESTIMATORS)
-    return lambda value: measure(replace(spec, **{axis: value}))[1:]
+        source = readout(spec)
+        return lambda delta: source.reports(delta, 0.0)
+    return lambda value: readout(replace(spec, **{axis: value})).reports(spec.theta_a,
+                                                                         spec.theta_b)
 
 
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:

@@ -217,7 +217,8 @@ class SparseOperator:
         factor (i, j), in order, the positions among the kets of its blocks,
         which the set holds whole.  A factor's positions are one array,
         block after block, each block the kets with n_i = 0..s and
-        n_j = s-n_i, with a (s, start, stop) span per block size."""
+        n_j = s-n_i, a size with one block listing it twice, with a
+        (s, start, stop) span per block size."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
@@ -239,9 +240,15 @@ class SparseOperator:
                 totals = occ[:, i] + occ[:, j]
                 others = [occ[:, m] for m in range(4) if m not in (i, j)]
                 counts = np.bincount(totals)
+                order = np.lexsort((occ[:, i], *others, totals))
+                # numpy multiplies one row by gemv, which rounds unlike the gemm of several rows
+                lone = counts == np.arange(1, counts.size + 1)
+                again = order[lone[totals[order]]]
+                index = np.insert(order, np.cumsum(counts)[totals[again]], again)
+                counts[lone] *= 2
                 spans = [(s, stop - n, stop) for s, (n, stop)
                          in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if n]
-                pair_blocks.append((np.lexsort((occ[:, i], *others, totals)), spans))
+                pair_blocks.append((index, spans))
             set_up = weights, pair_blocks
         else:
             set_up = self.mat[kets][:, kets]

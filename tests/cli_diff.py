@@ -5,10 +5,13 @@
 OLD_SRC and NEW_SRC are directories holding a ``bellsim`` package (a
 checkout's ``src``).  Each tree runs every invocation in one child process.
 The script prints how many invocations give byte-identical stdout and exit
-code; for each other one, its exit codes, the largest |new - old| of every
-numeric field of stdout, the stdout lines whose text changed, and a changed
-stderr.  A number is named by the words before it on its line, else by its
-column under the last line without numbers (CSV and the convergence table).
+code, and how many of those that write a JSON report (``-o``) give a
+byte-identical report; for each other one, its exit codes, the largest
+|new - old| of every numeric field of stdout and of the report, the stdout
+lines and report fields whose text changed, and a changed stderr.  A number
+of stdout is named by the words before it on its line, else by its column
+under the last line without numbers (CSV and the convergence table); a
+number of a report is named by its keys, list positions dropped.
 """
 
 import json
@@ -51,6 +54,8 @@ EDGE_CASES = [
     ("scan", "--axis", "gamma", "--theta-a", "1e308", "--values", "0.1,0.2"),
     ("convergence", "-e", "horne", "--gamma", "1"), ("run", "--cutoff", "99999999"),
 ]
+#: stands for the report path in an invocation
+REPORT = "REPORT"
 NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])")
 
 
@@ -71,6 +76,29 @@ def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
             calls += [[command, "--config", path, "--estimator", estimator]
                       for command in ("run", "chsh", "convergence")]
             calls.append(["scan", "--axis", "gamma", "--config", path, "--estimator", estimator])
+    return calls + report_invocations(configs)
+
+
+def report_invocations(configs: list[str]) -> list[list[str]]:
+    """Invocations that write a JSON report: analyzer angles on every
+    pipeline (and a CHSH setting at (0, 0) beside them), a delta grid that
+    holds 0, ``--dump-state``, and the configs at an analyzer angle."""
+    angles = ["--theta-a", "0.3", "--theta-b", "-0.2"]
+    calls = []
+    for estimator in ("raw", "conditioned"):
+        for name in ("ideal", "horne", "ou_mandel"):
+            flags = ["-e", name, "--estimator", estimator, "--gamma", "0.4", "--phi", "0.9",
+                     "-o", REPORT]
+            calls += [["run", *flags, *angles], ["run", *flags, "--dump-state"],
+                      ["chsh", *flags], ["chsh", *flags, *angles, "--angles", "0,0.4,0,1.2"],
+                      ["convergence", *flags, *angles],
+                      ["scan", "--axis", "delta", *flags, "--values", "-0.5,0,0.5",
+                       "--format", "json"],
+                      *(["scan", "--axis", axis, *flags, *angles, "--values", "0.2,0.7",
+                         "--format", "json"] for axis in ("gamma", "phi"))]
+        for path in configs:
+            calls += [[command, "--config", path, "--estimator", estimator, "--theta-a", "0.3",
+                       "-o", REPORT] for command in ("run", "convergence")]
     return calls
 
 
@@ -87,7 +115,11 @@ def child() -> None:
             except Exception as exc:  # a traceback: exit 1, compared by its last line
                 code = 1
                 err.write(f"{type(exc).__name__}: {exc}\n")
-        results.append([code, out.getvalue(), err.getvalue()])
+        report = Path(argv[argv.index("-o") + 1]) if "-o" in argv else None
+        text = report.read_text() if report and report.exists() else None
+        if text is not None:
+            report.unlink()
+        results.append([code, out.getvalue(), err.getvalue(), text])
     json.dump(results, sys.stdout)
 
 
@@ -118,26 +150,65 @@ def compare(old: str, new: str) -> tuple[dict[str, float], list[str]]:
     return deltas, changed
 
 
+def leaves(value, path: str = ""):
+    """(keys, value) of every scalar of a JSON document, list positions dropped."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item, path)
+    else:
+        yield path, value
+
+
+def compare_reports(old: str | None, new: str | None) -> tuple[dict[str, float], list[str]]:
+    """Largest |new - old| per report field, and the fields whose text changed."""
+    if old is None or new is None:
+        return {}, [f"  report {'missing' if old is None else 'written'} -> "
+                    f"{'missing' if new is None else 'written'}"]
+    deltas, changed = {}, []
+    a, b = list(leaves(json.loads(old))), list(leaves(json.loads(new)))
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return {}, [f"  report fields {[k for k, _ in a]} -> {[k for k, _ in b]}"]
+    for (key, x), (_, y) in zip(a, b):
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if numeric:
+            deltas[key] = max(deltas.get(key, 0.0), abs(y - x))
+        elif x != y:
+            changed.append(f"  report {key}: {x!r} -> {y!r}")
+    return deltas, changed
+
+
 def main(old_src: str, new_src: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, document in {**CONFIGS, **REJECTED_CONFIGS}.items():
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(document))
-        calls = invocations([paths[name] for name in CONFIGS],
-                            [paths[name] for name in REJECTED_CONFIGS])
+        report = str(Path(tmp) / "report.json")
+        calls = [[report if arg == REPORT else arg for arg in argv]
+                 for argv in invocations([paths[name] for name in CONFIGS],
+                                         [paths[name] for name in REJECTED_CONFIGS])]
         old, new = (json.loads(subprocess.run(
             [sys.executable, __file__, "--child"], input=json.dumps(calls), text=True,
             capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout)
             for src in (old_src, new_src))
     same = sum(a[:2] == b[:2] for a, b in zip(old, new))
+    written = [(a[3], b[3]) for a, b in zip(old, new) if (a[3], b[3]) != (None, None)]
     print(f"byte-identical stdout and exit code: {same} of {len(calls)}")
-    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(calls, old, new):
-        if (code_a, out_a, err_a) == (code_b, out_b, err_b):
+    print(f"byte-identical JSON reports: {sum(a == b for a, b in written)} of {len(written)}")
+    for argv, (code_a, out_a, err_a, rep_a), (code_b, out_b, err_b, rep_b) in zip(
+            calls, old, new):
+        if (code_a, out_a, err_a, rep_a) == (code_b, out_b, err_b, rep_b):
             continue
         print(" ".join(argv).replace(tmp, "CONFIG")
               + (f"  [exit {code_a} -> {code_b}]" if code_a != code_b else ""))
         deltas, changed = compare(out_a, out_b)
+        if rep_a != rep_b:
+            report_deltas, report_changed = compare_reports(rep_a, rep_b)
+            deltas.update({f"report {k}": v for k, v in report_deltas.items()})
+            changed += report_changed
         moved = {k: v for k, v in deltas.items() if v}
         if moved:
             print("  |delta| " + ", ".join(f"{k} {v:.2g}" for k, v in moved.items()))

@@ -29,10 +29,10 @@ Reference tools shared by the tests and ``make_goldens.py``; no command runs
 them:
 
 * :func:`correlation`, one analyzer setting read from
-  ``experiments.analyzer_source``;
+  ``experiments.readout``;
 * the CHSH maximizer search behind ``experiments.CHSH_MAXIMIZER`` and the
   ``chsh_maximizer.json`` golden (:func:`chsh_grid`, :func:`chsh_grid_search`,
-  :func:`refine_chsh_maximizer`), through ``experiments.analyzer_source``;
+  :func:`refine_chsh_maximizer`), through ``experiments.readout``;
 * :func:`sigma_rotation_error`, the analyzer rotation identity on exact
   coefficients;
 * exact span and ad-closure decisions (:func:`coefficient_row`,
@@ -323,8 +323,8 @@ def project_pi(state: StateVector) -> tuple[StateVector, float]:
 
 
 def correlation(spec, theta_a: float, theta_b: float):
-    """The spec's estimator at one analyzer setting, from its source state."""
-    return experiments.analyzer_source(spec).report(spec.estimator, theta_a, theta_b)
+    """The spec's estimator at one analyzer setting, from its final state."""
+    return experiments.readout(spec).report(spec.estimator, theta_a, theta_b)
 
 
 def run_with_analyzers(spec, theta_a: float, theta_b: float) -> StateVector:
@@ -365,9 +365,9 @@ def chsh_grid(spec, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (grid angles, C matrix) where C[i, j] is the estimator value at
     analyzer angles (grid[i], grid[j]); every entry is contracted from one
-    ``experiments.analyzer_source`` of the spec.
+    ``experiments.readout`` of the spec.
     """
-    source = experiments.analyzer_source(spec)
+    source = experiments.readout(spec)
     grid = np.arange(n) * math.pi / n
     c = np.empty((n, n))
     for i, ta in enumerate(grid):
@@ -396,7 +396,7 @@ def chsh_grid_search(spec, n: int = 16) -> tuple[float, ChshAngles, np.ndarray]:
 def refine_chsh_maximizer(spec, start: ChshAngles, initial_step: float = math.pi / 32,
                           min_step: float = 1e-8) -> tuple[float, ChshAngles]:
     """Deterministic coordinate pattern search around a grid maximizer."""
-    source = experiments.analyzer_source(spec)
+    source = experiments.readout(spec)
 
     def s_at(values: list[float]) -> float:
         return source.chsh(ChshAngles(*values)).s_value

@@ -105,7 +105,9 @@ def test_bad_estimator_cutoff_tol():
 
 def test_angles_only_for_analyzer_pipelines():
     with pytest.raises(ConfigError):
-        correlation(horne_spec(0.1, 0.0), 0.0, 0.0)
+        chsh(horne_spec(0.1, 0.0), ChshAngles(*CHSH_MAXIMIZER))
+    with pytest.raises(ConfigError):
+        scan(horne_spec(0.1, 0.0), "delta", [0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +130,8 @@ def test_small_gamma_state_is_vacuum_plus_singlet_pair():
 
 @pytest.mark.parametrize("name", sorted(_RECIPES))
 def test_recipes_stop_before_the_analyzers(name):
-    """The analyzer setting never enters a stage list: ``measure`` reads it
-    from the final state."""
+    """The analyzer setting never enters a stage list: ``readout`` reads it
+    off the final state."""
     stages = ExperimentSpec(name, theta_a=0.3, theta_b=-0.2).stages
     assert stages == ExperimentSpec(name).stages
     assert "J_b" not in {gen_name for gen_name, _ in stages}
@@ -246,7 +248,7 @@ def test_small_gamma_custom_rotation_is_exact():
     bound on the rotation would cost relative digits; the passive stage is
     exact, and raw C is -cos 0.6 up to its O(gamma^2) source term."""
     spec = ExperimentSpec("custom", (("K", 1e-6), ("J_a", 0.6)), estimator="raw")
-    _, raw, _ = experiments.measure(spec)
+    raw, _ = experiments.readout(spec).reports(spec.theta_a, spec.theta_b)
     assert raw.value == pytest.approx(-math.cos(0.6), rel=0, abs=1e-12)
 
 
@@ -255,7 +257,7 @@ def test_small_gamma_ou_mandel_is_exact(gamma):
     """ou_mandel's rotation and splitter are exact at any gamma, so the
     conditioned C at N=30 is -cos 2(theta_a - theta_b) to rounding."""
     spec = ExperimentSpec("ou_mandel", gamma=gamma, theta_a=0.3, theta_b=0.1, cutoff=30)
-    _, _, cond = experiments.measure(spec)
+    _, cond = experiments.readout(spec).reports(spec.theta_a, spec.theta_b)
     assert cond.value == pytest.approx(-math.cos(0.4), rel=0, abs=1e-12)
 
 
@@ -455,9 +457,9 @@ def test_chsh_maximum_is_the_horodecki_bound(name, estimator, gamma):
     M. Horodecki, Phys. Lett. A 200, 340 (1995)); the refined grid search
     reaches it."""
     spec = ExperimentSpec(name, estimator=estimator, gamma=gamma)
-    source = experiments.analyzer_source(spec)
-    tensor = (source.raw_tensor / source.raw.denominator if estimator == "raw"
-              else source.cond_tensor)
+    source = experiments.readout(spec)
+    raw_tensor, cond_tensor = source.tensors
+    tensor = raw_tensor / source.raw.denominator if estimator == "raw" else cond_tensor
     bound = 2.0 * math.hypot(*np.linalg.svd(tensor, compute_uv=False))
     _, start, _ = oracles.chsh_grid_search(spec)
     s_max, _ = oracles.refine_chsh_maximizer(spec, start)
@@ -491,42 +493,84 @@ def test_analyzer_settings_match_full_runs(name, cutoff, gamma):
 
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
 def test_sigma_tensors_match_sparse_products(name):
-    """Both tensors of an AnalyzerSource against the sparse products
+    """Both tensors of a Readout against the sparse products
     <sigma_i_a sigma_j_b> on the state and on its renormalized coincidence
     projection."""
     spec = ExperimentSpec(name, gamma=0.4, cutoff=8)
-    source = experiments.analyzer_source(spec)
+    raw_tensor, cond_tensor = experiments.readout(spec).tensors
     state = run(spec).normalized()
     projected = project_pi(state)[0].normalized()
     for i, sigma_a in enumerate(("sigma_z_a", "sigma_y_a")):
         for j, sigma_b in enumerate(("sigma_z_b", "sigma_y_b")):
             ops = [catalog(sigma_a), catalog(sigma_b)]
-            assert source.raw_tensor[i, j] == pytest.approx(
+            assert raw_tensor[i, j] == pytest.approx(
                 expect_product(state, ops).real, abs=1e-12)
-            assert source.cond_tensor[i, j] == pytest.approx(
+            assert cond_tensor[i, j] == pytest.approx(
                 expect_product(projected, ops).real, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", PIPELINES)
-def test_measure_reads_the_setting(name):
-    """``measure`` returns the final state and both estimators at the spec's
-    own setting: read directly when there is no analyzer to apply, and
-    contracted from the state's AnalyzerSource otherwise."""
+def test_readout_reads_the_setting(name):
+    """``readout`` keeps the final state and reads both estimators at a
+    setting: the state's own reports when there is no analyzer to apply, and
+    otherwise those reports with the numerator, value and delta of the
+    setting contracted from the state's tensors."""
     custom = (("K", 0.2), ("J_a", 0.6)) if name == "custom" else ()
     for theta_a, theta_b in ((0.0, 0.0), (0.3, -0.2)):
         spec = ExperimentSpec(name, custom, gamma=0.2, theta_a=theta_a, theta_b=theta_b,
                               phi=0.4)
-        state, raw, cond = experiments.measure(spec)
+        source = experiments.readout(spec)
+        state = source.state
         assert np.array_equal(state.amps, run(spec).amps)
+        raw, cond = source.reports(theta_a, theta_b)
         delta = theta_a - theta_b
+        own = (correlation_raw(state, 0.2, delta), correlation_conditioned(state, 0.2, delta))
         if name in ANALYZER_PIPELINES and (theta_a or theta_b):
-            source = experiments.analyzer_source(spec)
-            expected = (source.report("raw", theta_a, theta_b),
-                        source.report("conditioned", theta_a, theta_b))
+            for report, unrotated in zip((raw, cond), own):
+                assert (report.denominator, report.leakage, report.degenerate) == (
+                    unrotated.denominator, unrotated.leakage, unrotated.degenerate)
+                reference = oracles.correlation_by_run(
+                    replace(spec, estimator=report.estimator), theta_a, theta_b)
+                assert report.delta == reference.delta
+                for field in ("value", "numerator"):
+                    assert getattr(report, field) == pytest.approx(getattr(reference, field),
+                                                                   abs=1e-10)
         else:
-            expected = (correlation_raw(state, 0.2, delta),
-                        correlation_conditioned(state, 0.2, delta))
-        assert (raw, cond) == expected
+            assert (raw, cond) == own
+        if name in ANALYZER_PIPELINES:  # (0, 0) reads the unrotated state
+            for report, unrotated in zip(source.reports(0.0, 0.0), own):
+                assert report.delta == 0.0
+                assert report.value == pytest.approx(unrotated.value, rel=0, abs=1e-12)
+
+
+_READOUT_SPECS = [
+    ExperimentSpec("ideal", gamma=0.3),
+    ExperimentSpec("ou_mandel", gamma=0.3, estimator="raw"),
+    ExperimentSpec("horne", gamma=0.3, phi=0.7, theta_a=0.4),
+    ExperimentSpec("custom", (("K", 0.3), ("J_BS", 1.0), ("J_a", 0.6)), theta_b=-0.2),
+]
+
+
+@pytest.mark.parametrize("spec", _READOUT_SPECS, ids=lambda s: s.name)
+def test_readout_at_no_setting_is_the_estimators_of_run(spec):
+    """At (0, 0), and at any setting of a pipeline without analyzers, the
+    readout's reports are ``correlation_raw`` and ``correlation_conditioned``
+    of ``run`` at the spec's delta, field for field and bit for bit, and no
+    sigma tensor is computed for them."""
+    state = run(spec)
+    delta = spec.theta_a - spec.theta_b
+    expected = (correlation_raw(state, spec.gamma, delta),
+                correlation_conditioned(state, spec.gamma, delta))
+    source = experiments.readout(spec)
+    assert source.state.amps.tobytes() == state.amps.tobytes()
+    settings = [(0.0, 0.0)] if spec.name in ANALYZER_PIPELINES else [
+        (0.0, 0.0), (0.3, -0.2), (spec.theta_a, spec.theta_b)]
+    for theta_a, theta_b in settings:
+        assert repr(source.reports(theta_a, theta_b)) == repr(expected)
+    assert "tensors" not in vars(source)
+    if spec.name in ANALYZER_PIPELINES:
+        source.reports(0.3, -0.2)
+        assert "tensors" in vars(source)
 
 
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
@@ -706,11 +750,11 @@ def test_phi_route_preconditions(cutoff):
 
 @pytest.mark.parametrize("gamma, cutoff", PHI_CASES + [(1e-30, 16), (1e-320, 16)])
 def test_phi_rows_match_staged_runs(gamma, cutoff):
-    """Every phi row is ``measure`` at its phi, field for field, down to a
+    """Every phi row is the readout at its phi, field for field, down to a
     coincidence weight far below TOL and a subnormal gamma."""
     spec = horne_spec(gamma, 0.0, cutoff=cutoff)
     for row in scan(spec, "phi", PHI_GRID).rows:
-        _, raw, cond = experiments.measure(replace(spec, phi=row.parameter))
+        raw, cond = experiments.readout(replace(spec, phi=row.parameter)).reports(0.0, 0.0)
         assert not row.failed
         assert row == experiments._scan_row(row.parameter, raw, cond)
 

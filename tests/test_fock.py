@@ -372,7 +372,8 @@ def test_passive_set_up_is_the_one_per_support():
     """A passive stage's set-up per support is what ``restricted`` returns:
     asking for it first, then evolving on the same support, reads the same
     cache entry.  The kets are the closure under the matrix, a union of
-    whole blocks of each pair factor, laid out block after block."""
+    whole blocks of each pair factor, laid out block after block, the one
+    block of a size twice."""
     basis = get_basis(8)
     source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
     generator = matrix(catalog("J_BS"), basis)
@@ -384,13 +385,37 @@ def test_passive_set_up_is_the_one_per_support():
     assert again is kets
     occ = basis.occupations[kets]
     for (i, j, _, _), (index, spans) in zip(generator.factors.pairs, pair_blocks):
-        assert np.array_equal(np.sort(index), np.arange(kets.size))
+        assert np.array_equal(np.unique(index), np.arange(kets.size))
         others = [m for m in range(4) if m not in (i, j)]
         for s, start, stop in spans:
+            rows = index[start:stop].reshape(-1, s + 1)
+            distinct = len(np.unique(rows, axis=0))
+            assert len(rows) == (2 if distinct == 1 else distinct)
             block = occ[index[start:stop]].reshape(-1, s + 1, 4)
             assert np.all(block[:, :, i] == np.arange(s + 1))
             assert np.all(block[:, :, j] == s - np.arange(s + 1))
             assert np.all(block[:, :, others] == block[:, :1, others])
+
+
+def test_passive_block_is_independent_of_its_neighbours():
+    """A block's amplitudes after a passive stage are the same bits whether
+    the block is alone at its size or evolved beside another block of that
+    size: each block's product rounds the same way with or without
+    neighbours."""
+    basis = get_basis(8)
+    generator = matrix(catalog("J_a"), basis)  # one pair factor, modes 1 and 2
+    rng = np.random.default_rng(24)
+    block = basis.indices(np.array([(k, 3 - k, 1, 0) for k in range(4)]))
+    neighbour = basis.indices(np.array([(k, 3 - k, 0, 2) for k in range(4)]))
+    alone = np.zeros(basis.dim, dtype=complex)
+    alone[block] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    paired = alone.copy()
+    paired[neighbour] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert generator.restricted(alone != 0)[0].tobytes() == np.sort(block).tobytes()
+    for theta in (0.3, 1.1, -2.5):
+        one = evolve(StateVector(basis, alone), generator, theta).amps[block]
+        two = evolve(StateVector(basis, paired), generator, theta).amps[block]
+        assert one.tobytes() == two.tobytes()
 
 
 def test_unitarity_and_reversibility():
