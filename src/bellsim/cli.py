@@ -188,7 +188,7 @@ def cmd_list_generators(args) -> int:
 def _load_config(path: str) -> dict:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a JSON object")
@@ -265,7 +265,7 @@ def _parse_list(args, flag: str, kind: type) -> list:
 
 def cmd_chsh(args) -> int:
     spec = _build_spec(args)
-    if args.angles:
+    if args.angles is not None:
         parts = _parse_list(args, "angles", float)
         if len(parts) != 4:
             raise ConfigError("--angles requires 'theta_a,theta_a_prime,theta_b,theta_b_prime'")
@@ -284,7 +284,7 @@ def cmd_chsh(args) -> int:
 
 
 def _parse_grid(args) -> list[float]:
-    if args.values:
+    if args.values is not None:
         return _parse_list(args, "values", float)
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
@@ -339,7 +339,7 @@ def cmd_convergence(args) -> int:
     # a degenerate value is a placeholder 0, so digits and extrapolation read nothing from it
     stabilized = ratio = extrapolated = None
     if not any(v["degenerate"] for v in values[-2:]):
-        stabilized = int(-math.log10(diffs[-1])) if diffs[-1] > 0 else 15
+        stabilized = min(15, int(-math.log10(diffs[-1]))) if diffs[-1] > 0 else 15
         if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
             ratio = diffs[-1] / diffs[-2]
             extrapolated = chosen[-1] + (chosen[-1] - chosen[-2]) * (

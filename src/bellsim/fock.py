@@ -19,9 +19,10 @@ operator.  :func:`evolve` is the one evolution path.  A passive generator,
 every coefficient a C_ij (phase shifters, polarization rotators, beam
 splitters), is applied exactly, with no series.  Each one the commands
 build couples the modes in disjoint pairs (one that couples three modes is
-rejected), so it is a phase per ket times one two-mode factor per pair,
-and each factor acts on blocks of fixed n_i + n_j through the
-eigenvectors of one small tridiagonal matrix per block size
+rejected), so it is a phase per ket times one two-mode factor per pair.
+A factor keeps n_i + n_j, so on the kets it is V e^{i theta Lambda}
+V^dagger: V is block-diagonal, each block the eigenvectors V_s of one
+small tridiagonal matrix per block size, and Lambda their eigenvalues
 (:class:`PassiveFactors`).  Such a stage never leaves its shell, so
 truncation is exact for it too.  Only an active generator, a pair source,
 runs a split-step Taylor series, each substep summed until an
@@ -31,7 +32,7 @@ support, the smallest set holding it that the generator maps into itself
 (from the vacuum a pipeline stays on a short pair ladder: 1496 of 46376
 kets for ``horne`` at cutoff 30).  For a passive generator that set is a
 union of whole blocks of each pair factor.  The operator keeps the kets,
-and what each route applies on them, per support
+and the sparse matrices each route applies on them, per support
 (:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
 accuracy input.  The dense-exponential cross-check lives in the test suite
 as an independent oracle.
@@ -211,14 +212,14 @@ class SparseOperator:
         """(kets, set-up) of a hermitian operator: the ascending indices of the
         kets that repeated products with mat reach from the boolean mask
         ``support``, the smallest set holding it that mat maps into itself,
-        and what :func:`evolve` applies on them.  For an active operator that is mat's rows and
-        columns there.  For a passive one it is (weights, pair blocks): the
-        kets' phase weights (None if every weight is 0), and for each pair
-        factor (i, j), in order, the positions among the kets of its blocks,
-        which the set holds whole.  A factor's positions are one array,
-        block after block, each block the kets with n_i = 0..s and
-        n_j = s-n_i, a size with one block listing it twice, with a
-        (s, start, stop) span per block size."""
+        and what :func:`evolve` applies on them.  For an active operator that
+        is mat's rows and columns there.  For a passive one it is (weights,
+        products): the kets' phase weights (None if every weight is 0), and
+        for each pair factor (i, j), in order, (V, V^dagger, lam) on the
+        kets, which hold its blocks whole.  Each block, the kets with
+        n_i = 0..s and n_j = s-n_i, holds V_s in V, slot k (n_i = k) holding
+        eigenvector k and lam its eigenvalue.  A CSR row sums over its own
+        block only, so a block rounds alike beside any neighbours."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
@@ -235,21 +236,22 @@ class SparseOperator:
             weights = None
             if factors.const or np.any(factors.weights):
                 weights = occ @ factors.weights + factors.const
-            pair_blocks = []
-            for i, j, _, _ in factors.pairs:
+            products = []
+            for i, j, lams, vecs in factors.pairs:
                 totals = occ[:, i] + occ[:, j]
                 others = [occ[:, m] for m in range(4) if m not in (i, j)]
-                counts = np.bincount(totals)
                 order = np.lexsort((occ[:, i], *others, totals))
-                # numpy multiplies one row by gemv, which rounds unlike the gemm of several rows
-                lone = counts == np.arange(1, counts.size + 1)
-                again = order[lone[totals[order]]]
-                index = np.insert(order, np.cumsum(counts)[totals[again]], again)
-                counts[lone] *= 2
-                spans = [(s, stop - n, stop) for s, (n, stop)
-                         in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if n]
-                pair_blocks.append((index, spans))
-            set_up = weights, pair_blocks
+                lam, entries = np.empty(kets.size), []
+                for s, blocks in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1])):
+                    blocks = blocks.reshape(-1, s + 1)  # one block per row, slot k in column k
+                    shape = (len(blocks), s + 1, s + 1)
+                    entries.append([np.broadcast_to(x, shape).ravel()
+                                    for x in (vecs[s], blocks[:, :, None], blocks[:, None, :])])
+                    lam[blocks] = lams[s]
+                vals, rows, cols = map(np.concatenate, zip(*entries))
+                v = sparse.csr_matrix((vals, (rows, cols)), shape=(kets.size, kets.size))
+                products.append((v, v.conj().T.tocsr(), lam))
+            set_up = weights, products
         else:
             set_up = self.mat[kets][:, kets]
         if len(self._supports) >= MAX_SUPPORTS:
@@ -271,15 +273,16 @@ class PassiveFactors:
     with one tridiagonal matrix H_s.  The modes d = W^dagger c diagonalize
     it: column k of V_s is the ket with k photons in d_0 and s-k in d_1, of
     eigenvalue mu_0 k + mu_1 (s-k) + (a+b)/2, built once for every s up to
-    the cutoff by :func:`_next_shell`.  Truncation is exact: no block leaves
-    its shell.
+    the cutoff by :func:`_next_shell` and placed on each block of a stage's
+    kets by :meth:`SparseOperator.restricted`.  Truncation is exact: no
+    block leaves its shell.
     """
 
     weights: np.ndarray
     const: float
-    #: per coupled pair: its 0-based modes i < j, the eigenvalues of
-    #: H_0..H_cutoff end to end (those of H_s start at s(s+1)/2), and V per s
-    pairs: tuple[tuple[int, int, np.ndarray, list[np.ndarray]], ...]
+    #: per coupled pair: its 0-based modes i < j, and per s = 0..cutoff the
+    #: eigenvalues of H_s and V_s
+    pairs: tuple[tuple[int, int, list[np.ndarray], list[np.ndarray]], ...]
 
     @staticmethod
     def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
@@ -305,7 +308,7 @@ class PassiveFactors:
                 k = np.arange(s + 1)
                 lams.append(mu[0] * k + mu[1] * (s - k) + (a + b) / 2)
                 vecs.append(v)
-            pairs.append((i, j, np.concatenate(lams), vecs))
+            pairs.append((i, j, lams, vecs))
         return PassiveFactors(weights, const, tuple(pairs))
 
 
@@ -385,14 +388,15 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     (:meth:`SparseOperator.restricted`), a set G maps into itself, so
     every other amplitude stays 0.  A passive G
     (:attr:`SparseOperator.passive`) is exact, with no series: the phase
-    e^{i theta w} on each ket, then each two-mode factor as
-    V e^{i theta lam} V^dagger on its blocks.  It raises ``ValueError`` if G
-    couples three or more modes together, and :class:`EvolveError` only
-    when |theta| times the 1-norm overflows.  An active G, a pair source,
-    is split into substeps of 1-norm bound at most 4, each a Taylor series
-    summed until its geometric remainder bound is below its share of
-    :data:`TOL`; the kets hold every term, so the result is the whole-basis
-    series'.  Substeps and the bound follow G's full 1-norm.
+    e^{i theta w} on each ket, then each two-mode factor as the sparse
+    product V (e^{i theta lam} (V^dagger v)) on the kets.  It raises
+    ``ValueError`` if G couples three or more modes together, and
+    :class:`EvolveError` only when |theta| times the 1-norm overflows.  An
+    active G, a pair source, is split into substeps of 1-norm bound at most
+    4, each a Taylor series summed until its geometric remainder bound is
+    below its share of :data:`TOL`; the kets hold every term, so the result
+    is the whole-basis series'.  Substeps and the bound follow G's full
+    1-norm.
     :class:`EvolveError` is raised beyond :data:`MAX_SUBSTEPS` substeps (the
     parameter is too large).
     """
@@ -402,7 +406,7 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
         raise ValueError("evolution generator must be hermitian")
     passive = generator.passive
     if passive:
-        factors = generator.factors
+        generator.factors  # a generator coupling three modes raises here, whatever theta
     if theta == 0.0:
         return StateVector(state.basis, state.amps.copy())
 
@@ -416,19 +420,11 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     kets, set_up = generator.restricted(state.amps != 0)
     v = state.amps[kets]
     if passive:
-        weights, pair_blocks = set_up
+        weights, products = set_up
         if weights is not None:
             v = np.exp(1j * theta * weights) * v
-        for (_, _, lam, vecs), (index, spans) in zip(factors.pairs, pair_blocks):
-            phases = np.exp(1j * theta * lam)
-            x = v[index]
-            y = np.empty_like(x)
-            for s, start, stop in spans:
-                vs = vecs[s]
-                unitary = (vs * phases[s * (s + 1) // 2:][:s + 1]) @ vs.conj().T
-                np.matmul(x[start:stop].reshape(-1, s + 1), unitary.T,
-                          out=y[start:stop].reshape(-1, s + 1))
-            v[index] = y
+        for vecs, vecs_h, lam in products:
+            v = vecs @ (np.exp(1j * theta * lam) * (vecs_h @ v))
     else:
         h = theta / substeps
         step_bound = TOL / substeps

@@ -53,6 +53,8 @@ EDGE_CASES = [
     ("run", "-e", "horne", "--phi", "1e6"),
     ("scan", "--axis", "gamma", "--theta-a", "1e308", "--values", "0.1,0.2"),
     ("convergence", "-e", "horne", "--gamma", "1"), ("run", "--cutoff", "99999999"),
+    ("convergence", "-e", "horne", "--gamma", "1", "--estimator", "raw"),
+    ("scan", "--axis", "delta", "--values", ""), ("chsh", "--angles", ""),
 ]
 #: stands for the report path in an invocation
 REPORT = "REPORT"
@@ -62,7 +64,10 @@ NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])
 def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
     calls = [["verify-algebra"], ["verify-algebra", "--json"], ["list-generators"],
              *map(list, EDGE_CASES), *(["run", "--config", path] for path in rejected),
-             ["run", "-e", "horne", "--phi", "0.7", "--cutoff", "30"]]
+             ["run", "-e", "horne", "--phi", "0.7", "--cutoff", "30"],
+             # passive stages where blocks are largest and J_a has one block per size
+             ["chsh", "-e", "ou_mandel", "--cutoff", "30"],
+             ["scan", "--axis", "phi", "-e", "horne", "--cutoff", "30", "--points", "5"]]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

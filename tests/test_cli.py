@@ -183,6 +183,25 @@ def test_config_errors(capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("scan", "--axis", "delta", "--values", ""), "values"),
+    (("chsh", "--angles", ""), "angles"),
+    (("convergence", "--cutoffs", ""), "cutoffs"),
+])
+def test_empty_list_flag_is_config_error(capsys, argv, flag):
+    """An empty list is a bad list, not the default grid or angles."""
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: bad --{flag} list: ''\n")
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff\xfe{"gamma": 0.1}')
+    code, out, err = invoke(capsys, "run", "--config", str(config))
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: cannot read config {config}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("run",),
     ("scan", "--axis", "delta", "--points", "3"),
@@ -723,7 +742,9 @@ def test_convergence_summary_follows_the_estimator(capsys, tmp_path, estimator, 
 
 def test_convergence_summary_skips_degenerate_values(capsys, tmp_path):
     """Horne at phi = 0 has no coincidences: every c_cond is the degenerate
-    placeholder 0, so there are no digits to count and nothing to extrapolate."""
+    placeholder 0, so there are no digits to count and nothing to extrapolate.
+    Raw C is exactly 0 there, so its cutoffs differ only by rounding noise,
+    and the digits count stops at the 15 of equal values."""
     path = tmp_path / "convergence.json"
     code, out, _ = invoke(capsys, "convergence", "-e", "horne", "--gamma", "1",
                           "--output", str(path))
@@ -734,9 +755,12 @@ def test_convergence_summary_skips_degenerate_values(capsys, tmp_path):
     assert [row["degenerate"] for row in payload["rows"]] == [True] * 4
     assert [payload[k] for k in ("contraction_ratio", "stabilized_digits",
                                  "extrapolated_c_cond")] == [None] * 3
-    code, _, _ = invoke(capsys, "convergence", "-e", "horne", "--gamma", "1",
-                        "--estimator", "raw", "--output", str(path))
-    assert [row["degenerate"] for row in json.loads(path.read_text())["rows"]] == [False] * 4
+    code, out, _ = invoke(capsys, "convergence", "-e", "horne", "--gamma", "1",
+                          "--estimator", "raw", "--output", str(path))
+    payload = json.loads(path.read_text())
+    assert [row["degenerate"] for row in payload["rows"]] == [False] * 4
+    assert all(abs(row["c_raw"]) < 1e-15 for row in payload["rows"])
+    assert payload["stabilized_digits"] == 15 and out.splitlines()[-2] == "stabilized digits: 15"
 
 
 # ---------------------------------------------------------------------------

@@ -372,29 +372,32 @@ def test_passive_set_up_is_the_one_per_support():
     """A passive stage's set-up per support is what ``restricted`` returns:
     asking for it first, then evolving on the same support, reads the same
     cache entry.  The kets are the closure under the matrix, a union of
-    whole blocks of each pair factor, laid out block after block, the one
-    block of a size twice."""
+    whole blocks of each pair factor.  Each factor's V is unitary on them
+    and links only kets of one block, its adjoint is V^dagger, and each
+    slot's eigenvalue is that of its block size."""
     basis = get_basis(8)
     source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
-    generator = matrix(catalog("J_BS"), basis)
-    kets = generator.restricted(source.amps != 0)[0]
+    generator = matrix(catalog("J_BS_wv"), basis)  # two pair factors, complex V_s
+    kets, set_up = generator.restricted(source.amps != 0)
     out = evolve(source, generator, 1.0)
     reference = oracles.reached_dense_evolve(source, generator, 1.0)
     assert np.max(np.abs(out.amps - reference.amps)) < 1e-12
-    again, (_, pair_blocks) = generator.restricted(source.amps != 0)
-    assert again is kets
+    assert len(generator._supports) == 1
+    again, (_, products) = generator.restricted(source.amps != 0)
+    assert again is kets and products is set_up[1]
     occ = basis.occupations[kets]
-    for (i, j, _, _), (index, spans) in zip(generator.factors.pairs, pair_blocks):
-        assert np.array_equal(np.unique(index), np.arange(kets.size))
+    assert len(products) == len(generator.factors.pairs) == 2
+    for (i, j, lams, _), (vecs, vecs_h, lam) in zip(generator.factors.pairs, products):
+        assert vecs.shape == vecs_h.shape == (kets.size, kets.size)
+        assert (vecs_h != vecs.conj().T).nnz == 0
+        gram = (vecs_h @ vecs).toarray()
+        assert np.max(np.abs(gram - np.eye(kets.size))) < 1e-13
         others = [m for m in range(4) if m not in (i, j)]
-        for s, start, stop in spans:
-            rows = index[start:stop].reshape(-1, s + 1)
-            distinct = len(np.unique(rows, axis=0))
-            assert len(rows) == (2 if distinct == 1 else distinct)
-            block = occ[index[start:stop]].reshape(-1, s + 1, 4)
-            assert np.all(block[:, :, i] == np.arange(s + 1))
-            assert np.all(block[:, :, j] == s - np.arange(s + 1))
-            assert np.all(block[:, :, others] == block[:, :1, others])
+        block = np.column_stack([occ[:, i] + occ[:, j], occ[:, others]])
+        rows, cols = vecs.nonzero()
+        assert np.array_equal(block[rows], block[cols])
+        totals = occ[:, i] + occ[:, j]
+        assert np.array_equal(lam, [lams[s][k] for s, k in zip(totals, occ[:, i])])
 
 
 def test_passive_block_is_independent_of_its_neighbours():
