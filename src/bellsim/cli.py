@@ -336,12 +336,14 @@ def cmd_convergence(args) -> int:
                        "degenerate": (cond if column == "c_cond" else raw).degenerate})
     chosen = [v[column] for v in values]
     diffs = [abs(b - a) for a, b in zip(chosen, chosen[1:])]
+    # diffs below 1e-15, the resolution of the 15-digit cap, are rounding: agreement
+    resolved = [d if d >= 1e-15 else 0.0 for d in diffs]
     # a degenerate value is a placeholder 0, so digits and extrapolation read nothing from it
     stabilized = ratio = extrapolated = None
     if not any(v["degenerate"] for v in values[-2:]):
-        stabilized = min(15, int(-math.log10(diffs[-1]))) if diffs[-1] > 0 else 15
-        if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
-            ratio = diffs[-1] / diffs[-2]
+        stabilized = min(15, int(-math.log10(resolved[-1]))) if resolved[-1] else 15
+        if len(resolved) >= 2 and resolved[-2] and resolved[-1]:
+            ratio = resolved[-1] / resolved[-2]
             extrapolated = chosen[-1] + (chosen[-1] - chosen[-2]) * (
                 ratio / (1 - ratio)) if ratio < 1 else chosen[-1]
         else:

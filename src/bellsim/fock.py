@@ -13,29 +13,25 @@ evolution computed here is exactly unitary on the truncated space.  The
 truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 
 An operator is built once per (generator, cutoff) by :func:`matrix` into
-a :class:`SparseOperator` holding its 1-norm, whether it is hermitian
-(decided exactly on the :class:`~bellsim.algebra.QuadOp`) and the exact
-operator.  :func:`evolve` is the one evolution path.  A passive generator,
-every coefficient a C_ij (phase shifters, polarization rotators, beam
-splitters), is applied exactly, with no series.  Each one the commands
-build couples the modes in disjoint pairs (one that couples three modes is
-rejected), so it is a phase per ket times one two-mode factor per pair.
-A factor keeps n_i + n_j, so on the kets it is V e^{i theta Lambda}
-V^dagger: V is block-diagonal, each block the eigenvectors V_s of one
-small tridiagonal matrix per block size, and Lambda their eigenvalues
-(:class:`PassiveFactors`).  Such a stage never leaves its shell, so
-truncation is exact for it too.  Only an active generator, a pair source,
-runs a split-step Taylor series, each substep summed until an
-a-posteriori remainder bound is below its share of the fixed :data:`TOL`.
-Both routes act on the kets the generator reaches from the state's
-support, the smallest set holding it that the generator maps into itself
-(from the vacuum a pipeline stays on a short pair ladder: 1496 of 46376
-kets for ``horne`` at cutoff 30).  For a passive generator that set is a
-union of whole blocks of each pair factor.  The operator keeps the kets,
-and the sparse matrices each route applies on them, per support
-(:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
-accuracy input.  The dense-exponential cross-check lives in the test suite
-as an independent oracle.
+a :class:`SparseOperator` holding whether it is hermitian (decided exactly
+on the :class:`~bellsim.algebra.QuadOp`) and the exact operator.
+:func:`evolve` is the one evolution path, exact with no series: on the
+kets the generator reaches from the state's support, the smallest set
+holding it that the generator maps into itself (1496 of 46376 kets for
+``horne`` at cutoff 30), a stage is a phase per ket and then commuting
+factors V e^{i theta Lambda} V^dagger, V block-diagonal and unitary with
+each block's eigenvectors and Lambda their eigenvalues.  A passive
+generator, every coefficient a C_ij (phase shifters, polarization
+rotators, beam splitters), couples the modes in disjoint pairs (one that
+couples three is rejected); a pair keeps n_i + n_j, so its blocks are one
+tridiagonal matrix per block size, with eigenvectors V_s built once
+(:class:`PassiveFactors`), and it never leaves its shell.  A pair source
+is one factor over the connected components of its matrix on the kets
+(from the vacuum one finite su(1,1) ladder), each diagonalized by
+``numpy.linalg.eigh``.  The operator keeps the kets and that set-up per
+support (:meth:`SparseOperator.restricted`).  The cutoff is therefore the
+one accuracy input.  The dense-exponential cross-check lives in the test
+suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -55,21 +51,13 @@ Occupation = tuple[int, int, int, int]
 #: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
 PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
-#: bound on the 2-norm error of one Taylor-summed stage, shared by its substeps
-TOL = 1e-12
-#: a substep of 1-norm bound 4 on a unit vector reaches its share of TOL within
-#: 32 terms, even at MAX_SUBSTEPS; the limit stops a series on non-finite
-#: amplitudes
-MAX_TAYLOR_TERMS = 80
-MAX_SUBSTEPS = 100_000
 #: supports one operator keeps set up; a named pipeline's stage sees one
 #: support at every parameter where no amplitude underflows to 0
 MAX_SUPPORTS = 8
 
 
 class EvolveError(RuntimeError):
-    """Evolution failed: the stage parameter is too large, or the series does
-    not converge."""
+    """Evolution failed: the stage parameter is too large for its phases."""
 
 
 def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -187,8 +175,6 @@ class SparseOperator:
 
     basis: FockBasis
     mat: sparse.csr_matrix
-    #: largest column sum of |entries|
-    one_norm: float
     #: the operator equals its adjoint (``QuadOp.is_hermitian``)
     hermitian: bool
     #: the exact operator, which :func:`evolve` splits into factors when passive
@@ -208,18 +194,20 @@ class SparseOperator:
         ``ValueError`` if it couples three or more modes together."""
         return PassiveFactors.of(self.op, self.basis.cutoff)
 
-    def restricted(self, support: np.ndarray) -> tuple[np.ndarray, object]:
+    def restricted(self, support: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(kets, set-up) of a hermitian operator: the ascending indices of the
         kets that repeated products with mat reach from the boolean mask
         ``support``, the smallest set holding it that mat maps into itself,
-        and what :func:`evolve` applies on them.  For an active operator that
-        is mat's rows and columns there.  For a passive one it is (weights,
-        products): the kets' phase weights (None if every weight is 0), and
-        for each pair factor (i, j), in order, (V, V^dagger, lam) on the
-        kets, which hold its blocks whole.  Each block, the kets with
-        n_i = 0..s and n_j = s-n_i, holds V_s in V, slot k (n_i = k) holding
-        eigenvector k and lam its eigenvalue.  A CSR row sums over its own
-        block only, so a block rounds alike beside any neighbours."""
+        and what :func:`evolve` applies on them: (weights, products, largest),
+        the kets' phase weights (None if all are 0), the commuting factors
+        (V, V^dagger, lam) with V unitary and block-diagonal, each block's
+        eigenvectors in its columns and lam their eigenvalues, and a bound
+        on |weights| and |lam|.  A passive operator has a factor per pair
+        (i, j), in order, each block (n_i = 0..s, n_j = s-n_i) holding V_s,
+        slot k at n_i = k, and :attr:`PassiveFactors.largest` as its bound.
+        An active one has no weights and one factor over the connected
+        components of mat on the kets (:func:`_components`), bounded by its
+        largest |lam|."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
@@ -241,23 +229,61 @@ class SparseOperator:
                 totals = occ[:, i] + occ[:, j]
                 others = [occ[:, m] for m in range(4) if m not in (i, j)]
                 order = np.lexsort((occ[:, i], *others, totals))
-                lam, entries = np.empty(kets.size), []
-                for s, blocks in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1])):
-                    blocks = blocks.reshape(-1, s + 1)  # one block per row, slot k in column k
-                    shape = (len(blocks), s + 1, s + 1)
-                    entries.append([np.broadcast_to(x, shape).ravel()
-                                    for x in (vecs[s], blocks[:, :, None], blocks[:, None, :])])
-                    lam[blocks] = lams[s]
-                vals, rows, cols = map(np.concatenate, zip(*entries))
-                v = sparse.csr_matrix((vals, (rows, cols)), shape=(kets.size, kets.size))
-                products.append((v, v.conj().T.tocsr(), lam))
-            set_up = weights, products
+                by_size = np.split(order, np.cumsum(np.bincount(totals))[:-1])
+                # one block per row, slot k in column k
+                products.append(_eigenbasis(kets.size, [(b.reshape(-1, s + 1), vecs[s], lams[s])
+                                                        for s, b in enumerate(by_size)]))
+            set_up = weights, products, factors.largest
         else:
-            set_up = self.mat[kets][:, kets]
+            product = _eigenbasis(kets.size, _components(self.mat[kets][:, kets]))
+            set_up = None, [product], float(np.max(np.abs(product[2])))
         if len(self._supports) >= MAX_SUPPORTS:
             del self._supports[next(iter(self._supports))]
         self._supports[key] = kets, set_up
         return kets, set_up
+
+
+def _components(mat: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(blocks, eigenvectors, eigenvalues) per component size of a hermitian
+    matrix: each row of ``blocks`` is one connected component of its stored
+    entries, rows ascending, found by min-label propagation with pointer
+    jumping, and the blocks of a size share one stacked ``numpy.linalg.eigh``."""
+    coo = mat.tocoo()
+    labels, old = np.arange(mat.shape[0]), None
+    while not np.array_equal(labels, old):
+        old, labels = labels, labels.copy()
+        np.minimum.at(labels, coo.row, old[coo.col])
+        labels = labels[labels]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))  # by size, then component, rows ascending
+    rank = np.argsort(order)
+    groups, start = [], 0
+    for m in np.unique(size):
+        stop = start + np.count_nonzero(size == m)
+        inside = size[coo.row] == m
+        r, c = rank[coo.row[inside]] - start, rank[coo.col[inside]] - start
+        dense = np.zeros(((stop - start) // m, m, m), dtype=np.complex128)
+        dense[r // m, r % m, c % m] = coo.data[inside]
+        lam, vecs = np.linalg.eigh(dense)
+        groups.append((order[start:stop].reshape(-1, m), vecs, lam))
+        start = stop
+    return groups
+
+
+def _eigenbasis(n: int, groups) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray]:
+    """(V, V^dagger, lam) on n kets from (blocks, vecs, vals) per block size:
+    row b of ``blocks`` lists a block's kets, slot k holding eigenvector k of
+    vecs[b] (or of the size's one vecs) and lam its eigenvalue.  A CSR row
+    sums over its own block only, so a block rounds alike beside any other."""
+    lam, entries = np.empty(n), []
+    for blocks, vecs, eigenvalues in groups:
+        shape = blocks.shape + blocks.shape[-1:]
+        entries.append([np.broadcast_to(x, shape).ravel()
+                        for x in (vecs, blocks[:, :, None], blocks[:, None, :])])
+        lam[blocks] = eigenvalues
+    vals, rows, cols = map(np.concatenate, zip(*entries))
+    v = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return v, v.conj().T.tocsr(), lam
 
 
 @dataclass(frozen=True)
@@ -283,6 +309,8 @@ class PassiveFactors:
     #: per coupled pair: its 0-based modes i < j, and per s = 0..cutoff the
     #: eigenvalues of H_s and V_s
     pairs: tuple[tuple[int, int, list[np.ndarray], list[np.ndarray]], ...]
+    #: the largest |weight| of a ket and |eigenvalue| of a factor up to the cutoff
+    largest: float
 
     @staticmethod
     def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
@@ -309,7 +337,10 @@ class PassiveFactors:
                 lams.append(mu[0] * k + mu[1] * (s - k) + (a + b) / 2)
                 vecs.append(v)
             pairs.append((i, j, lams, vecs))
-        return PassiveFactors(weights, const, tuple(pairs))
+        # a weight is linear in n: its extremes are at the vacuum or n = cutoff in one mode
+        largest = max([abs(const + cutoff * float(x)) for x in (0.0, *weights)]
+                      + [float(np.max(np.abs(lam))) for *_, lams, _ in pairs for lam in lams])
+        return PassiveFactors(weights, const, tuple(pairs), largest)
 
 
 def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -359,8 +390,7 @@ def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np
 
 
 def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
-    """Sparse matrix of an exact quadratic operator, with its 1-norm and
-    hermiticity."""
+    """Sparse matrix of an exact quadratic operator, with its hermiticity."""
     dim = basis.dim
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
@@ -375,76 +405,41 @@ def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
     scalar = complex(op.scalar)
     if scalar != 0.0:
         mat = mat + scalar * sparse.identity(dim, dtype=np.complex128, format="csr")
-    one_norm = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
-    return SparseOperator(basis, mat, one_norm, op.is_hermitian(), op)
+    return SparseOperator(basis, mat, op.is_hermitian(), op)
 
 
 def evolve(state: StateVector, generator: SparseOperator, theta: float) -> StateVector:
     """e^{i theta G} |state> for a :class:`SparseOperator` G on the state's
     basis, built once per (generator, cutoff) by :func:`matrix`.
 
-    A non-hermitian G raises ``ValueError``; theta = 0 returns a copy of the
-    state.  Both routes run on the kets G reaches from the state's support
-    (:meth:`SparseOperator.restricted`), a set G maps into itself, so
-    every other amplitude stays 0.  A passive G
-    (:attr:`SparseOperator.passive`) is exact, with no series: the phase
-    e^{i theta w} on each ket, then each two-mode factor as the sparse
-    product V (e^{i theta lam} (V^dagger v)) on the kets.  It raises
-    ``ValueError`` if G couples three or more modes together, and
-    :class:`EvolveError` only when |theta| times the 1-norm overflows.  An
-    active G, a pair source, is split into substeps of 1-norm bound at most
-    4, each a Taylor series summed until its geometric remainder bound is
-    below its share of :data:`TOL`; the kets hold every term, so the result
-    is the whole-basis series'.  Substeps and the bound follow G's full
-    1-norm.
-    :class:`EvolveError` is raised beyond :data:`MAX_SUBSTEPS` substeps (the
-    parameter is too large).
+    A non-hermitian G raises ``ValueError``, and so does a passive G that
+    couples three or more modes; theta = 0 or a zero state returns a copy.
+    G runs on the kets it reaches from the state's support, a set it maps
+    into itself, so every other amplitude stays 0.  There it is the phase
+    e^{i theta w} on each ket, then each factor V e^{i theta lam} V^dagger
+    of :meth:`SparseOperator.restricted` as v + V (expm1(i theta lam)
+    (V^dagger v)), so small amplitudes keep their relative digits.
+    :class:`EvolveError` is raised only when |theta| times the set-up's
+    bound on |w| and |lam| is not finite.
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
     if not generator.hermitian:
         raise ValueError("evolution generator must be hermitian")
-    passive = generator.passive
-    if passive:
+    if generator.passive:
         generator.factors  # a generator coupling three modes raises here, whatever theta
-    if theta == 0.0:
+    support = state.amps != 0
+    if theta == 0.0 or not support.any():
         return StateVector(state.basis, state.amps.copy())
-
-    scale = abs(theta) * generator.one_norm
-    if passive and not math.isfinite(scale):
-        raise EvolveError("the phase of a passive stage overflows; reduce the stage parameter")
-    substeps = max(1, math.ceil(scale / 4.0)) if math.isfinite(scale) else math.inf
-    if not passive and substeps > MAX_SUBSTEPS:
-        raise EvolveError(f"evolution needs {substeps} substeps (limit {MAX_SUBSTEPS}); "
-                          "reduce the stage parameter")
-    kets, set_up = generator.restricted(state.amps != 0)
+    kets, (weights, products, largest) = generator.restricted(support)
+    # on Python floats, so an overflow is inf with no numpy warning
+    if not math.isfinite(abs(float(theta)) * largest):
+        raise EvolveError("the phase of a stage overflows; reduce the stage parameter")
     v = state.amps[kets]
-    if passive:
-        weights, products = set_up
-        if weights is not None:
-            v = np.exp(1j * theta * weights) * v
-        for vecs, vecs_h, lam in products:
-            v = vecs @ (np.exp(1j * theta * lam) * (vecs_h @ v))
-    else:
-        h = theta / substeps
-        step_bound = TOL / substeps
-        h_norm = abs(h) * generator.one_norm
-        for _ in range(substeps):
-            acc = v.copy()
-            term = v
-            converged = False
-            for k in range(1, MAX_TAYLOR_TERMS + 1):
-                term = (1j * h / k) * (set_up @ term)
-                acc += term
-                ratio = h_norm / (k + 1)
-                if ratio < 1.0:
-                    remainder = float(np.linalg.norm(term)) * ratio / (1.0 - ratio)
-                    if remainder <= step_bound:
-                        converged = True
-                        break
-            if not converged:
-                raise EvolveError(f"Taylor series did not converge within {MAX_TAYLOR_TERMS} terms")
-            v = acc
+    if weights is not None:
+        v = np.exp(1j * theta * weights) * v
+    for vecs, vecs_h, lam in products:
+        v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs_h @ v))
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)

@@ -67,7 +67,12 @@ def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
              ["run", "-e", "horne", "--phi", "0.7", "--cutoff", "30"],
              # passive stages where blocks are largest and J_a has one block per size
              ["chsh", "-e", "ou_mandel", "--cutoff", "30"],
-             ["scan", "--axis", "phi", "-e", "horne", "--cutoff", "30", "--points", "5"]]
+             ["scan", "--axis", "phi", "-e", "horne", "--cutoff", "30", "--points", "5"],
+             # a second pair source meets components of many sizes: one stacked eigh per size
+             ["run", "--config", configs[list(CONFIGS).index("two_sources")], "--cutoff", "30",
+              "--estimator", "raw"],
+             # a small gamma, where the source still fills every shell
+             ["run", "-e", "ou_mandel", "--cutoff", "30", "--gamma", "0.001"]]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

@@ -1,16 +1,15 @@
 """Independent oracles and reference tools used by the test suite.
 
-Nothing here reuses the library's matrix-element rules or Taylor
-evolution: operators are assembled from explicitly constructed dense
-creation/annihilation matrices, exponentials go through scipy's Pade
+Nothing here reuses the library's matrix-element rules or its
+eigendecompositions: operators are assembled from explicitly constructed
+dense creation/annihilation matrices, exponentials go through scipy's Pade
 implementation, and diagonal expectations are direct occupation sums.
 Agreement between these oracles and the library is what the oracle tests
-certify.  The exceptions are :func:`column_loop_matrix` and
-:func:`taylor_evolve`, which share the library's arithmetic on purpose: the
-first builds a matrix one column at a time, to pin the vectorized build bit
-for bit, and the second sums ``fock.evolve``'s Taylor series over the whole
-basis, to pin the series that the library runs only on the kets a generator
-reaches.  :func:`reached_dense_evolve` takes scipy's exponential on the
+certify.  :func:`chain_leakage` shares no code with the library at all: it
+evaluates a pair source's su(1,1) chain in 60-digit mpmath.  The exception
+is :func:`column_loop_matrix`, which shares the library's arithmetic on
+purpose: it builds a matrix one column at a time, to pin the vectorized
+build bit for bit.  :func:`reached_dense_evolve` takes scipy's exponential on the
 kets a generator reaches, found by the library's ``restricted``, of the
 matrix it reads off the library's whole matrix.
 :func:`run_with_analyzers`, :func:`correlation_by_run` and
@@ -52,9 +51,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from bellsim import experiments, fock
 from bellsim.algebra import ALL_ELEMENTS, BasisElement, Kind, QuadOp, basis_commutator, commutator
@@ -188,10 +189,26 @@ def column_loop_matrix(op, basis: FockBasis) -> scipy.sparse.csr_matrix:
 
 def dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
     """e^{i theta G}|state> using the library's truncated matrix but scipy's
-    dense exponential (independent of the Taylor path)."""
+    dense exponential (independent of the library's eigendecompositions)."""
     mat = fock.matrix(generator, state.basis).mat.toarray()
     propagator = scipy.linalg.expm(1j * theta * mat)
     return StateVector(state.basis, propagator @ state.amps)
+
+
+def component_dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
+    """:func:`dense_evolve` one connected component of the whole truncated
+    matrix at a time, as labelled by scipy's csgraph: the matrix is
+    block-diagonal over its components, so this is the same exponential
+    with no dim x dim array, and every component off the state's support
+    stays exactly 0."""
+    mat = fock.matrix(generator, state.basis).mat
+    _, labels = scipy.sparse.csgraph.connected_components(abs(mat), directed=False)
+    amps = np.zeros_like(state.amps)
+    for label in np.unique(labels[state.amps != 0]):
+        kets = np.flatnonzero(labels == label)
+        block = mat[kets][:, kets].toarray()
+        amps[kets] = scipy.linalg.expm(1j * theta * block) @ state.amps[kets]
+    return StateVector(state.basis, amps)
 
 
 def reached_dense_evolve(state: StateVector, generator, theta: float) -> StateVector:
@@ -208,31 +225,20 @@ def reached_dense_evolve(state: StateVector, generator, theta: float) -> StateVe
     return StateVector(state.basis, amps)
 
 
-def taylor_evolve(state: StateVector, generator, theta: float) -> StateVector:
-    """``fock.evolve`` with its split-step Taylor series summed over the whole
-    basis, for a hermitian active :class:`~bellsim.fock.SparseOperator`
-    (the library runs it on the kets the generator reaches): the same
-    substeps, terms and remainder rule, so the two agree bit for bit."""
-    if theta == 0.0:
-        return StateVector(state.basis, state.amps.copy())
-    substeps = max(1, math.ceil(abs(theta) * generator.one_norm / 4.0))
-    h = theta / substeps
-    h_norm = abs(h) * generator.one_norm
-    v = state.amps
-    for _ in range(substeps):
-        acc = v.copy()
-        term = v
-        for k in range(1, fock.MAX_TAYLOR_TERMS + 1):
-            term = (1j * h / k) * (generator.mat @ term)
-            acc += term
-            ratio = h_norm / (k + 1)
-            if ratio < 1.0 and (np.linalg.norm(term) * ratio / (1.0 - ratio)
-                                <= fock.TOL / substeps):
-                break
-        else:
-            raise fock.EvolveError("Taylor series did not converge")
-        v = acc
-    return StateVector(state.basis, v)
+def chain_leakage(k: float, gamma: float, cutoff: int) -> float:
+    """Leakage of a pair source of Bargmann index ``k`` (1 for ``K``, 1/2 for
+    ``K_OM``) run for ``gamma`` from the vacuum, for an even ``cutoff``, in
+    60-digit mpmath.  From the vacuum the truncated source spans one unit
+    vector per 2n-photon shell, n = 0..cutoff/2, with the Jacobi matrix T of
+    off-diagonal beta_n = sqrt((n+1)(n+2k))/2; the state is c = e^{i gamma T}
+    e_0, and the top two shells hold |c_{cutoff/2}|^2."""
+    with mpmath.workdps(60):
+        size = cutoff // 2 + 1
+        t = mpmath.zeros(size, size)
+        for n in range(size - 1):
+            t[n, n + 1] = t[n + 1, n] = mpmath.sqrt((n + 1) * (n + 2 * mpmath.mpf(k))) / 2
+        c = mpmath.expm(1j * mpmath.mpf(gamma) * t)
+        return float(abs(c[size - 1, 0]) ** 2)
 
 
 def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:
@@ -244,7 +250,7 @@ def dense_conjugate(g, theta: float, x, basis: FockBasis) -> np.ndarray:
 
 
 def dense_horne_state(spec) -> StateVector:
-    """The Horne pipeline's final state with no Taylor series.
+    """The Horne pipeline's final state by dense exponentials.
 
     K' pairs mode 1 with mode 4 and mode 2 with mode 3, so its orbit from the
     vacuum is the kets with n1 = n4 and n2 = n3; the pair source is the dense

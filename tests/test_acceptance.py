@@ -37,7 +37,7 @@ from bellsim.experiments import (
     chsh,
     run,
 )
-from bellsim.fock import FockBasis, StateVector, evolve, get_basis, leakage, vacuum
+from bellsim.fock import FockBasis, StateVector, evolve, get_basis, vacuum
 import bellsim.fock as fock
 from bellsim.rational import HALF
 
@@ -233,12 +233,10 @@ def test_a10_oracle_equivalence():
             theta = rng.uniform(-0.5, 0.5)
             state = evolve(state, fock.matrix(g, basis), theta)
             reference = oracles.dense_evolve(reference, g, theta)
-            drift = abs(state.norm() - 1.0)
-            budget = fock.TOL + leakage(state)
-            worst_drift = max(worst_drift, drift - budget)
+            worst_drift = max(worst_drift, abs(state.norm() - 1.0))
         worst_state = max(worst_state, float(np.max(np.abs(state.amps - reference.amps))))
-    ok = worst_state < 1e-10 and worst_drift <= 0.0
+    ok = worst_state < 1e-10 and worst_drift <= 1e-14
     verdict("A10 oracle-equivalence", ok,
-            f"max state err {worst_state:.2e}; unitarity drift within TOL+leakage")
+            f"max state err {worst_state:.2e}; unitarity drift {worst_drift:.1e} within 1e-14")
     assert worst_state < 1e-10
-    assert worst_drift <= 0.0
+    assert worst_drift <= 1e-14

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import GOLDEN_DIR
 
 import bellsim.algebra as algebra
 import bellsim.experiments as experiments
-import bellsim.fock as fock
 from bellsim.algebra import QuadOp
 from bellsim.cli import (
     CONFIG_FIELDS,
@@ -293,7 +293,7 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 def test_tol_is_not_an_input(capsys):
-    """The Taylor bound is the fixed ``fock.TOL``: ``--tol`` is an unknown
+    """Every stage is exact, so there is no tolerance: ``--tol`` is an unknown
     argument of every experiment command (a ``tol`` config key is an
     unknown key, see ``test_config_file_errors``)."""
     for command in (("run",), ("chsh",), ("scan", "--axis", "delta"), ("convergence",)):
@@ -341,17 +341,10 @@ def test_overflowing_analyzer_angle_is_a_config_error(capsys, argv):
 # numerical errors (exit 3)
 # ---------------------------------------------------------------------------
 
-def test_run_nonconvergence_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(fock, "MAX_TAYLOR_TERMS", 1)
-    code, _, err = invoke(capsys, "run", "--gamma", "0.4")
-    assert code == EXIT_NUMERIC
-    assert err == "numerical error: Taylor series did not converge within 1 terms\n"
-
-
 @pytest.mark.parametrize("argv, err_line", [
-    (("run", "--gamma", "1e6", "--cutoff", "2"),
-     "evolution needs 250000 substeps (limit 100000); reduce the stage parameter"),
-], ids=["substeps"])
+    (("run", "-e", "ou_mandel", "--gamma", "1e308"),
+     "the phase of a stage overflows; reduce the stage parameter"),
+], ids=["overflow"])
 def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     """An evolution failure prints one line with its remedy."""
     code, out, err = invoke(capsys, *argv)
@@ -360,22 +353,23 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     assert err == f"numerical error: {err_line}\n"
 
 
-SUBSTEP_LIMIT = "evolution needs inf substeps (limit 100000); reduce the stage parameter"
-PHASE_OVERFLOW = "the phase of a passive stage overflows; reduce the stage parameter"
+PHASE_OVERFLOW = "the phase of a stage overflows; reduce the stage parameter"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("run", "--gamma", "1e308"), SUBSTEP_LIMIT),
-    (("run", "-e", "horne", "--phi", "1e308"), PHASE_OVERFLOW),
-    (("convergence", "--gamma", "1e308"), SUBSTEP_LIMIT),
+@pytest.mark.parametrize("argv", [
+    ("run", "--gamma", "1e308"),
+    ("run", "-e", "horne", "--phi", "1e308"),
+    ("convergence", "--gamma", "1e308"),
 ], ids=["gamma", "phi", "convergence"])
-def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv, message):
-    """|theta| times the generator's 1-norm overflows: to inf substeps for a
-    Taylor series, to an inf phase for the diagonal J'."""
+def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv):
+    """One rule for pair sources and passive stages: a stage fails only when
+    |theta| times its largest eigenvalue or phase weight overflows (K at the
+    default cutoff has eigenvalues up to 2.95, the diagonal J' weights up
+    to 4)."""
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err == f"numerical error: {message}\n"
+    assert err == f"numerical error: {PHASE_OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("theta, code, err", [
@@ -407,7 +401,7 @@ ANALYZER_OVERFLOW = "config error: analyzer angle 1e+308 is too large: 2*theta o
 
 @pytest.mark.parametrize("axis, argv, stderr, failed", [
     ("delta", ("--values", "0,1e308"), ANALYZER_OVERFLOW, None),
-    ("delta", ("--gamma", "1e9", "--cutoff", "4", "--values", "0,0.5"), "", 2),
+    ("delta", ("--gamma", "1e308", "--values", "0,0.5"), "", 2),
     ("gamma", ("--theta-a", "1e308", "--values", "0.1,0.2"), ANALYZER_OVERFLOW, None),
     ("gamma", ("--values", "0.1,1e308"), "", 1),
     ("phi", ("-e", "horne", "--values", "0,inf"),
@@ -439,12 +433,16 @@ def test_run_at_huge_angle(capsys):
 
 
 def test_run_setting_keeps_relative_accuracy(capsys):
-    """At gamma = 1e-6 the pair amplitudes are ~1e-6, so the absolute Taylor
-    bound on an evolved analyzer would cost digits; the contracted setting prints
-    -cos 0.6 exactly."""
+    """At gamma = 1e-6 the pair amplitudes are ~1e-6, so an error bound
+    absolute in the state would cost digits; the contracted setting prints
+    -cos 0.6 exactly, and the leakage is the su(1,1) chain's to its 12
+    amplitude bound of ``test_leakage_is_the_su11_chain``."""
     code, out, _ = invoke(capsys, "run", "--gamma", "1e-6", "--theta-a", "0.3")
     assert code == EXIT_OK
-    assert out == "C = -0.82533561491 (conditioned), leakage = 0\n"
+    head, leakage = out.split("leakage = ")
+    assert head == "C = -0.82533561491 (conditioned), "
+    exact = oracles.chain_leakage(1.0, 1e-6, 8)
+    assert abs(float(leakage) - exact) <= 2e-15 * math.sqrt(exact) + 1e-32
 
 
 @pytest.mark.parametrize("gamma, theta", [(0.1, 0.3), (0.4, -1.2), (0.05, 7.0)])
@@ -559,7 +557,7 @@ def test_scan_delta_huge_angle(capsys):
 
 def test_scan_delta_source_failure_exit_code(capsys):
     code, out, _ = invoke(capsys, "scan", "--axis", "delta", "--values", "0,0.5",
-                          "--gamma", "1e9", "--cutoff", "4")
+                          "--gamma", "1e308")
     assert code == EXIT_NUMERIC
     assert "2 rows, 2 failed" in out
 
@@ -586,8 +584,7 @@ def test_failed_row_json_is_strict(tmp_path, capsys):
         raise ValueError(f"non-standard JSON constant {token}")
 
     out_path = tmp_path / "scan.json"
-    argv = ("scan", "--axis", "gamma", "--values", "0.1,1e6", "-e", "horne", "--cutoff", "4",
-            "--format", "json")
+    argv = ("scan", "--axis", "gamma", "--values", "0.1,1e308", "-e", "horne", "--format", "json")
     code, out, _ = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     payload = json.loads(out[: out.rindex("}") + 1], parse_constant=reject)
@@ -666,18 +663,20 @@ def test_phi_scan_fails_only_the_overflowing_row(capsys):
     assert summary.startswith("scan phi: 2 rows, 1 failed, ")
 
 
-@pytest.mark.parametrize("gamma, message", [
-    ("1e308", SUBSTEP_LIMIT),
-    ("1e6", "evolution needs 500000 substeps (limit 100000); reduce the stage parameter"),
+@pytest.mark.parametrize("gamma, failed", [
+    ("1e308", [True, True]),
+    ("1e6", [False, True]),
 ], ids=["inf", "finite"])
-def test_phi_scan_fails_every_row_with_the_source(capsys, gamma, message):
+def test_phi_scan_fails_every_row_with_the_source(capsys, gamma, failed):
     """The pair source runs ahead of the phase, so its failure is every row's,
-    the row whose phase would also overflow included."""
+    the row whose phase would also overflow included.  A source whose phase
+    is finite runs at any gamma, and only that row fails."""
     code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--gamma", gamma,
-                          "--cutoff", "4", "--values", "0.1,1e308", "--format", "json")
+                          "--values", "0.1,1e308", "--format", "json")
     assert code == EXIT_NUMERIC
     rows = json.loads(out[: out.rindex("}") + 1])["rows"]
-    assert [(row["failed"], row["message"]) for row in rows] == [(True, message)] * 2
+    assert [(row["failed"], row["message"]) for row in rows] == [
+        (True, PHASE_OVERFLOW) if fails else (False, "") for fails in failed]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -761,6 +760,25 @@ def test_convergence_summary_skips_degenerate_values(capsys, tmp_path):
     assert [row["degenerate"] for row in payload["rows"]] == [False] * 4
     assert all(abs(row["c_raw"]) < 1e-15 for row in payload["rows"])
     assert payload["stabilized_digits"] == 15 and out.splitlines()[-2] == "stabilized digits: 15"
+
+
+def test_convergence_reads_no_contraction_from_rounding(capsys, tmp_path):
+    """The conditioned C of ``custom [K, J', J_a]`` at theta_a = 0.3 is
+    -cos 0.6 at every cutoff, so its diffs are rounding (1.1e-16 here).
+    A diff below 1e-15, the resolution of the 15-digit cap, is agreement:
+    no contraction is read from it, and the extrapolation is the last
+    value."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "custom",
+                                  "stages": [["K", 0.3], ["J_prime", 0.8], ["J_a", 0.6]]}))
+    path = tmp_path / "convergence.json"
+    code, _, _ = invoke(capsys, "convergence", "--config", str(config), "--estimator",
+                        "conditioned", "--theta-a", "0.3", "--output", str(path))
+    assert code == EXIT_OK
+    payload = json.loads(path.read_text())
+    assert max(payload["diffs"]) < 1e-15
+    assert payload["contraction_ratio"] == 0.0 and payload["stabilized_digits"] == 15
+    assert payload["extrapolated_c_cond"] == payload["rows"][-1]["c_cond"]
 
 
 # ---------------------------------------------------------------------------
