@@ -2,9 +2,8 @@
 
 import math
 import random
-from math import comb
-
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -360,7 +359,7 @@ def test_evolve_on_reached_kets():
     amps[basis.indices(np.array([(1, 0, 0, 0), (0, 2, 1, 0), (3, 0, 0, 1)]))] = rng.normal(size=3)
     source = StateVector(basis, amps)
     generator = matrix(catalog("K_x_13"), basis)
-    kets, set_up = generator.restricted(source.amps != 0)
+    kets, _ = generator.restricted(source.amps != 0)
     assert 0 < kets.size < basis.dim and np.all(np.diff(kets) > 0)
     inside = np.isin(np.arange(basis.dim), kets)
     assert np.all(inside[source.amps != 0])
@@ -382,9 +381,9 @@ def test_evolve_on_reached_kets():
 
 def test_active_set_up_is_one_factor_per_component():
     """A pair source's set-up is one factor: V holds the eigenvectors of each
-    connected component of the matrix on the reached kets, unitary within
-    1e-13, linking only kets of one component, and each slot's eigenvalue
-    is one of its component's block.  A second source on the first one's
+    connected component of the matrix on the reached kets (H V = V lam),
+    unitary within 1e-13, linking only kets of one component, and each
+    slot's eigenvalue is one of its component's block.  A second source on the first one's
     state (``custom [K, K_OM]`` at N=30) meets 136 components of several
     sizes, so the stacked eigh runs once per size."""
     spec = experiments.ExperimentSpec("custom", (("K", 0.3), ("K_OM", 0.2)), cutoff=30)
@@ -403,6 +402,8 @@ def test_active_set_up_is_one_factor_per_component():
     rows, cols = vecs.nonzero()
     assert np.array_equal(labels[rows], labels[cols])
     assert largest == np.max(np.abs(lam))
+    dense_vecs = vecs.toarray()
+    assert np.max(np.abs(block @ dense_vecs - dense_vecs * lam)) < 1e-13
     for label in range(sizes.size):
         members = np.flatnonzero(labels == label)
         exact = np.linalg.eigvalsh(block[np.ix_(members, members)])
