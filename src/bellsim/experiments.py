@@ -62,8 +62,7 @@ from .fock import (
 
 DEFAULT_CUTOFF = 8
 #: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked
-#: at 915 MiB (ou_mandel, any gamma) and 1.7 GiB (custom with two sources), and a
-#: custom K_OM_prime source needs far more (ROADMAP item 16)
+#: at 915 MiB (ou_mandel, any gamma) and 1.7 GiB (custom with two sources)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
@@ -139,7 +138,8 @@ class ExperimentSpec:
     take no ``custom_stages``; ``custom`` applies ``custom_stages`` instead.
     :func:`readout` reads the analyzer setting ``theta_a``/``theta_b`` off
     the final state.  ``cutoff`` is the one accuracy input: every stage is
-    exact on the truncated space, with no series and no tolerance.
+    exact on the truncated space up to the rounding of its phases
+    (:data:`fock.ACCURACY`).
     A spec checks its fields when it is built and raises :class:`ConfigError`
     unless every one is usable.  Settings derived from a spec (scan rows,
     cutoffs) are ``dataclasses.replace`` copies of it, so they are checked too.

@@ -15,28 +15,28 @@ truncation diagnostic that does not bound the error in C (ROADMAP item 4).
 An operator is built once per (generator, cutoff) by :func:`matrix` into
 a :class:`SparseOperator` holding whether it is hermitian (decided exactly
 on the :class:`~bellsim.algebra.QuadOp`) and the exact operator.
-:func:`evolve` is the one evolution path, exact with no series: on the
-kets the generator reaches from the state's support, the smallest set
-holding it that the generator maps into itself (1496 of 46376 kets for
-``horne`` at cutoff 30), a stage is a phase per ket and then commuting
-factors V e^{i theta Lambda} V^dagger, V block-diagonal and unitary with
-each block's eigenvectors and Lambda their eigenvalues.  A passive
-generator, every coefficient a C_ij (phase shifters, polarization
-rotators, beam splitters), couples the modes in disjoint pairs (one that
-couples three is rejected); a pair keeps n_i + n_j, so its blocks are one
-tridiagonal matrix per block size, with eigenvectors V_s built once
-(:class:`PassiveFactors`), and it never leaves its shell.  A pair source
+:func:`evolve` is the one evolution path, with no series: on the kets the
+generator reaches from the state's support, the smallest set holding it
+that the generator maps into itself, a stage is a phase per ket and then
+commuting factors V e^{i theta Lambda} V^dagger, V block-diagonal and
+unitary with each block's eigenvectors and Lambda their eigenvalues.  A
+passive generator, every coefficient a C_ij (phase shifters, polarization
+rotators, beam splitters), couples the modes in disjoint pairs; a pair
+keeps n_i + n_j, so its blocks are one tridiagonal matrix per block size
+with eigenvectors V_s built once (:class:`PassiveFactors`).  A pair source
 is one factor over the connected components of its matrix on the kets
-(from the vacuum one finite su(1,1) ladder), each diagonalized by
-``numpy.linalg.eigh``.  The operator keeps the kets and that set-up per
-support (:meth:`SparseOperator.restricted`).  The cutoff is therefore the
-one accuracy input.  The dense-exponential cross-check lives in the test
+(from the vacuum one finite su(1,1) ladder), diagonalized by
+``numpy.linalg.eigh``.  The set-up is kept per support
+(:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
+accuracy input; a stage fails (:class:`EvolveError`) only where its phases
+cannot keep :data:`ACCURACY` or its components would exceed
+:data:`MAX_DENSE`.  The dense-exponential cross-check lives in the test
 suite as an independent oracle.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -54,10 +54,15 @@ PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0,
 #: supports one operator keeps set up; a named pipeline's stage sees one
 #: support at every parameter where no amplitude underflows to 0
 MAX_SUPPORTS = 8
+#: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
+ACCURACY = 1e-12
+#: dense entries a pair source's components may hold on one support (64 MiB)
+MAX_DENSE = 2 ** 22
 
 
 class EvolveError(RuntimeError):
-    """Evolution failed: the stage parameter is too large for its phases."""
+    """Evolution failed: the stage parameter is too large for its phases to
+    keep :data:`ACCURACY`, or a pair source's components exceed :data:`MAX_DENSE`."""
 
 
 def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -201,13 +206,12 @@ class SparseOperator:
         and what :func:`evolve` applies on them: (weights, products, largest),
         the kets' phase weights (None if all are 0), the commuting factors
         (V, V^dagger, lam) with V unitary and block-diagonal, each block's
-        eigenvectors in its columns and lam their eigenvalues, and a bound
-        on |weights| and |lam|.  A passive operator has a factor per pair
-        (i, j), in order, each block (n_i = 0..s, n_j = s-n_i) holding V_s,
-        slot k at n_i = k, and :attr:`PassiveFactors.largest` as its bound.
-        An active one has no weights and one factor over the connected
-        components of mat on the kets (:func:`_components`), bounded by its
-        largest |lam|."""
+        eigenvectors in its columns and lam their eigenvalues, and the
+        largest |weight| and |lam| on the kets.  A passive operator has a
+        factor per pair (i, j), in order, each block (n_i = 0..s,
+        n_j = s-n_i) holding V_s, slot k at n_i = k.  An active one has no
+        weights and one factor over the connected components of mat on the
+        kets (:func:`_components`)."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
@@ -233,10 +237,10 @@ class SparseOperator:
                 # one block per row, slot k in column k
                 products.append(_eigenbasis(kets.size, [(b.reshape(-1, s + 1), vecs[s], lams[s])
                                                         for s, b in enumerate(by_size)]))
-            set_up = weights, products, factors.largest
         else:
-            product = _eigenbasis(kets.size, _components(self.mat[kets][:, kets]))
-            set_up = None, [product], float(np.max(np.abs(product[2])))
+            weights, products = None, [_eigenbasis(kets.size, _components(self.mat[kets][:, kets]))]
+        phases = [lam for *_, lam in products] + ([] if weights is None else [weights])
+        set_up = weights, products, max((float(np.max(np.abs(x))) for x in phases), default=0.0)
         if len(self._supports) >= MAX_SUPPORTS:
             del self._supports[next(iter(self._supports))]
         self._supports[key] = kets, set_up
@@ -247,14 +251,21 @@ def _components(mat: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np
     """(blocks, eigenvectors, eigenvalues) per component size of a hermitian
     matrix: each row of ``blocks`` is one connected component of its stored
     entries, rows ascending, found by min-label propagation with pointer
-    jumping, and the blocks of a size share one stacked ``numpy.linalg.eigh``."""
+    jumping, and the blocks of a size share one stacked ``numpy.linalg.eigh``.
+    :class:`EvolveError` if the blocks hold more than :data:`MAX_DENSE`
+    entries, before any is built."""
     coo = mat.tocoo()
     labels, old = np.arange(mat.shape[0]), None
     while not np.array_equal(labels, old):
         old, labels = labels, labels.copy()
         np.minimum.at(labels, coo.row, old[coo.col])
         labels = labels[labels]
-    size = np.bincount(labels)[labels]
+    counts = np.bincount(labels)
+    entries = int(np.sum(counts ** 2))
+    if entries > MAX_DENSE:
+        raise EvolveError(f"a pair source needs {entries} dense entries on its {len(labels)} kets "
+                          f"(limit {MAX_DENSE}); lower the cutoff")
+    size = counts[labels]
     order = np.lexsort((labels, size))  # by size, then component, rows ascending
     rank = np.argsort(order)
     groups, start = [], 0
@@ -309,8 +320,6 @@ class PassiveFactors:
     #: per coupled pair: its 0-based modes i < j, and per s = 0..cutoff the
     #: eigenvalues of H_s and V_s
     pairs: tuple[tuple[int, int, list[np.ndarray], list[np.ndarray]], ...]
-    #: the largest |weight| of a ket and |eigenvalue| of a factor up to the cutoff
-    largest: float
 
     @staticmethod
     def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
@@ -337,10 +346,7 @@ class PassiveFactors:
                 lams.append(mu[0] * k + mu[1] * (s - k) + (a + b) / 2)
                 vecs.append(v)
             pairs.append((i, j, lams, vecs))
-        # a weight is linear in n: its extremes are at the vacuum or n = cutoff in one mode
-        largest = max([abs(const + cutoff * float(x)) for x in (0.0, *weights)]
-                      + [float(np.max(np.abs(lam))) for *_, lams, _ in pairs for lam in lams])
-        return PassiveFactors(weights, const, tuple(pairs), largest)
+        return PassiveFactors(weights, const, tuple(pairs))
 
 
 def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -419,8 +425,9 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     e^{i theta w} on each ket, then each factor V e^{i theta lam} V^dagger
     of :meth:`SparseOperator.restricted` as v + V (expm1(i theta lam)
     (V^dagger v)), so small amplitudes keep their relative digits.
-    :class:`EvolveError` is raised only when |theta| times the set-up's
-    bound on |w| and |lam| is not finite.
+    :class:`EvolveError` when eps*|theta| times the largest |w| or |lam| on
+    the kets, the rounding of the phases, exceeds :data:`ACCURACY`, or when
+    a pair source's components exceed :data:`MAX_DENSE`.
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
@@ -432,9 +439,10 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     if theta == 0.0 or not support.any():
         return StateVector(state.basis, state.amps.copy())
     kets, (weights, products, largest) = generator.restricted(support)
-    # on Python floats, so an overflow is inf with no numpy warning
-    if not math.isfinite(abs(float(theta)) * largest):
-        raise EvolveError("the phase of a stage overflows; reduce the stage parameter")
+    # on Python floats, so an overflow is inf with no numpy warning; nan fails too
+    if not sys.float_info.epsilon * abs(float(theta)) * largest <= ACCURACY:
+        raise EvolveError("the phase of a stage is too large for double precision; "
+                          "reduce the stage parameter")
     v = state.amps[kets]
     if weights is not None:
         v = np.exp(1j * theta * weights) * v

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -342,9 +343,9 @@ def test_overflowing_analyzer_angle_is_a_config_error(capsys, argv):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, err_line", [
-    (("run", "-e", "ou_mandel", "--gamma", "1e308"),
-     "the phase of a stage overflows; reduce the stage parameter"),
-], ids=["overflow"])
+    (("run", "--gamma", "1e6", "--cutoff", "2"),
+     "the phase of a stage is too large for double precision; reduce the stage parameter"),
+], ids=["precision"])
 def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     """An evolution failure prints one line with its remedy."""
     code, out, err = invoke(capsys, *argv)
@@ -353,7 +354,8 @@ def test_numerical_error_names_its_remedy(capsys, argv, err_line):
     assert err == f"numerical error: {err_line}\n"
 
 
-PHASE_OVERFLOW = "the phase of a stage overflows; reduce the stage parameter"
+PHASE_TOO_LARGE = ("the phase of a stage is too large for double precision; "
+                   "reduce the stage parameter")
 
 
 @pytest.mark.parametrize("argv", [
@@ -362,28 +364,47 @@ PHASE_OVERFLOW = "the phase of a stage overflows; reduce the stage parameter"
     ("convergence", "--gamma", "1e308"),
 ], ids=["gamma", "phi", "convergence"])
 def test_overflowing_stage_parameter_is_a_numerical_error(capsys, argv):
-    """One rule for pair sources and passive stages: a stage fails only when
-    |theta| times its largest eigenvalue or phase weight overflows (K at the
-    default cutoff has eigenvalues up to 2.95, the diagonal J' weights up
-    to 4)."""
+    """One rule for pair sources and passive stages: a stage fails when the
+    rounding of its phases, eps times |theta| times its largest eigenvalue
+    or phase weight on the kets, exceeds ``fock.ACCURACY``, an overflow
+    included."""
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err == f"numerical error: {PHASE_OVERFLOW}\n"
+    assert err == f"numerical error: {PHASE_TOO_LARGE}\n"
 
 
 @pytest.mark.parametrize("theta, code, err", [
-    (1e20, EXIT_OK, ""), (1e308, EXIT_NUMERIC, f"numerical error: {PHASE_OVERFLOW}\n"),
-], ids=["finite", "overflow"])
+    (1e3, EXIT_OK, ""), (1e20, EXIT_NUMERIC, f"numerical error: {PHASE_TOO_LARGE}\n"),
+    (1e308, EXIT_NUMERIC, f"numerical error: {PHASE_TOO_LARGE}\n"),
+], ids=["finite", "precision", "overflow"])
 def test_passive_stage_at_huge_angle(tmp_path, capsys, theta, code, err):
-    """A splitter stage needs no substeps at any angle: it runs unless
-    |theta| times its 1-norm overflows."""
+    """A splitter stage runs while its phases keep ``fock.ACCURACY``: its
+    eigenvalues on the source's kets reach 2 at cutoff 4, so theta = 1e3
+    runs and 1e20, whose phases are all rounding, fails as 1e308 does."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "custom",
                                   "stages": [["K", 0.1], ["J_BS", theta]]}))
     result = invoke(capsys, "run", "--config", str(config), "--cutoff", "4")
     assert result[0] == code and result[2] == err
     assert result[1].startswith("C = ") == (code == EXIT_OK)
+
+
+def test_oversized_pair_source_fails_before_eigh(tmp_path, capsys, monkeypatch):
+    """``K_OM_prime`` pairs across all four a-b mode pairs, so from the vacuum
+    it is one component of sum_{k <= N/2} (k+1)^2 kets: 2109 at cutoff 34,
+    whose 4.4e6 dense entries exceed ``fock.MAX_DENSE``.  The run ends with
+    one line before any dense block is diagonalized."""
+    def no_eigh(*_):
+        raise AssertionError("eigh ran on an oversized source")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "custom", "stages": [["K_OM_prime", 0.1]]}))
+    code, out, err = invoke(capsys, "run", "--config", str(config), "--cutoff", "34")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("numerical error: a pair source needs 4447881 dense entries on its 2109 "
+                   "kets (limit 4194304); lower the cutoff\n")
 
 
 def test_scan_fails_only_the_overflowing_row(capsys):
@@ -401,7 +422,7 @@ ANALYZER_OVERFLOW = "config error: analyzer angle 1e+308 is too large: 2*theta o
 
 @pytest.mark.parametrize("axis, argv, stderr, failed", [
     ("delta", ("--values", "0,1e308"), ANALYZER_OVERFLOW, None),
-    ("delta", ("--gamma", "1e308", "--values", "0,0.5"), "", 2),
+    ("delta", ("--gamma", "1e9", "--cutoff", "4", "--values", "0,0.5"), "", 2),
     ("gamma", ("--theta-a", "1e308", "--values", "0.1,0.2"), ANALYZER_OVERFLOW, None),
     ("gamma", ("--values", "0.1,1e308"), "", 1),
     ("phi", ("-e", "horne", "--values", "0,inf"),
@@ -557,7 +578,7 @@ def test_scan_delta_huge_angle(capsys):
 
 def test_scan_delta_source_failure_exit_code(capsys):
     code, out, _ = invoke(capsys, "scan", "--axis", "delta", "--values", "0,0.5",
-                          "--gamma", "1e308")
+                          "--gamma", "1e9", "--cutoff", "4")
     assert code == EXIT_NUMERIC
     assert "2 rows, 2 failed" in out
 
@@ -584,7 +605,8 @@ def test_failed_row_json_is_strict(tmp_path, capsys):
         raise ValueError(f"non-standard JSON constant {token}")
 
     out_path = tmp_path / "scan.json"
-    argv = ("scan", "--axis", "gamma", "--values", "0.1,1e308", "-e", "horne", "--format", "json")
+    argv = ("scan", "--axis", "gamma", "--values", "0.1,1e6", "-e", "horne", "--cutoff", "4",
+            "--format", "json")
     code, out, _ = invoke(capsys, *argv)
     assert code == EXIT_NUMERIC
     payload = json.loads(out[: out.rindex("}") + 1], parse_constant=reject)
@@ -627,16 +649,20 @@ PHI_PARITY += [((), "1e6")]
                          ids=[" ".join((*f, "--phi", phi)) for f, phi in PHI_PARITY])
 def test_horne_run_matches_its_phi_row(capsys, tmp_path, flags, phi):
     """`run -e horne` and the phi row at the same phase print the same fields:
-    the row is that run, so neither fails on a large phi."""
+    the row is that run.  So they fail alike where the phase is too large to
+    keep ``fock.ACCURACY`` (phi = 1e6, with J' weights up to 4 at cutoff 8)."""
     report = tmp_path / "run.json"
     code, _, err = invoke(capsys, "run", "-e", "horne", *flags, "--phi", phi,
                           "--output", str(report))
-    assert (code, err) == (EXIT_OK, "")
-    run = json.loads(report.read_text())
-    code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", *flags,
-                          "--values", phi, "--format", "json")
-    assert code == EXIT_OK
+    row_code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", *flags,
+                              "--values", phi, "--format", "json")
     (row,) = json.loads(out[: out.rindex("}") + 1])["rows"]
+    if phi == "1e6":
+        assert (code, err) == (EXIT_NUMERIC, f"numerical error: {PHASE_TOO_LARGE}\n")
+        assert (row_code, row["failed"], row["message"]) == (EXIT_NUMERIC, True, PHASE_TOO_LARGE)
+        return
+    assert (code, err, row_code) == (EXIT_OK, "", EXIT_OK)
+    run = json.loads(report.read_text())
     assert not row["failed"]
     expected = {"c_raw": run["raw"]["value"], "c_cond": run["conditioned"]["value"],
                 "numerator": run["raw"]["numerator"], "denominator": run["raw"]["denominator"],
@@ -654,7 +680,7 @@ def test_phi_scan_fails_only_the_overflowing_row(capsys):
     assert err == ""
     good, failed = json.loads(out[: out.rindex("}") + 1])["rows"]
     assert not good["failed"] and None not in good.values()
-    assert failed["failed"] and failed["message"] == PHASE_OVERFLOW
+    assert failed["failed"] and failed["message"] == PHASE_TOO_LARGE
     code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--values", "0.1,1e308")
     assert code == EXIT_NUMERIC
     header, good, failed, summary = out.splitlines()
@@ -663,20 +689,15 @@ def test_phi_scan_fails_only_the_overflowing_row(capsys):
     assert summary.startswith("scan phi: 2 rows, 1 failed, ")
 
 
-@pytest.mark.parametrize("gamma, failed", [
-    ("1e308", [True, True]),
-    ("1e6", [False, True]),
-], ids=["inf", "finite"])
-def test_phi_scan_fails_every_row_with_the_source(capsys, gamma, failed):
+@pytest.mark.parametrize("gamma", ["1e308", "1e6"], ids=["inf", "finite"])
+def test_phi_scan_fails_every_row_with_the_source(capsys, gamma):
     """The pair source runs ahead of the phase, so its failure is every row's,
-    the row whose phase would also overflow included.  A source whose phase
-    is finite runs at any gamma, and only that row fails."""
+    the row whose phase would also fail included."""
     code, out, _ = invoke(capsys, "scan", "--axis", "phi", "-e", "horne", "--gamma", gamma,
-                          "--values", "0.1,1e308", "--format", "json")
+                          "--cutoff", "4", "--values", "0.1,1e308", "--format", "json")
     assert code == EXIT_NUMERIC
     rows = json.loads(out[: out.rindex("}") + 1])["rows"]
-    assert [(row["failed"], row["message"]) for row in rows] == [
-        (True, PHASE_OVERFLOW) if fails else (False, "") for fails in failed]
+    assert [(row["failed"], row["message"]) for row in rows] == [(True, PHASE_TOO_LARGE)] * 2
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -37,6 +37,9 @@ PASSIVE_GENERATORS = sorted(
     if catalog(name).is_hermitian() and all(e.kind is Kind.MIXED for e in catalog(name).coeffs)
 ) + ["J_prime@BS"]
 
+PHASE_TOO_LARGE = ("^the phase of a stage is too large for double precision; "
+                   "reduce the stage parameter$")
+
 
 # ---------------------------------------------------------------------------
 # basis
@@ -252,8 +255,8 @@ def test_evolve_rejects_operator_on_other_basis():
 def test_diagonal_generator_is_an_exact_phase():
     """A diagonal generator multiplies each ket by e^{i theta d}, and a ket
     off the state's support stays exactly 0.  Every passive stage keeps the
-    norm at any finite phase, and fails only when |theta| times its largest
-    weight or eigenvalue up to the cutoff overflows, even on the vacuum."""
+    norm while its phases keep ``fock.ACCURACY``, and fails beyond it, as at
+    theta = 1e6 (rounding of 1e-10 and more) and at an overflow."""
     rng = np.random.default_rng(5)
     basis = get_basis(6)
     amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
@@ -261,7 +264,7 @@ def test_diagonal_generator_is_an_exact_phase():
     for name in ("J_prime", "K_z"):
         generator = matrix(catalog(name), basis)
         assert generator.factors.pairs == ()
-        for theta in (0.7, -3.0, 1e6):
+        for theta in (0.7, -3.0, 100.0):
             phase = np.exp(1j * theta * generator.mat.diagonal())
             for vector in (amps, sparse_amps):
                 out = evolve(StateVector(basis, vector), generator, theta)
@@ -272,12 +275,12 @@ def test_diagonal_generator_is_an_exact_phase():
                              - reference.amps)) < 1e-12
     for name in PASSIVE_GENERATORS:
         generator = experiments._stage_operator(name, basis.cutoff)
-        for theta in (0.7, -3.0, 1e6):
+        for theta in (0.7, -3.0, 100.0):
             out = evolve(StateVector(basis, amps), generator, theta)
             assert out.norm() == pytest.approx(np.linalg.norm(amps), rel=1e-12), name
-        with pytest.raises(EvolveError, match="^the phase of a stage overflows; "
-                                              "reduce the stage parameter$"):
-            evolve(vacuum(basis), generator, 1e308)
+        for theta in (1e6, 1e308):
+            with pytest.raises(EvolveError, match=PHASE_TOO_LARGE):
+                evolve(StateVector(basis, amps), generator, theta)
 
 
 def test_passive_generators_couple_at_most_two_modes():
@@ -329,21 +332,21 @@ def test_passive_generator_coupling_three_modes_is_rejected():
             evolve(vacuum(basis), generator, theta)
 
 
-def test_evolve_raises_only_when_the_phase_overflows():
-    """One rule for both routes: a stage fails only when |theta| times the
-    largest |eigenvalue| or |weight| it applies is not finite, with no numpy
-    warning.  A pair source's bound is the largest eigenvalue of its
-    components on the reached kets (sqrt 2 for K from the vacuum at cutoff
-    4), so theta = 1e308 runs, unitary, and 1.5e308 raises."""
+def test_evolve_raises_when_the_phase_loses_accuracy():
+    """One rule for both routes: a stage fails when the rounding of its
+    phases, eps times |theta| times the largest |eigenvalue| or |weight| it
+    applies on the kets, exceeds ``fock.ACCURACY``, with no numpy warning.
+    For K from the vacuum at cutoff 4 that eigenvalue is sqrt 2, so theta =
+    3000 runs, unitary, and 3500, an overflow and nan raise."""
     basis = get_basis(4)
     generator = matrix(catalog("K"), basis)
     assert generator.restricted(vacuum(basis).amps != 0)[1][2] == pytest.approx(math.sqrt(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert evolve(vacuum(basis), generator, 1e308).norm() == pytest.approx(1.0, abs=1e-14)
-        for theta in (1.5e308, -1.5e308):
-            with pytest.raises(EvolveError, match="^the phase of a stage overflows; "
-                                                  "reduce the stage parameter$"):
+        for theta in (3000.0, -3000.0):
+            assert evolve(vacuum(basis), generator, theta).norm() == pytest.approx(1.0, abs=1e-14)
+        for theta in (3500.0, -3500.0, 1.5e308, math.inf, math.nan):
+            with pytest.raises(EvolveError, match=PHASE_TOO_LARGE):
                 evolve(vacuum(basis), generator, theta)
 
 
