@@ -62,7 +62,7 @@ from .fock import (
 
 DEFAULT_CUTOFF = 8
 #: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked
-#: at 915 MiB (ou_mandel, any gamma) and 1.7 GiB (custom with two sources)
+#: at 639 MiB (ou_mandel, any gamma) and 1.1 GiB (custom with two sources)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 

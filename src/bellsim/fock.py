@@ -4,27 +4,27 @@ The basis is every occupation tuple (n1, n2, n3, n4) with total photon
 number at most ``cutoff`` (so dim = C(cutoff+4, 4)), ordered by total
 photon number and then lexicographically.  Each state has one integer key,
 its total and n1..n4 as digits in base cutoff+1, which ascends in basis
-order, so index lookups are binary searches.  Operators become sparse CSR
-matrices with the standard sqrt(n) matrix elements; pair creation out of
-the top shell is dropped, which is the sole way truncation enters.  The
-truncated generator of a hermitian operator is still hermitian, so the
-evolution computed here is exactly unitary on the truncated space.  The
-:func:`leakage` of a state is its weight on the top two shells, a
-truncation diagnostic that does not bound the error in C (ROADMAP item 4).
+order, so index lookups are binary searches.  An operator's entries, the
+standard sqrt(n) matrix elements, are read on the kets it acts on
+(:func:`_entries`); pair creation out of the top shell is dropped, which is
+the sole way truncation enters.  The truncated generator of a hermitian
+operator is still hermitian, so the evolution computed here is exactly
+unitary on the truncated space.  The :func:`leakage` of a state is its
+weight on the top two shells, a truncation diagnostic that does not bound
+the error in C (ROADMAP item 4).
 
-An operator is built once per (generator, cutoff) by :func:`matrix` into
-a :class:`SparseOperator` holding whether it is hermitian (decided exactly
-on the :class:`~bellsim.algebra.QuadOp`) and the exact operator.
-:func:`evolve` is the one evolution path, with no series: on the kets the
-generator reaches from the state's support, the smallest set holding it
-that the generator maps into itself, a stage is a phase per ket and then
+:func:`matrix` makes a :class:`SparseOperator` once per (generator,
+cutoff), and no stage builds its whole-basis matrix.  :func:`evolve`
+is the one evolution path, with no series: on the kets the generator
+reaches from the state's support, the smallest set holding it that the
+generator maps into itself, a stage is a phase per ket and then
 commuting factors V e^{i theta Lambda} V^dagger, V block-diagonal and
 unitary with each block's eigenvectors and Lambda their eigenvalues.  A
 passive generator, every coefficient a C_ij (phase shifters, polarization
 rotators, beam splitters), couples the modes in disjoint pairs; a pair
 keeps n_i + n_j, so its blocks are one tridiagonal matrix per block size
 with eigenvectors V_s built once (:class:`PassiveFactors`).  A pair source
-is one factor over the connected components of its matrix on the kets
+is one factor over the connected components of its entries on the kets
 (from the vacuum one finite su(1,1) ladder), diagonalized by
 ``numpy.linalg.eigh``.  The set-up is kept per support
 (:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
@@ -147,16 +147,12 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.basis, self.amps / n)
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.basis != self.basis:
-            raise ValueError("states live on different bases")
-        return complex(np.vdot(self.amps, other.amps))
-
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2 for normalized inputs (global-phase blind)."""
+        if other.basis != self.basis:
+            raise ValueError("states live on different bases")
         na, nb = self.norm(), other.norm()
-        return float(np.clip(abs(self.inner(other)) ** 2 / (na * nb) ** 2, 0.0, 1.0))
+        return float(np.clip(abs(complex(np.vdot(self.amps, other.amps))) ** 2 / (na * nb) ** 2, 0.0, 1.0))
 
     def to_records(self, threshold: float = 1e-12) -> list[dict]:
         """JSON-ready records of the amplitudes above ``threshold`` in
@@ -173,25 +169,31 @@ def vacuum(basis: FockBasis) -> StateVector:
     return StateVector(basis, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """CSR matrix of a quadratic operator on a fixed basis, built by
-    :func:`matrix` together with the invariants :func:`evolve` reads."""
+    """An exact quadratic operator on a fixed basis, made by :func:`matrix`;
+    :func:`evolve` reads its entries (:func:`_entries`) on the kets it reaches."""
 
     basis: FockBasis
-    mat: sparse.csr_matrix
     #: the operator equals its adjoint (``QuadOp.is_hermitian``)
     hermitian: bool
     #: the exact operator, which :func:`evolve` splits into factors when passive
-    op: QuadOp = field(repr=False, compare=False)
+    op: QuadOp = field(repr=False)
     #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
-    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _supports: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def passive(self) -> bool:
         """Every coefficient is a C_ij: the operator keeps the photon number
         of each pair of modes it mixes (phase shifters, rotators, splitters)."""
         return all(e.kind is Kind.MIXED for e in self.op.coeffs)
+
+    @cached_property
+    def mat(self) -> sparse.csr_matrix:
+        """Whole-basis CSR matrix, built on first use; no stage reads it."""
+        dim, scalar = self.basis.dim, complex(self.op.scalar)
+        mat = sparse.csr_matrix(_entries(QuadOp(self.op.coeffs), self.basis, np.arange(dim)), shape=(dim, dim))
+        return mat + scalar * sparse.identity(dim, format="csr") if scalar else mat
 
     @cached_property
     def factors(self) -> "PassiveFactors":
@@ -201,25 +203,21 @@ class SparseOperator:
 
     def restricted(self, support: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(kets, set-up) of a hermitian operator: the ascending indices of the
-        kets that repeated products with mat reach from the boolean mask
-        ``support``, the smallest set holding it that mat maps into itself,
+        kets its entries reach, step by step, from the boolean mask
+        ``support``, the smallest set holding it that it maps into itself,
         and what :func:`evolve` applies on them: (weights, products, largest),
         the kets' phase weights (None if all are 0), the commuting factors
-        (V, V^dagger, lam) with V unitary and block-diagonal, each block's
-        eigenvectors in its columns and lam their eigenvalues, and the
-        largest |weight| and |lam| on the kets.  A passive operator has a
-        factor per pair (i, j), in order, each block (n_i = 0..s,
-        n_j = s-n_i) holding V_s, slot k at n_i = k.  An active one has no
-        weights and one factor over the connected components of mat on the
-        kets (:func:`_components`)."""
+        (V, V^T, lam) of :func:`_eigenbasis`, and the largest |weight| and
+        |lam| on the kets.  A passive operator has a factor per pair (i, j),
+        in order, each block (n_i = 0..s, n_j = s-n_i) holding V_s, slot k at
+        n_i = k.  An active one has no weights and one factor over the
+        connected components of its entries among the kets."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
-        # mat is hermitian, so the nonzero columns of row k are the kets k reaches
         reached, new = support.copy(), np.flatnonzero(support)
         while new.size:
-            rows = self.mat[new]
-            new = np.unique(rows.indices[rows.data != 0])
+            new = np.unique(_entries(self.op, self.basis, new)[1][0])
             new = new[~reached[new]]
             reached[new] = True
         kets = np.flatnonzero(reached)
@@ -238,7 +236,9 @@ class SparseOperator:
                 products.append(_eigenbasis(kets.size, [(b.reshape(-1, s + 1), vecs[s], lams[s])
                                                         for s, b in enumerate(by_size)]))
         else:
-            weights, products = None, [_eigenbasis(kets.size, _components(self.mat[kets][:, kets]))]
+            values, (targets, sources) = _entries(self.op, self.basis, kets)
+            groups = _components(np.searchsorted(kets, targets), sources, values, kets.size)
+            weights, products = None, [_eigenbasis(kets.size, groups)]
         phases = [lam for *_, lam in products] + ([] if weights is None else [weights])
         set_up = weights, products, max((float(np.max(np.abs(x))) for x in phases), default=0.0)
         if len(self._supports) >= MAX_SUPPORTS:
@@ -247,23 +247,22 @@ class SparseOperator:
         return kets, set_up
 
 
-def _components(mat: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(blocks, eigenvectors, eigenvalues) per component size of a hermitian
-    matrix: each row of ``blocks`` is one connected component of its stored
-    entries, rows ascending, found by min-label propagation with pointer
-    jumping, and the blocks of a size share one stacked ``numpy.linalg.eigh``.
-    :class:`EvolveError` if the blocks hold more than :data:`MAX_DENSE`
-    entries, before any is built."""
-    coo = mat.tocoo()
-    labels, old = np.arange(mat.shape[0]), None
+def _components(rows, cols, data, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(blocks, eigenvectors, eigenvalues) per component size of the hermitian
+    n x n matrix of the entries (rows, cols, data), duplicates summed in order:
+    each row of ``blocks`` is one connected component, rows ascending, found by
+    min-label propagation with pointer jumping, and the blocks of a size share
+    one stacked ``numpy.linalg.eigh``.  :class:`EvolveError` if the blocks hold
+    more than :data:`MAX_DENSE` entries, before any is built."""
+    labels, old = np.arange(n), None
     while not np.array_equal(labels, old):
         old, labels = labels, labels.copy()
-        np.minimum.at(labels, coo.row, old[coo.col])
+        np.minimum.at(labels, rows, old[cols])
         labels = labels[labels]
     counts = np.bincount(labels)
     entries = int(np.sum(counts ** 2))
     if entries > MAX_DENSE:
-        raise EvolveError(f"a pair source needs {entries} dense entries on its {len(labels)} kets "
+        raise EvolveError(f"a pair source needs {entries} dense entries on its {n} kets "
                           f"(limit {MAX_DENSE}); lower the cutoff")
     size = counts[labels]
     order = np.lexsort((labels, size))  # by size, then component, rows ascending
@@ -271,21 +270,21 @@ def _components(mat: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np
     groups, start = [], 0
     for m in np.unique(size):
         stop = start + np.count_nonzero(size == m)
-        inside = size[coo.row] == m
-        r, c = rank[coo.row[inside]] - start, rank[coo.col[inside]] - start
+        inside = size[rows] == m
+        r, c = rank[rows[inside]] - start, rank[cols[inside]] - start
         dense = np.zeros(((stop - start) // m, m, m), dtype=np.complex128)
-        dense[r // m, r % m, c % m] = coo.data[inside]
+        np.add.at(dense, (r // m, r % m, c % m), data[inside])
         lam, vecs = np.linalg.eigh(dense)
         groups.append((order[start:stop].reshape(-1, m), vecs, lam))
         start = stop
     return groups
 
 
-def _eigenbasis(n: int, groups) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray]:
-    """(V, V^dagger, lam) on n kets from (blocks, vecs, vals) per block size:
-    row b of ``blocks`` lists a block's kets, slot k holding eigenvector k of
-    vecs[b] (or of the size's one vecs) and lam its eigenvalue.  A CSR row
-    sums over its own block only, so a block rounds alike beside any other."""
+def _eigenbasis(n: int, groups) -> tuple[sparse.csr_matrix, sparse.csc_matrix, np.ndarray]:
+    """(V, V^T, lam) on n kets from (blocks, vecs, vals) per block size, V^T a
+    view of V: row b of ``blocks`` lists a block's kets, slot k holding
+    eigenvector k of vecs[b] (or of the size's one vecs) and lam its
+    eigenvalue.  A product sums within a block, so it rounds alike beside any other."""
     lam, entries = np.empty(n), []
     for blocks, vecs, eigenvalues in groups:
         shape = blocks.shape + blocks.shape[-1:]
@@ -294,7 +293,7 @@ def _eigenbasis(n: int, groups) -> tuple[sparse.csr_matrix, sparse.csr_matrix, n
         lam[blocks] = eigenvalues
     vals, rows, cols = map(np.concatenate, zip(*entries))
     v = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return v, v.conj().T.tocsr(), lam
+    return v, v.T, lam
 
 
 @dataclass(frozen=True)
@@ -376,42 +375,34 @@ def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 _LADDER_STEPS = {Kind.PAIR_CREATE: (1, 1), Kind.MIXED: (1, -1), Kind.PAIR_ANNIHILATE: (-1, -1)}
 
 
-def _element_entries(elem, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of one basis element, columns ascending; targets
-    outside the cutoff or with a zero matrix element are dropped."""
-    i, j = elem.i - 1, elem.j - 1
-    cols = np.arange(basis.dim)
-    if elem.kind is Kind.MIXED and i == j:  # C_ii = c_i^dagger c_i + 1/2
-        return cols, cols, basis.occupations[:, i] + 0.5
-    # right to left: the ladder operator on mode j, then the one on mode i;
-    # each multiplies the integer factor by n+1 (creation) or n (annihilation)
-    steps = _LADDER_STEPS[elem.kind]
-    target = basis.occupations.copy()
-    factor = np.ones(basis.dim, dtype=np.int64)
-    for mode, step in ((j, steps[1]), (i, steps[0])):
-        factor *= target[:, mode] + 1 if step > 0 else target[:, mode]
-        target[:, mode] += step
-    keep = (factor != 0) & (basis.totals + sum(steps) <= basis.cutoff)
-    return basis.indices(target[keep]), cols[keep], np.sqrt(factor[keep])
+def _entries(op: QuadOp, basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(values, (target basis indices, source positions in ``kets``)), scipy's
+    COO form, of the entries of ``op`` on the basis kets ``kets``: coefficient
+    order, then ket order, with the scalar last on the diagonal, unsummed."""
+    occ, positions = basis.occupations[kets], np.arange(len(kets))
+    parts = [(np.zeros(0, dtype=np.intp), positions[:0], np.zeros(0, dtype=np.complex128))]
+    for elem, coeff in op.coeffs.items():
+        i, j = elem.i - 1, elem.j - 1
+        # right to left: the ladder operator on mode j, then the one on mode i;
+        # each multiplies the integer factor by n+1 (creation) or n (annihilation)
+        steps = _LADDER_STEPS[elem.kind]
+        target, factor = occ.copy(), np.ones(len(kets), dtype=np.int64)
+        for mode, step in ((j, steps[1]), (i, steps[0])):
+            factor *= target[:, mode] + 1 if step > 0 else target[:, mode]
+            target[:, mode] += step
+        shift = 0.5 if elem.kind is Kind.MIXED and i == j else 0.0  # C_ii = c_i^dagger c_i + 1/2
+        keep = ((factor != 0) | (shift != 0)) & (basis.totals[kets] + sum(steps) <= basis.cutoff)
+        parts.append((basis.indices(target[keep]), positions[keep],
+                      complex(coeff) * (np.sqrt(factor[keep]) + shift)))
+    if complex(op.scalar) != 0.0:
+        parts.append((kets, positions, np.full(len(kets), complex(op.scalar))))
+    targets, sources, values = map(np.concatenate, zip(*parts))
+    return values, (targets, sources)
 
 
 def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
-    """Sparse matrix of an exact quadratic operator, with its hermiticity."""
-    dim = basis.dim
-    rows = [np.zeros(0, dtype=np.intp)]
-    cols = [np.zeros(0, dtype=np.intp)]
-    vals = [np.zeros(0, dtype=np.complex128)]
-    for elem, coeff in op.coeffs.items():
-        r, cl, v = _element_entries(elem, basis)
-        rows.append(r)
-        cols.append(cl)
-        vals.append(complex(coeff) * v)
-    mat = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(dim, dim), dtype=np.complex128).tocsr()
-    scalar = complex(op.scalar)
-    if scalar != 0.0:
-        mat = mat + scalar * sparse.identity(dim, dtype=np.complex128, format="csr")
-    return SparseOperator(basis, mat, op.is_hermitian(), op)
+    """An exact quadratic operator on a basis, with its hermiticity."""
+    return SparseOperator(basis, op.is_hermitian(), op)
 
 
 def evolve(state: StateVector, generator: SparseOperator, theta: float) -> StateVector:
@@ -424,10 +415,11 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     into itself, so every other amplitude stays 0.  There it is the phase
     e^{i theta w} on each ket, then each factor V e^{i theta lam} V^dagger
     of :meth:`SparseOperator.restricted` as v + V (expm1(i theta lam)
-    (V^dagger v)), so small amplitudes keep their relative digits.
+    conj(V^T conj(v))), so small amplitudes keep their relative digits.
     :class:`EvolveError` when eps*|theta| times the largest |w| or |lam| on
-    the kets, the rounding of the phases, exceeds :data:`ACCURACY`, or when
-    a pair source's components exceed :data:`MAX_DENSE`.
+    the kets, the rounding of the phases, exceeds :data:`ACCURACY` (for a pair
+    source first on its column norms at the support), or its components
+    exceed :data:`MAX_DENSE`.
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
@@ -438,19 +430,27 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     support = state.amps != 0
     if theta == 0.0 or not support.any():
         return StateVector(state.basis, state.amps.copy())
+    if not generator.passive and support.tobytes() not in generator._supports:
+        # hermitian on the closure, so a column norm is at most its largest |lam|
+        columns = sparse.csc_matrix(_entries(generator.op, state.basis, np.flatnonzero(support)))
+        _check_phase(theta, np.sqrt(abs(columns).power(2).sum(axis=0).max()))
     kets, (weights, products, largest) = generator.restricted(support)
-    # on Python floats, so an overflow is inf with no numpy warning; nan fails too
-    if not sys.float_info.epsilon * abs(float(theta)) * largest <= ACCURACY:
-        raise EvolveError("the phase of a stage is too large for double precision; "
-                          "reduce the stage parameter")
+    _check_phase(theta, largest)
     v = state.amps[kets]
     if weights is not None:
         v = np.exp(1j * theta * weights) * v
-    for vecs, vecs_h, lam in products:
-        v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs_h @ v))
+    for vecs, vecs_t, lam in products:
+        v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs_t @ v.conj()).conj())
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)
+
+
+def _check_phase(theta: float, largest: float) -> None:
+    """The phase rule of :func:`evolve`, on Python floats: no numpy warning; inf and nan fail."""
+    if not sys.float_info.epsilon * abs(float(theta)) * float(largest) <= ACCURACY:
+        raise EvolveError("the phase of a stage is too large for double precision; "
+                          "reduce the stage parameter")
 
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:

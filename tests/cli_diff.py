@@ -72,7 +72,11 @@ def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
              ["run", "--config", configs[list(CONFIGS).index("two_sources")], "--cutoff", "30",
               "--estimator", "raw"],
              # a small gamma, where the source still fills every shell
-             ["run", "-e", "ou_mandel", "--cutoff", "30", "--gamma", "0.001"]]
+             ["run", "-e", "ou_mandel", "--cutoff", "30", "--gamma", "0.001"],
+             # the largest cutoff, where the stages' reached kets are a small part of the basis
+             ["run", "-e", "ideal", "--cutoff", "60", "--theta-a", "0.3"],
+             ["run", "-e", "horne", "--cutoff", "60", "--phi", "0.7"],
+             ["run", "-e", "ou_mandel", "--cutoff", "60"]]
     for estimator in ("raw", "conditioned"):
         for name in ("ideal", "horne", "ou_mandel"):
             flags = ["-e", name, "--estimator", estimator]

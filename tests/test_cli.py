@@ -407,6 +407,25 @@ def test_oversized_pair_source_fails_before_eigh(tmp_path, capsys, monkeypatch):
                    "kets (limit 4194304); lower the cutoff\n")
 
 
+def test_pair_source_phase_fails_before_its_set_up(tmp_path, capsys, monkeypatch):
+    """A pair source whose phases cannot keep ``fock.ACCURACY`` fails on a
+    column norm at its support, a lower bound of its largest eigenvalue,
+    before any set-up: ``K_OM_prime`` at 1e308 and cutoff 30 (one
+    1496-ket component) exits 3 with no eigh and no set-up kept."""
+    def no_eigh(*_):
+        raise AssertionError("eigh ran on a failing source")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    experiments._stage_operator.cache_clear()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "custom", "stages": [["K_OM_prime", 1e308]]}))
+    code, out, err = invoke(capsys, "run", "--config", str(config), "--cutoff", "30")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("numerical error: the phase of a stage is too large for double precision; "
+                   "reduce the stage parameter\n")
+    assert experiments._stage_operator("K_OM_prime", 30)._supports == {}
+
+
 def test_scan_fails_only_the_overflowing_row(capsys):
     code, out, err = invoke(capsys, "scan", "--axis", "gamma", "--values", "0.1,1e308")
     assert code == EXIT_NUMERIC

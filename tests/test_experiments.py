@@ -10,6 +10,7 @@ import pytest
 
 from conftest import GOLDEN_DIR
 
+import cli_diff
 import oracles
 from oracles import amplitude, correlation, fock_state, project_pi
 from bellsim.catalog import HAMILTONIAN_GENERATORS, catalog
@@ -241,6 +242,21 @@ def test_run_is_the_whole_basis_series(spec):
         state = oracles.component_dense_evolve(state, catalog(name), theta)
         assert not np.any(state.amps[~reached]), name
     assert np.max(np.abs(run(spec).amps - state.amps)) < 1e-14
+
+
+def test_no_stage_builds_a_whole_basis_matrix():
+    """A readout at (0, 0) reads each stage's entries on the kets it reaches
+    only: no stage operator of a named pipeline, or of a ``cli_diff.py``
+    custom config, builds its whole-basis matrix (``mat``, built on first
+    use)."""
+    experiments._stage_operator.cache_clear()
+    specs = [ExperimentSpec(name, cutoff=12) for name in experiments.PIPELINES if name != "custom"]
+    specs += [ExperimentSpec("custom", tuple(map(tuple, config["stages"])), cutoff=12)
+              for config in cli_diff.CONFIGS.values()]
+    for spec in specs:
+        experiments.readout(spec).reports(0.0, 0.0)
+        for name, _ in spec.stages:
+            assert "mat" not in vars(experiments._stage_operator(name, 12)), (spec.name, name)
 
 
 def test_run_matches_dense_stage_oracle():

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -395,13 +396,13 @@ def test_active_set_up_is_one_factor_per_component():
     generator = matrix(catalog("K_OM"), basis)
     kets, (weights, products, largest) = generator.restricted(source.amps != 0)
     assert weights is None and len(products) == 1
-    (vecs, vecs_h, lam), = products
+    (vecs, vecs_t, lam), = products
     block = generator.mat[kets][:, kets].toarray()
     _, labels = scipy.sparse.csgraph.connected_components(abs(block), directed=False)
     sizes = np.bincount(labels)
     assert (kets.size, sizes.size, len(set(sizes))) == (1124, 136, 16)
-    assert (vecs_h != vecs.conj().T).nnz == 0
-    assert np.max(np.abs((vecs_h @ vecs).toarray() - np.eye(kets.size))) < 1e-13
+    assert np.shares_memory(vecs_t.data, vecs.data) and (vecs_t != vecs.T).nnz == 0
+    assert np.max(np.abs((vecs_t.conj() @ vecs).toarray() - np.eye(kets.size))) < 1e-13
     rows, cols = vecs.nonzero()
     assert np.array_equal(labels[rows], labels[cols])
     assert largest == np.max(np.abs(lam))
@@ -419,8 +420,9 @@ def test_passive_set_up_is_the_one_per_support():
     asking for it first, then evolving on the same support, reads the same
     cache entry.  The kets are the closure under the matrix, a union of
     whole blocks of each pair factor.  Each factor's V is unitary on them
-    and links only kets of one block, its adjoint is V^dagger, and each
-    slot's eigenvalue is that of its block size."""
+    and links only kets of one block, V^T is a view of V's arrays (evolve
+    applies V^dagger as its conjugate), and each slot's eigenvalue is that
+    of its block size."""
     basis = get_basis(8)
     source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
     generator = matrix(catalog("J_BS_wv"), basis)  # two pair factors, complex V_s
@@ -433,10 +435,12 @@ def test_passive_set_up_is_the_one_per_support():
     assert again is kets and products is set_up[1]
     occ = basis.occupations[kets]
     assert len(products) == len(generator.factors.pairs) == 2
-    for (i, j, lams, _), (vecs, vecs_h, lam) in zip(generator.factors.pairs, products):
-        assert vecs.shape == vecs_h.shape == (kets.size, kets.size)
-        assert (vecs_h != vecs.conj().T).nnz == 0
-        gram = (vecs_h @ vecs).toarray()
+    for (i, j, lams, _), (vecs, vecs_t, lam) in zip(generator.factors.pairs, products):
+        assert vecs.shape == vecs_t.shape == (kets.size, kets.size)
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(vecs_t, part), getattr(vecs, part))
+        assert (vecs_t != vecs.T).nnz == 0
+        gram = (vecs_t.conj() @ vecs).toarray()
         assert np.max(np.abs(gram - np.eye(kets.size))) < 1e-13
         others = [m for m in range(4) if m not in (i, j)]
         block = np.column_stack([occ[:, i] + occ[:, j], occ[:, others]])
@@ -444,6 +448,55 @@ def test_passive_set_up_is_the_one_per_support():
         assert np.array_equal(block[rows], block[cols])
         totals = occ[:, i] + occ[:, j]
         assert np.array_equal(lam, [lams[s][k] for s, k in zip(totals, occ[:, i])])
+
+
+#: the hermitian catalog generators with a pair term: the pair sources
+PAIR_SOURCES = [name for name in HAMILTONIAN_GENERATORS if name not in PASSIVE_GENERATORS]
+
+
+@pytest.mark.parametrize("cutoff", [6, 12])
+def test_pair_source_blocks_are_the_matrix_on_the_kets(cutoff, monkeypatch):
+    """The dense blocks a pair source's set-up diagonalizes, summed from the
+    entries it reads on the reached kets, are the whole-basis matrix on those
+    kets bit for bit, from the vacuum and from a two-source state."""
+    assert len(PAIR_SOURCES) == 30
+    basis = get_basis(cutoff)
+    two_sources = experiments.run(experiments.ExperimentSpec(
+        "custom", (("K", 0.3), ("K_OM", 0.2)), cutoff=cutoff))
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda dense: seen.append(dense.copy()) or eigh(dense))
+    for name in PAIR_SOURCES:
+        generator = matrix(catalog(name), basis)
+        for state in (vacuum(basis), two_sources):
+            seen.clear()
+            kets, _ = generator.restricted(state.amps != 0)
+            whole = generator.mat[kets][:, kets].toarray()
+            values, (targets, sources) = fock._entries(generator.op, basis, kets)
+            groups = fock._components(np.searchsorted(kets, targets), sources, values, kets.size)
+            assert len(seen) == 2 * len(groups), name
+            for dense, (blocks, _, _) in zip(seen, groups):
+                for block, members in zip(dense, blocks):
+                    assert block.tobytes() == whole[np.ix_(members, members)].tobytes(), name
+
+
+def test_active_operator_with_number_terms_and_scalar():
+    """An active operator with number terms and a scalar, K + K_z + 7/10, is
+    one factor whose components carry the summed diagonal: it matches the
+    dense exponential of its matrix, which matches the independent oracle."""
+    basis = get_basis(6)
+    op = catalog("K") + catalog("K_z") + QuadOp.make({}, Fraction(7, 10))
+    generator = matrix(op, basis)
+    assert generator.hermitian and not generator.passive
+    rng = np.random.default_rng(28)
+    few = np.where(rng.random(basis.dim) < 0.1, rng.normal(size=basis.dim), 0.0)
+    for amps in (vacuum(basis).amps, few):
+        for theta in (0.4, -1.3):
+            state = StateVector(basis, amps)
+            out = evolve(state, generator, theta).amps
+            assert "mat" not in vars(generator)  # evolve reads entries on the kets only
+            reference = oracles.dense_evolve(state, op, theta).amps
+            assert np.max(np.abs(out - reference)) < 1e-13
+    assert np.max(np.abs(generator.mat.toarray() - oracles.dense_operator(op, basis))) < 1e-13
 
 
 def test_passive_block_is_independent_of_its_neighbours():
