@@ -27,11 +27,14 @@ with eigenvectors V_s built once (:class:`PassiveFactors`).  A pair source
 is one factor over the connected components of its entries on the kets
 (from the vacuum one finite su(1,1) ladder), diagonalized by
 ``numpy.linalg.eigh``.  The set-up is kept per support
-(:meth:`SparseOperator.restricted`).  The cutoff is therefore the one
+(:meth:`SparseOperator.restricted`) as dense blocks that :func:`evolve`
+applies with ``numpy.matmul``.  The cutoff is therefore the one
 accuracy input; a stage fails (:class:`EvolveError`) only where its phases
 cannot keep :data:`ACCURACY` or its components would exceed
-:data:`MAX_DENSE`.  The dense-exponential cross-check lives in the test
-suite as an independent oracle.
+:data:`MAX_DENSE`.  The engine imports numpy only; scipy builds the
+whole-basis matrix :attr:`SparseOperator.mat` that the tests read, and the
+dense-exponential cross-check lives in the test suite as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import Kind, QuadOp
 
@@ -51,8 +53,9 @@ Occupation = tuple[int, int, int, int]
 #: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
 PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
-#: supports one operator keeps set up; a named pipeline's stage sees one
-#: support at every parameter where no amplitude underflows to 0
+#: supports one operator keeps set up, and angles a passive one keeps turns
+#: for; a named pipeline's stage sees one support at every parameter where no
+#: amplitude underflows to 0, and a passive stage of one runs at one angle
 MAX_SUPPORTS = 8
 #: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
 ACCURACY = 1e-12
@@ -181,16 +184,21 @@ class SparseOperator:
     op: QuadOp = field(repr=False)
     #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
     _supports: dict = field(default_factory=dict, init=False, repr=False)
+    #: :meth:`turns` per angle, the oldest dropped beyond MAX_SUPPORTS
+    _turns: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def passive(self) -> bool:
         """Every coefficient is a C_ij: the operator keeps the photon number
         of each pair of modes it mixes (phase shifters, rotators, splitters)."""
         return all(e.kind is Kind.MIXED for e in self.op.coeffs)
 
     @cached_property
-    def mat(self) -> sparse.csr_matrix:
-        """Whole-basis CSR matrix, built on first use; no stage reads it."""
+    def mat(self) -> "scipy.sparse.csr_matrix":
+        """Whole-basis CSR matrix, built on first use with ``scipy.sparse``
+        (imported here); no command reads it."""
+        from scipy import sparse
+
         dim, scalar = self.basis.dim, complex(self.op.scalar)
         mat = sparse.csr_matrix(_entries(QuadOp(self.op.coeffs), self.basis, np.arange(dim)), shape=(dim, dim))
         return mat + scalar * sparse.identity(dim, format="csr") if scalar else mat
@@ -205,46 +213,84 @@ class SparseOperator:
         """(kets, set-up) of a hermitian operator: the ascending indices of the
         kets its entries reach, step by step, from the boolean mask
         ``support``, the smallest set holding it that it maps into itself,
-        and what :func:`evolve` applies on them: (weights, products, largest),
-        the kets' phase weights (None if all are 0), the commuting factors
-        (V, V^T, lam) of :func:`_eigenbasis`, and the largest |weight| and
-        |lam| on the kets.  A passive operator has a factor per pair (i, j),
-        in order, each block (n_i = 0..s, n_j = s-n_i) holding V_s, slot k at
-        n_i = k.  An active one has no weights and one factor over the
-        connected components of its entries among the kets."""
+        and what :func:`evolve` applies on them: (weights, factors, largest),
+        the kets' phase weights (None if all are 0), the commuting factors,
+        and the largest |weight| and |lam| on the kets.  A passive operator
+        has a factor per pair (i, j) of :class:`PassiveFactors`, in order, as
+        (order, segments): per block size s present, ``order[start:stop]``
+        lists the positions in ``kets`` of its blocks (n_i = 0..s,
+        n_j = s-n_i) as rows of s+1 slots, slot k at n_i = k, for each
+        (start, stop, s) in ``segments`` (:func:`_pair_blocks`).  An active
+        operator has no weights and one factor over the connected components
+        of its entries among the kets: per component size, (blocks, V, V^T,
+        lam) of :func:`_components` with V^T a view of V."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
         reached, new = support.copy(), np.flatnonzero(support)
         while new.size:
-            new = np.unique(_entries(self.op, self.basis, new)[1][0])
-            new = new[~reached[new]]
-            reached[new] = True
+            hit = np.zeros_like(reached)
+            hit[_entries(self.op, self.basis, new)[1][0]] = True
+            new = np.flatnonzero(hit & ~reached)
+            reached |= hit
         kets = np.flatnonzero(reached)
         if self.passive:
             factors, occ = self.factors, self.basis.occupations[kets]
             weights = None
             if factors.const or np.any(factors.weights):
                 weights = occ @ factors.weights + factors.const
-            products = []
-            for i, j, lams, vecs in factors.pairs:
-                totals = occ[:, i] + occ[:, j]
-                others = [occ[:, m] for m in range(4) if m not in (i, j)]
-                order = np.lexsort((occ[:, i], *others, totals))
-                by_size = np.split(order, np.cumsum(np.bincount(totals))[:-1])
-                # one block per row, slot k in column k
-                products.append(_eigenbasis(kets.size, [(b.reshape(-1, s + 1), vecs[s], lams[s])
-                                                        for s, b in enumerate(by_size)]))
+            products, phases = [], []
+            for i, j, lams, _ in factors.pairs:
+                order, segments = _pair_blocks(occ, i, j)
+                products.append((order, segments))
+                phases.append(lams[[size for *_, size in segments]])
         else:
             values, (targets, sources) = _entries(self.op, self.basis, kets)
             groups = _components(np.searchsorted(kets, targets), sources, values, kets.size)
-            weights, products = None, [_eigenbasis(kets.size, groups)]
-        phases = [lam for *_, lam in products] + ([] if weights is None else [weights])
+            weights, products = None, [[(b, v, v.swapaxes(1, 2), lam) for b, v, lam in groups]]
+            phases = [lam for *_, lam in groups]
+        phases += [] if weights is None else [weights]
         set_up = weights, products, max((float(np.max(np.abs(x))) for x in phases), default=0.0)
         if len(self._supports) >= MAX_SUPPORTS:
             del self._supports[next(iter(self._supports))]
         self._supports[key] = kets, set_up
         return kets, set_up
+
+    def turns(self, theta: float) -> list[list[np.ndarray]]:
+        """Per pair factor of a passive operator, per block size s =
+        0..cutoff, W_s^T for W_s = V_s expm1(i theta lam_s) V_s^dagger, what
+        :func:`evolve` applies to each block of size s at this angle.  All
+        sizes are built at once, padded to the cutoff, so their bits depend
+        on (theta, s) only; kept per angle."""
+        if theta in self._turns:
+            return self._turns[theta]
+        turns = []
+        for _, _, lams, vecs in self.factors.pairs:
+            padded = (vecs.conj() * np.expm1(1j * theta * lams)[:, None, :]) @ vecs.swapaxes(1, 2)
+            turns.append([np.ascontiguousarray(padded[s, :s + 1, :s + 1]) for s in range(len(lams))])
+        if len(self._turns) >= MAX_SUPPORTS:
+            del self._turns[next(iter(self._turns))]
+        self._turns[theta] = turns
+        return turns
+
+
+def _pair_blocks(occ: np.ndarray, i: int, j: int) -> tuple[np.ndarray, tuple]:
+    """(order, segments), the set-up of the pair factor (i, j) on kets with
+    occupations ``occ``, a union of whole blocks (see
+    :meth:`SparseOperator.restricted`).  A size with a lone block lists it
+    twice: a product of one row rounds unlike one of several rows (gemv, not
+    gemm), so a block's bits do not depend on its neighbours."""
+    totals = occ[:, i] + occ[:, j]
+    others = [occ[:, m] for m in range(4) if m not in (i, j)]
+    order = np.lexsort((occ[:, i], *others, totals))
+    parts, segments, start = [], [], 0
+    for s, part in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1])):
+        if part.size:
+            part = np.tile(part, 2) if part.size == s + 1 else part
+            parts.append(part)
+            segments.append((start, start + part.size, s))
+            start += part.size
+    return np.concatenate(parts), tuple(segments)
 
 
 def _components(rows, cols, data, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -268,7 +314,7 @@ def _components(rows, cols, data, n: int) -> list[tuple[np.ndarray, np.ndarray, 
     order = np.lexsort((labels, size))  # by size, then component, rows ascending
     rank = np.argsort(order)
     groups, start = [], 0
-    for m in np.unique(size):
+    for m in np.flatnonzero(np.bincount(size)):
         stop = start + np.count_nonzero(size == m)
         inside = size[rows] == m
         r, c = rank[rows[inside]] - start, rank[cols[inside]] - start
@@ -278,22 +324,6 @@ def _components(rows, cols, data, n: int) -> list[tuple[np.ndarray, np.ndarray, 
         groups.append((order[start:stop].reshape(-1, m), vecs, lam))
         start = stop
     return groups
-
-
-def _eigenbasis(n: int, groups) -> tuple[sparse.csr_matrix, sparse.csc_matrix, np.ndarray]:
-    """(V, V^T, lam) on n kets from (blocks, vecs, vals) per block size, V^T a
-    view of V: row b of ``blocks`` lists a block's kets, slot k holding
-    eigenvector k of vecs[b] (or of the size's one vecs) and lam its
-    eigenvalue.  A product sums within a block, so it rounds alike beside any other."""
-    lam, entries = np.empty(n), []
-    for blocks, vecs, eigenvalues in groups:
-        shape = blocks.shape + blocks.shape[-1:]
-        entries.append([np.broadcast_to(x, shape).ravel()
-                        for x in (vecs, blocks[:, :, None], blocks[:, None, :])])
-        lam[blocks] = eigenvalues
-    vals, rows, cols = map(np.concatenate, zip(*entries))
-    v = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return v, v.T, lam
 
 
 @dataclass(frozen=True)
@@ -317,8 +347,9 @@ class PassiveFactors:
     weights: np.ndarray
     const: float
     #: per coupled pair: its 0-based modes i < j, and per s = 0..cutoff the
-    #: eigenvalues of H_s and V_s
-    pairs: tuple[tuple[int, int, list[np.ndarray], list[np.ndarray]], ...]
+    #: eigenvalues of H_s and V_s, zero-padded to cutoff+1: lams[s, :s+1] and
+    #: vecs[s, :s+1, :s+1]
+    pairs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
     @staticmethod
     def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
@@ -337,13 +368,14 @@ class PassiveFactors:
             a, b, c = (coeff.get((i, i), 0.0).real, coeff.get((j, j), 0.0).real,
                        coeff.get((i, j), 0.0))
             mu, w = np.linalg.eigh(np.array([[a, c], [c.conjugate(), b]]))
-            lams, vecs, v = [], [], np.ones((1, 1), dtype=complex)
+            lams, vecs = np.zeros((cutoff + 1,) * 2), np.zeros((cutoff + 1,) * 3, dtype=complex)
+            v = np.ones((1, 1), dtype=complex)
             for s in range(cutoff + 1):
                 if s:
                     v = _next_shell(v, w)
                 k = np.arange(s + 1)
-                lams.append(mu[0] * k + mu[1] * (s - k) + (a + b) / 2)
-                vecs.append(v)
+                lams[s, :s + 1] = mu[0] * k + mu[1] * (s - k) + (a + b) / 2
+                vecs[s, :s + 1, :s + 1] = v
             pairs.append((i, j, lams, vecs))
         return PassiveFactors(weights, const, tuple(pairs))
 
@@ -376,28 +408,44 @@ _LADDER_STEPS = {Kind.PAIR_CREATE: (1, 1), Kind.MIXED: (1, -1), Kind.PAIR_ANNIHI
 
 
 def _entries(op: QuadOp, basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(values, (target basis indices, source positions in ``kets``)), scipy's
-    COO form, of the entries of ``op`` on the basis kets ``kets``: coefficient
-    order, then ket order, with the scalar last on the diagonal, unsummed."""
-    occ, positions = basis.occupations[kets], np.arange(len(kets))
+    """(values, (target basis indices, source positions in ``kets``)), the
+    coordinate form of the entries of ``op`` on the basis kets ``kets``:
+    coefficient order, then ket order, with the scalar last on the diagonal,
+    unsummed.  An element moves every ket by the same photon-number steps, so
+    a target's search key is its source's plus one offset (:func:`_keys` is
+    linear in the occupations)."""
+    occ, keys, positions = basis.occupations[kets], basis.keys[kets], np.arange(len(kets))
+    base = basis.cutoff + 1
     parts = [(np.zeros(0, dtype=np.intp), positions[:0], np.zeros(0, dtype=np.complex128))]
     for elem, coeff in op.coeffs.items():
         i, j = elem.i - 1, elem.j - 1
+        step_i, step_j = _LADDER_STEPS[elem.kind]
         # right to left: the ladder operator on mode j, then the one on mode i;
         # each multiplies the integer factor by n+1 (creation) or n (annihilation)
-        steps = _LADDER_STEPS[elem.kind]
-        target, factor = occ.copy(), np.ones(len(kets), dtype=np.int64)
-        for mode, step in ((j, steps[1]), (i, steps[0])):
-            factor *= target[:, mode] + 1 if step > 0 else target[:, mode]
-            target[:, mode] += step
+        n_j = occ[:, j]
+        n_i = occ[:, i] + step_j if i == j else occ[:, i]
+        factor = (n_j + 1 if step_j > 0 else n_j) * (n_i + 1 if step_i > 0 else n_i)
+        offset = (step_i + step_j) * base ** 4 + step_i * base ** (3 - i) + step_j * base ** (3 - j)
         shift = 0.5 if elem.kind is Kind.MIXED and i == j else 0.0  # C_ii = c_i^dagger c_i + 1/2
-        keep = ((factor != 0) | (shift != 0)) & (basis.totals[kets] + sum(steps) <= basis.cutoff)
-        parts.append((basis.indices(target[keep]), positions[keep],
+        keep = ((factor != 0) | (shift != 0)) & (basis.totals[kets] + step_i + step_j <= basis.cutoff)
+        parts.append((np.searchsorted(basis.keys, keys[keep] + offset), positions[keep],
                       complex(coeff) * (np.sqrt(factor[keep]) + shift)))
     if complex(op.scalar) != 0.0:
         parts.append((kets, positions, np.full(len(kets), complex(op.scalar))))
     targets, sources, values = map(np.concatenate, zip(*parts))
     return values, (targets, sources)
+
+
+def _largest_column_norm(values: np.ndarray, targets: np.ndarray, sources: np.ndarray) -> float:
+    """The largest 2-norm of a column of the matrix of entries (values,
+    (targets, sources)), duplicate entries summed first (a C_ii and the
+    scalar both land on the diagonal)."""
+    if not values.size:
+        return 0.0
+    width = int(targets.max()) + 1
+    cells, index = np.unique(sources * width + targets, return_inverse=True)
+    summed = np.bincount(index, values.real) + 1j * np.bincount(index, values.imag)
+    return float(np.sqrt(np.max(np.bincount(cells // width, np.abs(summed) ** 2))))
 
 
 def matrix(op: QuadOp, basis: FockBasis) -> SparseOperator:
@@ -414,8 +462,8 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     G runs on the kets it reaches from the state's support, a set it maps
     into itself, so every other amplitude stays 0.  There it is the phase
     e^{i theta w} on each ket, then each factor V e^{i theta lam} V^dagger
-    of :meth:`SparseOperator.restricted` as v + V (expm1(i theta lam)
-    conj(V^T conj(v))), so small amplitudes keep their relative digits.
+    of :meth:`SparseOperator.restricted` as v + V expm1(i theta lam)
+    V^dagger v, so small amplitudes keep their relative digits.
     :class:`EvolveError` when eps*|theta| times the largest |w| or |lam| on
     the kets, the rounding of the phases, exceeds :data:`ACCURACY` (for a pair
     source first on its column norms at the support), or its components
@@ -425,25 +473,51 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
         raise ValueError("operator built on a different basis")
     if not generator.hermitian:
         raise ValueError("evolution generator must be hermitian")
-    if generator.passive:
+    passive = generator.passive
+    if passive:
         generator.factors  # a generator coupling three modes raises here, whatever theta
-    support = state.amps != 0
+    support = state.amps.astype(bool)
     if theta == 0.0 or not support.any():
         return StateVector(state.basis, state.amps.copy())
-    if not generator.passive and support.tobytes() not in generator._supports:
+    if not passive and support.tobytes() not in generator._supports:
         # hermitian on the closure, so a column norm is at most its largest |lam|
-        columns = sparse.csc_matrix(_entries(generator.op, state.basis, np.flatnonzero(support)))
-        _check_phase(theta, np.sqrt(abs(columns).power(2).sum(axis=0).max()))
-    kets, (weights, products, largest) = generator.restricted(support)
+        values, (targets, sources) = _entries(generator.op, state.basis, np.flatnonzero(support))
+        _check_phase(theta, _largest_column_norm(values, targets, sources))
+    kets, (weights, factors, largest) = generator.restricted(support)
     _check_phase(theta, largest)
     v = state.amps[kets]
     if weights is not None:
         v = np.exp(1j * theta * weights) * v
-    for vecs, vecs_t, lam in products:
-        v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs_t @ v.conj()).conj())
+    if passive:
+        for factor, turns in zip(factors, generator.turns(theta)):
+            _rotate_pair(v, factor, turns)
+    else:
+        _rotate_components(v, factors[0], theta)
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)
+
+
+def _rotate_pair(v: np.ndarray, factor: tuple, turns: list[np.ndarray]) -> None:
+    """v += W v in place on a pair factor's blocks (:func:`_pair_blocks`),
+    W_s = V_s expm1(i theta lam_s) V_s^dagger (:meth:`SparseOperator.turns`):
+    one product per block size, with the size's blocks as rows."""
+    order, segments = factor
+    x = v[order]
+    out = np.empty_like(x)
+    for start, stop, s in segments:
+        np.matmul(x[start:stop].reshape(-1, s + 1), turns[s], out=out[start:stop].reshape(-1, s + 1))
+    v[order] = x + out
+
+
+def _rotate_components(v: np.ndarray, factor: list, theta: float) -> None:
+    """v += V expm1(i theta lam) V^dagger v in place on a pair source's
+    components (:func:`_components`): two batched products per component
+    size, each block with its own V."""
+    for blocks, vecs, vecs_t, lam in factor:
+        x = v[blocks][:, None, :]
+        y = np.expm1(1j * theta * lam)[:, None, :] * (x.conj() @ vecs).conj()  # V^dagger x
+        v[blocks] = (x + y @ vecs_t)[:, 0]
 
 
 def _check_phase(theta: float, largest: float) -> None:
@@ -455,7 +529,7 @@ def _check_phase(theta: float, largest: float) -> None:
 
 def expect_product(state: StateVector, ops: Sequence) -> complex:
     """<state| M_1 M_2 ... M_k |state> by right-to-left sparse application
-    of ``matrix(M, basis)`` for each QuadOp M."""
+    of ``matrix(M, basis).mat`` (scipy) for each QuadOp M; no command calls it."""
     if not ops:
         raise ValueError("expect_product requires at least one operator")
     norm = state.norm()

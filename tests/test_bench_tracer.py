@@ -47,10 +47,14 @@ def _modules_after(statement: str) -> set[str]:
 
 def test_import_graph():
     """``Tracer.install`` finds the traced modules in sys.modules, so the CLI
-    must load every one of them eagerly.  The CLI pays for scipy.sparse but
-    not for scipy.linalg, and conjugation needs no numpy at all."""
+    must load every one of them eagerly.  The library imports numpy only:
+    neither ``import bellsim.cli`` nor a command run in the same process
+    loads any scipy module (``SparseOperator.mat`` imports scipy.sparse on
+    first use).  Conjugation needs no numpy at all."""
     after_cli = _modules_after("import bellsim.cli")
     assert {f"bellsim.{module}" for module, _ in tracer.LAYERS} <= after_cli
-    assert "scipy.sparse" in after_cli
-    assert "scipy.linalg" not in after_cli
+    after_chsh = _modules_after("from bellsim.cli import main\n"
+                                "main(['chsh', '--cutoff', '6'])")
+    for modules in (after_cli, after_chsh):
+        assert not {name for name in modules if name.split(".")[0] == "scipy"}
     assert "numpy" not in _modules_after("import bellsim.adjoint")

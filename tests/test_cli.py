@@ -872,3 +872,27 @@ def test_parser_is_built_once_and_reused(capsys):
             reused.append((exc.code, captured.out, captured.err))
     assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
     assert reused == fresh
+
+
+#: a fresh process that times a command after its import and reports its
+#: exit code, that time and its peak RSS in KiB (Linux) on stderr
+MEASURE = ("import resource, sys, time; from bellsim.cli import main; start = time.perf_counter(); "
+           "code = main(sys.argv[1:]); sys.stderr.write(f'{code} {time.perf_counter() - start} "
+           "{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_high_cutoff_analyzer_run_budget():
+    """``run -e ideal --cutoff 60 --theta-a 0.3`` reads sigma_y on the
+    state's kets, not through two whole-basis matrices: in a fresh process
+    it stays within 2 s of work after import and 250 MiB peak RSS (about
+    0.25 s and 134 MiB on a 2-vCPU box; 0.55 s and 318 MiB with the whole-basis
+    matrices).  The time budget only catches a gross regression."""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MEASURE, "run", "-e", "ideal", "--cutoff", "60",
+                           "--theta-a", "0.3"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    code, seconds, rss_kib = proc.stderr.split()
+    assert proc.stdout.startswith("C = ") and int(code) == EXIT_OK
+    assert float(seconds) < 2.0 and int(rss_kib) / 1024 < 250

@@ -534,6 +534,30 @@ def test_sigma_tensors_match_sparse_products(name):
                 expect_product(projected, ops).real, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ANALYZER_PIPELINES)
+@pytest.mark.parametrize("cutoff", [8, 16])
+def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
+    """``Readout.tensors`` reads sigma_y on the state's kets; both tensors
+    equal those of the whole-basis products ``sigma_y.mat @ amps`` within
+    1e-15, at a small and a large gamma.  Those states, and a third one,
+    share one support, whose entries are read once."""
+    experiments._sigma_y_on.cache_clear()
+    for gamma in (0.05, 0.9):
+        source = experiments.readout(ExperimentSpec(name, gamma=gamma, cutoff=cutoff))
+        amps, basis = source.state.normalized().amps, source.state.basis
+        sides = [np.stack([basis.channel_weights[k] * amps,
+                           fock.matrix(catalog(sigma), basis).mat @ amps])
+                 for k, sigma in enumerate(("sigma_y_a", "sigma_y_b"))]
+        kept = basis.coincidence
+        weight = np.vdot(amps[kept], amps[kept]).real
+        expected = ((sides[0].conj() @ sides[1].T).real,
+                    (sides[0][:, kept].conj() @ sides[1][:, kept].T).real / weight)
+        for tensor, reference in zip(source.tensors, expected):
+            assert np.max(np.abs(tensor - reference)) < 1e-15, (gamma, tensor - reference)
+    experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff)).tensors
+    assert experiments._sigma_y_on.cache_info()[:2] == (2, 1)
+
+
 @pytest.mark.parametrize("name", PIPELINES)
 def test_readout_reads_the_setting(name):
     """``readout`` keeps the final state and reads both estimators at a

@@ -172,6 +172,48 @@ def test_matrix_equals_column_loop_bitwise():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cutoff, part)
 
 
+@pytest.mark.parametrize("cutoff", [6, 30])
+def test_entries_offset_keys_are_the_basis_indices(cutoff):
+    """``_entries`` finds each target by adding the element's one key offset
+    to its source's key; for every basis element (each kind and mode pair)
+    on every ket, the targets are bit for bit ``basis.indices`` of the moved
+    occupation rows, and the kept entries are those whose ladder factor is
+    nonzero and whose target lies in the basis."""
+    basis = get_basis(cutoff)
+    kets = np.arange(basis.dim)
+    steps = {Kind.PAIR_CREATE: (1, 1), Kind.MIXED: (1, -1), Kind.PAIR_ANNIHILATE: (-1, -1)}
+    for elem in ALL_ELEMENTS:
+        values, (targets, sources) = fock._entries(QuadOp.of(elem), basis, kets)
+        moved = basis.occupations.copy()
+        moved[:, elem.j - 1] += steps[elem.kind][1]
+        moved[:, elem.i - 1] += steps[elem.kind][0]
+        inside = np.all(moved >= 0, axis=1) & (moved.sum(axis=1) <= cutoff)
+        if elem.kind is Kind.MIXED and elem.i == elem.j:
+            assert np.array_equal(sources, kets), elem
+        else:
+            assert np.array_equal(sources, np.flatnonzero(inside)), elem
+        expected = basis.indices(moved[sources])
+        assert targets.dtype == expected.dtype and targets.tobytes() == expected.tobytes(), elem
+
+
+def test_largest_column_norm_sums_duplicates_like_scipy():
+    """The column-norm bound ``evolve`` checks a pair source against before
+    its set-up sums duplicate entries first, as scipy's CSC form does: on
+    operators whose C_ii and scalar share the diagonal, on every catalog
+    pair source and on a random support, it is scipy's within 1e-15."""
+    basis = get_basis(8)
+    rng = np.random.default_rng(29)
+    shifted = catalog("K") + catalog("K_z") + catalog("J_z_12") + QuadOp.make({}, Fraction(7, 10))
+    for op in [shifted] + [catalog(name) for name in PAIR_SOURCES]:
+        for kets in (np.arange(basis.dim), np.flatnonzero(rng.random(basis.dim) < 0.2)):
+            values, (targets, sources) = fock._entries(op, basis, kets)
+            columns = scipy.sparse.csc_matrix((values, (targets, sources)),
+                                              shape=(basis.dim, kets.size))
+            expected = np.sqrt(abs(columns).power(2).sum(axis=0).max())
+            assert fock._largest_column_norm(values, targets, sources) == pytest.approx(
+                expected, rel=1e-15, abs=0), op
+
+
 def test_hermitian_operator_gives_hermitian_matrix():
     """The stored flag, decided on the exact operator, is the hermiticity of
     the float matrix for every catalog name at several cutoffs; only L_z,
@@ -383,35 +425,76 @@ def test_evolve_on_reached_kets():
     assert len(generator._supports) == fock.MAX_SUPPORTS
 
 
+def _set_up_blocks(generator, factor, q=0):
+    """(blocks, V, lam) per block of set-up factor ``q`` of ``restricted``,
+    each block once: a pair factor's V_s of ``PassiveFactors`` on each of its
+    blocks (a lone block of a size is listed twice there), or a pair source's
+    components with their own V."""
+    if not generator.passive:
+        return [(members, vecs, lam) for blocks, all_vecs, _, all_lam in factor
+                for members, vecs, lam in zip(blocks, all_vecs, all_lam)]
+    order, segments = factor
+    _, _, lams, vecs = generator.factors.pairs[q]
+    return [(members, vecs[s, :s + 1, :s + 1], lams[s, :s + 1])
+            for start, stop, s in segments
+            for members in np.unique(order[start:stop].reshape(-1, s + 1), axis=0)]
+
+
+def _set_up_matrix(n, blocks):
+    """The block-diagonal V as a CSR matrix on n kets, and the slot eigenvalues lam."""
+    rows, cols, values, lam = [], [], [], np.full(n, np.nan)
+    for members, vecs, eigenvalues in blocks:
+        rows.append(np.repeat(members, len(members)))
+        cols.append(np.tile(members, len(members)))
+        values.append(vecs.ravel())
+        lam[members] = eigenvalues
+    entries = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.csr_matrix(entries, shape=(n, n)), lam
+
+
+def _set_up_dense(n, blocks):
+    """The block-diagonal V as a dense matrix on n kets, and the slot eigenvalues lam."""
+    vecs, lam = _set_up_matrix(n, blocks)
+    return vecs.toarray(), lam
+
+
 def test_active_set_up_is_one_factor_per_component():
-    """A pair source's set-up is one factor: V holds the eigenvectors of each
-    connected component of the matrix on the reached kets (H V = V lam),
-    unitary within 1e-13, linking only kets of one component, and each
-    slot's eigenvalue is one of its component's block.  A second source on the first one's
-    state (``custom [K, K_OM]`` at N=30) meets 136 components of several
-    sizes, so the stacked eigh runs once per size."""
+    """A pair source's set-up is one factor: per component size, blocks of
+    kets whose V holds the eigenvectors of one connected component of the
+    matrix on the reached kets (H V = V lam), every ket in one block, V
+    unitary within 1e-13, V^T a view of V, and each slot's eigenvalue one of
+    its component's.  A second source on the first one's state
+    (``custom [K, K_OM]`` at N=30) meets 136 components of 16 sizes, so the
+    stacked eigh runs once per size."""
     spec = experiments.ExperimentSpec("custom", (("K", 0.3), ("K_OM", 0.2)), cutoff=30)
     basis = get_basis(spec.cutoff)
     source = evolve(vacuum(basis), matrix(catalog("K"), basis), 0.3)
     generator = matrix(catalog("K_OM"), basis)
     kets, (weights, products, largest) = generator.restricted(source.amps != 0)
     assert weights is None and len(products) == 1
-    (vecs, vecs_t, lam), = products
     block = generator.mat[kets][:, kets].toarray()
     _, labels = scipy.sparse.csgraph.connected_components(abs(block), directed=False)
     sizes = np.bincount(labels)
     assert (kets.size, sizes.size, len(set(sizes))) == (1124, 136, 16)
-    assert np.shares_memory(vecs_t.data, vecs.data) and (vecs_t != vecs.T).nnz == 0
-    assert np.max(np.abs((vecs_t.conj() @ vecs).toarray() - np.eye(kets.size))) < 1e-13
-    rows, cols = vecs.nonzero()
+    (factor,) = products
+    assert len(factor) == 16
+    for _, vecs, vecs_t, _ in factor:
+        assert np.shares_memory(vecs_t, vecs) and np.array_equal(vecs_t, vecs.swapaxes(1, 2))
+    blocks = _set_up_blocks(generator, factor)
+    members = np.concatenate([m for m, _, _ in blocks])
+    assert np.array_equal(np.sort(members), np.arange(kets.size))
+    for m, _, _ in blocks:
+        assert np.array_equal(np.sort(m), np.flatnonzero(labels == labels[m[0]]))
+    dense_vecs, lam = _set_up_dense(kets.size, blocks)
+    assert np.max(np.abs(dense_vecs.conj().T @ dense_vecs - np.eye(kets.size))) < 1e-13
+    rows, cols = np.nonzero(dense_vecs)
     assert np.array_equal(labels[rows], labels[cols])
     assert largest == np.max(np.abs(lam))
-    dense_vecs = vecs.toarray()
     assert np.max(np.abs(block @ dense_vecs - dense_vecs * lam)) < 1e-13
     for label in range(sizes.size):
-        members = np.flatnonzero(labels == label)
-        exact = np.linalg.eigvalsh(block[np.ix_(members, members)])
-        assert np.max(np.abs(np.sort(lam[members]) - exact)) < 1e-13, label
+        component = np.flatnonzero(labels == label)
+        exact = np.linalg.eigvalsh(block[np.ix_(component, component)])
+        assert np.max(np.abs(np.sort(lam[component]) - exact)) < 1e-13, label
     assert experiments.run(spec).amps.tobytes() == evolve(source, generator, 0.2).amps.tobytes()
 
 
@@ -419,10 +502,13 @@ def test_passive_set_up_is_the_one_per_support():
     """A passive stage's set-up per support is what ``restricted`` returns:
     asking for it first, then evolving on the same support, reads the same
     cache entry.  The kets are the closure under the matrix, a union of
-    whole blocks of each pair factor.  Each factor's V is unitary on them
-    and links only kets of one block, V^T is a view of V's arrays (evolve
-    applies V^dagger as its conjugate), and each slot's eigenvalue is that
-    of its block size."""
+    whole blocks of each pair factor, each block the kets of one n_i + n_j
+    and one pair of other photon numbers, slot k at n_i = k.  On them each
+    factor's V, V_s on every block of size s, is unitary, links only kets of
+    one block and holds eigenvectors of the pair's part H of the generator,
+    H V = V lam with lam that of its block size.  What evolve applies at an
+    angle, W_s^T = conj(V_s) expm1(i theta lam_s) V_s^T per size, is built
+    once per angle, with V_s^T a view of V_s."""
     basis = get_basis(8)
     source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
     generator = matrix(catalog("J_BS_wv"), basis)  # two pair factors, complex V_s
@@ -431,23 +517,61 @@ def test_passive_set_up_is_the_one_per_support():
     reference = oracles.reached_dense_evolve(source, generator, 1.0)
     assert np.max(np.abs(out.amps - reference.amps)) < 1e-12
     assert len(generator._supports) == 1
-    again, (_, products, _) = generator.restricted(source.amps != 0)
+    again, (_, products, largest) = generator.restricted(source.amps != 0)
     assert again is kets and products is set_up[1]
     occ = basis.occupations[kets]
     assert len(products) == len(generator.factors.pairs) == 2
-    for (i, j, lams, _), (vecs, vecs_t, lam) in zip(generator.factors.pairs, products):
-        assert vecs.shape == vecs_t.shape == (kets.size, kets.size)
-        for part in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(vecs_t, part), getattr(vecs, part))
-        assert (vecs_t != vecs.T).nnz == 0
-        gram = (vecs_t.conj() @ vecs).toarray()
-        assert np.max(np.abs(gram - np.eye(kets.size))) < 1e-13
+    turns = generator.turns(1.0)
+    assert generator.turns(1.0) is turns and list(generator._turns) == [1.0]
+    lam_max = 0.0
+    for q, ((i, j, lams, vecs), factor) in enumerate(zip(generator.factors.pairs, products)):
+        blocks = _set_up_blocks(generator, factor, q)
         others = [m for m in range(4) if m not in (i, j)]
+        for members, _, _ in blocks:
+            s = occ[members[0], i] + occ[members[0], j]
+            assert np.array_equal(occ[members, i], np.arange(s + 1))
+            assert np.all(occ[members][:, others] == occ[members[0], others])
+        members = np.concatenate([m for m, _, _ in blocks])
+        assert np.array_equal(np.sort(members), np.arange(kets.size))
+        dense_vecs, lam = _set_up_dense(kets.size, blocks)
+        assert np.max(np.abs(dense_vecs.conj().T @ dense_vecs - np.eye(kets.size))) < 1e-13
         block = np.column_stack([occ[:, i] + occ[:, j], occ[:, others]])
-        rows, cols = vecs.nonzero()
+        rows, cols = np.nonzero(dense_vecs)
         assert np.array_equal(block[rows], block[cols])
         totals = occ[:, i] + occ[:, j]
         assert np.array_equal(lam, [lams[s][k] for s, k in zip(totals, occ[:, i])])
+        pair = QuadOp({e: c for e, c in generator.op.coeffs.items() if {e.i, e.j} <= {i + 1, j + 1}})
+        h = matrix(pair, basis).mat[kets][:, kets].toarray()
+        assert np.max(np.abs(h @ dense_vecs - dense_vecs * lam)) < 1e-13
+        lam_max = max(lam_max, np.max(np.abs(lam)))
+        for s, turn in enumerate(turns[q]):
+            v = vecs[s, :s + 1, :s + 1]
+            expected = (v.conj() * np.expm1(1j * lams[s, :s + 1])) @ v.T
+            assert turn.shape == (s + 1, s + 1) and np.max(np.abs(turn - expected)) < 1e-14
+    assert largest == lam_max
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 30])
+def test_set_up_products_match_scipy_csr(cutoff):
+    """What ``evolve`` applies on each stage of the named pipelines equals
+    scipy CSR products with the same set-up: the phases, then per factor
+    v + V expm1(i theta lam) V^dagger v with V the block-diagonal eigenvectors
+    on the kets, within 1e-15."""
+    for name in ("ideal", "horne", "ou_mandel"):
+        spec = experiments.ExperimentSpec(name, gamma=0.3, phi=0.7, cutoff=cutoff)
+        state = vacuum(get_basis(cutoff))
+        for stage, theta in spec.stages:
+            generator = experiments._stage_operator(stage, cutoff)
+            kets, (weights, products, _) = generator.restricted(state.amps != 0)
+            v = state.amps[kets]
+            if weights is not None:
+                v = np.exp(1j * theta * weights) * v
+            for q, factor in enumerate(products):
+                vecs, lam = _set_up_matrix(kets.size, _set_up_blocks(generator, factor, q))
+                v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs.conj().T @ v))
+            state = evolve(state, generator, theta)
+            assert np.max(np.abs(state.amps[kets] - v)) < 1e-15, (name, stage)
+            assert not np.any(np.delete(state.amps, kets))
 
 
 #: the hermitian catalog generators with a pair term: the pair sources
@@ -518,6 +642,25 @@ def test_passive_block_is_independent_of_its_neighbours():
         one = evolve(StateVector(basis, alone), generator, theta).amps[block]
         two = evolve(StateVector(basis, paired), generator, theta).amps[block]
         assert one.tobytes() == two.tobytes()
+
+
+def test_every_block_size_is_independent_of_its_neighbours():
+    """The same holds at every block size, with any neighbours: a block of
+    ``J_a`` (one pair factor) alone gives the bits it gives inside a state on
+    the whole basis.  A lone block is a one-row product, which numpy's gemv
+    rounds unlike gemm's rows at most sizes, so the set-up lists it twice."""
+    basis = get_basis(12)
+    generator = matrix(catalog("J_a"), basis)
+    rng = np.random.default_rng(31)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    for theta in (0.3, -2.5):
+        whole = evolve(StateVector(basis, amps), generator, theta).amps
+        for s in range(basis.cutoff + 1):
+            block = basis.indices(np.array([(k, s - k, 0, basis.cutoff - s) for k in range(s + 1)]))
+            alone = np.where(np.isin(np.arange(basis.dim), block), amps, 0.0)
+            assert generator.restricted(alone != 0)[1][1][0][1] == ((0, 2 * (s + 1), s),)
+            out = evolve(StateVector(basis, alone), generator, theta).amps
+            assert out[block].tobytes() == whole[block].tobytes(), (theta, s)
 
 
 def test_unitarity_and_reversibility():
