@@ -62,7 +62,8 @@ from .fock import (
 
 DEFAULT_CUTOFF = 8
 #: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked
-#: at 146 MiB (ou_mandel, any gamma) and 212 MiB (custom with two sources)
+#: at 146 MiB (ou_mandel, any gamma; 223 MiB with an analyzer angle) and 209 MiB
+#: (custom with two sources)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
@@ -334,22 +335,27 @@ class Readout:
 
         The channel-a and channel-b observables are hermitian and commute, so
         T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal products and two
-        products with sigma_y's entries on the state's kets (:func:`_sigma_y_on`).
-        Each keeps its channel's photon number, so it commutes with the projection,
-        and the coincidence columns of the same products give the projected tensor.
+        products with sigma_y (``SparseOperator.apply``).  Each sigma keeps
+        both channels' photon numbers, so the products lie on the kets with
+        the state's pairs (n_a, n_b), and it commutes with the projection, so
+        the coincidence columns of the same products give the projected tensor.
         """
         amps, basis = self.state.normalized().amps, self.state.basis
-        support = self.state.amps.astype(bool).tobytes()
-        kets, z_weights, sigma_y, coincident = _sigma_y_on(basis.cutoff, support)
-        x = amps[kets]
-        side_a, side_b = (np.stack([z * x, np.bincount(slots, (values * x[sources]).view(np.float64),
-                                                       minlength=2 * x.size).view(np.complex128)])
-                          for z, (slots, sources, values) in zip(z_weights, sigma_y))
+        z_a, z_b, n_a, n_b = basis.channel_weights
+        pair = n_a * (basis.cutoff + 1) + n_b  # each ket's (n_a, n_b) as one index
+        held = np.zeros((basis.cutoff + 1) ** 2, dtype=bool)
+        held[pair[amps.astype(bool)]] = True
+        kets = np.flatnonzero(held[pair])
+        x, z_a, z_b = amps[kets], z_a[kets], z_b[kets]
+        side_a = np.stack([z_a * x, _stage_operator("sigma_y_a", basis.cutoff).apply(x, kets)])
+        side_b = np.stack([z_b * x, _stage_operator("sigma_y_b", basis.cutoff).apply(x, kets)])
         raw = (side_a.conj() @ side_b.T).real
         if self.conditioned.degenerate:
             return raw, None
         kept = basis.coincidence
         weight = np.vdot(amps[kept], amps[kept]).real
+        # the state has weight on a coincidence ket, so kets hold all four (n_a = n_b = 1)
+        coincident = np.searchsorted(kets, kept)
         return raw, (side_a[:, coincident].conj() @ side_b[:, coincident].T).real / weight
 
     def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
@@ -378,30 +384,6 @@ class Readout:
         spec = self.spec
         reports = tuple(self.report(spec.estimator, ta, tb) for ta, tb in angles.settings())
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
-
-
-@lru_cache(maxsize=fock.MAX_SUPPORTS)
-def _sigma_y_on(cutoff: int, support: bytes) -> tuple:
-    """What :attr:`Readout.tensors` reads on one support, the bytes of a
-    boolean mask over the basis: the ascending kets that hold the support and
-    its images under sigma_y_a and sigma_y_b; the sigma_z_a and sigma_z_b
-    weights on them; per channel sigma_y's entries on the support as
-    (interleaved real/imaginary target slots, source positions, values) among
-    those kets; and the positions of the coincidence kets among them."""
-    basis = get_basis(cutoff)
-    reached = np.frombuffer(support, dtype=bool).copy()
-    support_kets = np.flatnonzero(reached)
-    entries = [fock._entries(catalog(name), basis, support_kets) for name in ("sigma_y_a", "sigma_y_b")]
-    for _, (targets, _) in entries:
-        reached[targets] = True
-    kets = np.flatnonzero(reached)
-    sources = np.searchsorted(kets, support_kets)
-    sigma_y = []
-    for values, (targets, positions) in entries:
-        rows = np.searchsorted(kets, targets)
-        sigma_y.append((np.stack([2 * rows, 2 * rows + 1], axis=1).ravel(), sources[positions], values))
-    coincident = np.searchsorted(kets, basis.coincidence[reached[basis.coincidence]])
-    return kets, basis.channel_weights[:2, kets], sigma_y, coincident
 
 
 def readout(spec: ExperimentSpec) -> Readout:

@@ -53,9 +53,9 @@ Occupation = tuple[int, int, int, int]
 #: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
 PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
-#: supports one operator keeps set up, and angles a passive one keeps turns
-#: for; a named pipeline's stage sees one support at every parameter where no
-#: amplitude underflows to 0, and a passive stage of one runs at one angle
+#: supports one operator keeps set up or read, and angles a passive one keeps
+#: turns for; a named pipeline's stage sees one support at every parameter where
+#: no amplitude underflows to 0, and its J_BS and J_a stages run at pi/2 only
 MAX_SUPPORTS = 8
 #: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
 ACCURACY = 1e-12
@@ -184,7 +184,9 @@ class SparseOperator:
     op: QuadOp = field(repr=False)
     #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
     _supports: dict = field(default_factory=dict, init=False, repr=False)
-    #: :meth:`turns` per angle, the oldest dropped beyond MAX_SUPPORTS
+    #: the entries :meth:`apply` reads per kets and support, kept the same way
+    _images: dict = field(default_factory=dict, init=False, repr=False)
+    #: :meth:`turns` per angle, kept the same way
     _turns: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -222,8 +224,8 @@ class SparseOperator:
         n_j = s-n_i) as rows of s+1 slots, slot k at n_i = k, for each
         (start, stop, s) in ``segments`` (:func:`_pair_blocks`).  An active
         operator has no weights and one factor over the connected components
-        of its entries among the kets: per component size, (blocks, V, V^T,
-        lam) of :func:`_components` with V^T a view of V."""
+        of its entries among the kets: per component size, (blocks, V, lam)
+        of :func:`_components`."""
         key = support.tobytes()
         if key in self._supports:
             return self._supports[key]
@@ -247,50 +249,70 @@ class SparseOperator:
         else:
             values, (targets, sources) = _entries(self.op, self.basis, kets)
             groups = _components(np.searchsorted(kets, targets), sources, values, kets.size)
-            weights, products = None, [[(b, v, v.swapaxes(1, 2), lam) for b, v, lam in groups]]
+            weights, products = None, [groups]
             phases = [lam for *_, lam in groups]
         phases += [] if weights is None else [weights]
         set_up = weights, products, max((float(np.max(np.abs(x))) for x in phases), default=0.0)
-        if len(self._supports) >= MAX_SUPPORTS:
-            del self._supports[next(iter(self._supports))]
-        self._supports[key] = kets, set_up
-        return kets, set_up
+        return _keep(self._supports, key, (kets, set_up))
 
-    def turns(self, theta: float) -> list[list[np.ndarray]]:
-        """Per pair factor of a passive operator, per block size s =
-        0..cutoff, W_s^T for W_s = V_s expm1(i theta lam_s) V_s^dagger, what
-        :func:`evolve` applies to each block of size s at this angle.  All
-        sizes are built at once, padded to the cutoff, so their bits depend
-        on (theta, s) only; kept per angle."""
+    def turns(self, theta: float) -> list[np.ndarray]:
+        """Per pair factor of a passive operator, what :func:`evolve` applies
+        to each block of size s at this angle: W_s^T for W_s = V_s expm1(i
+        theta lam_s) V_s^dagger, zero-padded to the cutoff like
+        ``PassiveFactors.pairs``, ``turns[s, :s+1, :s+1]``.  Every size is
+        its own product of one fixed shape, so its bits depend on theta, s
+        and the cutoff only.  Kept per angle: building them costs a passive
+        stage about as much as applying them, and the named pipelines run
+        J_BS and J_a at pi/2 only (J_prime, which a phi scan runs at each
+        row's phi, couples no pair, so its turns are empty)."""
         if theta in self._turns:
             return self._turns[theta]
-        turns = []
-        for _, _, lams, vecs in self.factors.pairs:
-            padded = (vecs.conj() * np.expm1(1j * theta * lams)[:, None, :]) @ vecs.swapaxes(1, 2)
-            turns.append([np.ascontiguousarray(padded[s, :s + 1, :s + 1]) for s in range(len(lams))])
-        if len(self._turns) >= MAX_SUPPORTS:
-            del self._turns[next(iter(self._turns))]
-        self._turns[theta] = turns
-        return turns
+        return _keep(self._turns, theta, [
+            (vecs.conj() * np.expm1(1j * theta * lams)[:, None, :]) @ vecs.swapaxes(1, 2)
+            for _, _, lams, vecs in self.factors.pairs])
+
+    def apply(self, x: np.ndarray, kets: np.ndarray) -> np.ndarray:
+        """The operator times the vector that holds ``x`` on the ascending
+        basis indices ``kets`` and 0 elsewhere, read on ``kets``, which must
+        hold its image (``ValueError`` if not); summed in entry order from
+        its entries on the kets where ``x`` is not 0 (:func:`_entries`),
+        which are kept per kets and support like :meth:`restricted`'s."""
+        held = x.astype(bool)
+        key = kets.tobytes() + held.tobytes()
+        if key in self._images:
+            slots, sources, values = self._images[key]
+        else:
+            sources = np.flatnonzero(held)
+            values, (targets, positions) = _entries(self.op, self.basis, kets[sources])
+            rows = np.searchsorted(kets, targets)
+            if not np.array_equal(kets[np.minimum(rows, kets.size - 1)], targets):
+                raise ValueError("the kets do not hold the operator's image of the vector")
+            slots = np.stack([2 * rows, 2 * rows + 1], axis=1).ravel()
+            slots, sources, values = _keep(self._images, key, (slots, sources[positions], values))
+        products = (values * x[sources]).view(np.float64)  # interleaved real, imaginary
+        return np.bincount(slots, products, minlength=2 * kets.size).view(np.complex128)
+
+
+def _keep(cache: dict, key, value):
+    """Store ``value`` in a per-support or per-angle cache, dropping the
+    oldest entry beyond MAX_SUPPORTS; return it."""
+    if len(cache) >= MAX_SUPPORTS:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 def _pair_blocks(occ: np.ndarray, i: int, j: int) -> tuple[np.ndarray, tuple]:
     """(order, segments), the set-up of the pair factor (i, j) on kets with
     occupations ``occ``, a union of whole blocks (see
-    :meth:`SparseOperator.restricted`).  A size with a lone block lists it
-    twice: a product of one row rounds unlike one of several rows (gemv, not
-    gemm), so a block's bits do not depend on its neighbours."""
+    :meth:`SparseOperator.restricted`)."""
     totals = occ[:, i] + occ[:, j]
     others = [occ[:, m] for m in range(4) if m not in (i, j)]
     order = np.lexsort((occ[:, i], *others, totals))
-    parts, segments, start = [], [], 0
-    for s, part in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1])):
-        if part.size:
-            part = np.tile(part, 2) if part.size == s + 1 else part
-            parts.append(part)
-            segments.append((start, start + part.size, s))
-            start += part.size
-    return np.concatenate(parts), tuple(segments)
+    counts = np.bincount(totals)
+    stops = np.cumsum(counts)
+    return order, tuple((int(stop - count), int(stop), s)
+                        for s, (count, stop) in enumerate(zip(counts, stops)) if count)
 
 
 def _components(rows, cols, data, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -489,8 +511,8 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     if weights is not None:
         v = np.exp(1j * theta * weights) * v
     if passive:
-        for factor, turns in zip(factors, generator.turns(theta)):
-            _rotate_pair(v, factor, turns)
+        for factor, turn in zip(factors, generator.turns(theta)):
+            _rotate_pair(v, factor, turn)
     else:
         _rotate_components(v, factors[0], theta)
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
@@ -498,15 +520,22 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     return StateVector(state.basis, amps)
 
 
-def _rotate_pair(v: np.ndarray, factor: tuple, turns: list[np.ndarray]) -> None:
+def _rotate_pair(v: np.ndarray, factor: tuple, turn: np.ndarray) -> None:
     """v += W v in place on a pair factor's blocks (:func:`_pair_blocks`),
     W_s = V_s expm1(i theta lam_s) V_s^dagger (:meth:`SparseOperator.turns`):
-    one product per block size, with the size's blocks as rows."""
+    per block size, one ``numpy.matmul`` whose batch is the size's blocks,
+    each a 1 x (s+1) row times W_s^T.  numpy makes that one BLAS
+    vector-matrix product per block, with the same shapes and strides for
+    every block of the size, so a block's bits depend on the BLAS build and
+    the CPU but not on how many blocks share its size.  One (blocks, s+1)
+    product would leave the rounding of each row to how the BLAS kernel
+    tiles that many rows."""
     order, segments = factor
     x = v[order]
     out = np.empty_like(x)
     for start, stop, s in segments:
-        np.matmul(x[start:stop].reshape(-1, s + 1), turns[s], out=out[start:stop].reshape(-1, s + 1))
+        np.matmul(x[start:stop].reshape(-1, 1, s + 1), turn[s, :s + 1, :s + 1],
+                  out=out[start:stop].reshape(-1, 1, s + 1))
     v[order] = x + out
 
 
@@ -514,10 +543,10 @@ def _rotate_components(v: np.ndarray, factor: list, theta: float) -> None:
     """v += V expm1(i theta lam) V^dagger v in place on a pair source's
     components (:func:`_components`): two batched products per component
     size, each block with its own V."""
-    for blocks, vecs, vecs_t, lam in factor:
+    for blocks, vecs, lam in factor:
         x = v[blocks][:, None, :]
         y = np.expm1(1j * theta * lam)[:, None, :] * (x.conj() @ vecs).conj()  # V^dagger x
-        v[blocks] = (x + y @ vecs_t)[:, 0]
+        v[blocks] = (x + y @ vecs.swapaxes(1, 2))[:, 0]
 
 
 def _check_phase(theta: float, largest: float) -> None:

@@ -540,8 +540,10 @@ def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
     """``Readout.tensors`` reads sigma_y on the state's kets; both tensors
     equal those of the whole-basis products ``sigma_y.mat @ amps`` within
     1e-15, at a small and a large gamma.  Those states, and a third one,
-    share one support, whose entries are read once."""
-    experiments._sigma_y_on.cache_clear()
+    share one support, on whose kets each sigma_y reads its entries once."""
+    sigma_y = [experiments._stage_operator(name, cutoff) for name in ("sigma_y_a", "sigma_y_b")]
+    for operator in sigma_y:
+        operator._images.clear()
     for gamma in (0.05, 0.9):
         source = experiments.readout(ExperimentSpec(name, gamma=gamma, cutoff=cutoff))
         amps, basis = source.state.normalized().amps, source.state.basis
@@ -555,7 +557,7 @@ def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
         for tensor, reference in zip(source.tensors, expected):
             assert np.max(np.abs(tensor - reference)) < 1e-15, (gamma, tensor - reference)
     experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff)).tensors
-    assert experiments._sigma_y_on.cache_info()[:2] == (2, 1)
+    assert [len(operator._images) for operator in sigma_y] == [1, 1]
 
 
 @pytest.mark.parametrize("name", PIPELINES)

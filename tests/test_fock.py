@@ -214,6 +214,39 @@ def test_largest_column_norm_sums_duplicates_like_scipy():
                 expected, rel=1e-15, abs=0), op
 
 
+def test_apply_is_the_whole_basis_product():
+    """``SparseOperator.apply`` reads an operator's entries on the support of
+    a vector held on a set of kets that holds its image, here a random
+    support with its image or the kets the operator reaches from it, and
+    equals ``mat @ amps`` on them within 1e-15 of the largest entry, for
+    sigma_y, a passive and an active operator with a scalar.  It reads each
+    (kets, support) once, keeps at most MAX_SUPPORTS of them, and refuses
+    kets that miss part of the image."""
+    basis = get_basis(8)
+    rng = np.random.default_rng(30)
+    shifted = catalog("K") + catalog("K_z") + QuadOp.make({}, Fraction(7, 10))
+    for op in (catalog("sigma_y_a"), catalog("J_BS"), shifted):
+        generator, read = matrix(op, basis), set()
+        for fraction in (0.05, 1.0):
+            amps = np.where(rng.random(basis.dim) < fraction,
+                            rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim), 0.0)
+            image = np.flatnonzero((amps != 0) | (abs(generator.mat) @ (amps != 0) != 0))
+            expected = generator.mat @ amps
+            for kets in (image, generator.restricted(amps != 0)[0]):
+                read.add((kets.tobytes(), (amps[kets] != 0).tobytes()))
+                assert not np.any(np.delete(expected, kets))
+                for _ in range(2):
+                    error = np.max(np.abs(generator.apply(amps[kets], kets) - expected[kets]))
+                    assert error < 1e-15 * np.max(np.abs(expected)), op
+        assert len(generator._images) == len(read)
+        for k in range(fock.MAX_SUPPORTS + 2):
+            kets = generator.restricted(np.arange(basis.dim) == k)[0]
+            generator.apply(np.ones(kets.size), kets)
+        assert len(generator._images) == fock.MAX_SUPPORTS
+        with pytest.raises(ValueError, match="do not hold the operator's image"):
+            generator.apply(np.ones(1), basis.indices(np.array([(1, 1, 1, 1)])))
+
+
 def test_hermitian_operator_gives_hermitian_matrix():
     """The stored flag, decided on the exact operator, is the hermiticity of
     the float matrix for every catalog name at several cutoffs; only L_z,
@@ -428,16 +461,14 @@ def test_evolve_on_reached_kets():
 def _set_up_blocks(generator, factor, q=0):
     """(blocks, V, lam) per block of set-up factor ``q`` of ``restricted``,
     each block once: a pair factor's V_s of ``PassiveFactors`` on each of its
-    blocks (a lone block of a size is listed twice there), or a pair source's
-    components with their own V."""
+    blocks, or a pair source's components with their own V."""
     if not generator.passive:
-        return [(members, vecs, lam) for blocks, all_vecs, _, all_lam in factor
+        return [(members, vecs, lam) for blocks, all_vecs, all_lam in factor
                 for members, vecs, lam in zip(blocks, all_vecs, all_lam)]
     order, segments = factor
     _, _, lams, vecs = generator.factors.pairs[q]
     return [(members, vecs[s, :s + 1, :s + 1], lams[s, :s + 1])
-            for start, stop, s in segments
-            for members in np.unique(order[start:stop].reshape(-1, s + 1), axis=0)]
+            for start, stop, s in segments for members in order[start:stop].reshape(-1, s + 1)]
 
 
 def _set_up_matrix(n, blocks):
@@ -462,8 +493,8 @@ def test_active_set_up_is_one_factor_per_component():
     """A pair source's set-up is one factor: per component size, blocks of
     kets whose V holds the eigenvectors of one connected component of the
     matrix on the reached kets (H V = V lam), every ket in one block, V
-    unitary within 1e-13, V^T a view of V, and each slot's eigenvalue one of
-    its component's.  A second source on the first one's state
+    unitary within 1e-13 and kept once (no V^T beside it), and each slot's
+    eigenvalue one of its component's.  A second source on the first one's state
     (``custom [K, K_OM]`` at N=30) meets 136 components of 16 sizes, so the
     stacked eigh runs once per size."""
     spec = experiments.ExperimentSpec("custom", (("K", 0.3), ("K_OM", 0.2)), cutoff=30)
@@ -478,8 +509,8 @@ def test_active_set_up_is_one_factor_per_component():
     assert (kets.size, sizes.size, len(set(sizes))) == (1124, 136, 16)
     (factor,) = products
     assert len(factor) == 16
-    for _, vecs, vecs_t, _ in factor:
-        assert np.shares_memory(vecs_t, vecs) and np.array_equal(vecs_t, vecs.swapaxes(1, 2))
+    for blocks, vecs, lam in factor:
+        assert vecs.shape == (*blocks.shape, blocks.shape[1]) and lam.shape == blocks.shape
     blocks = _set_up_blocks(generator, factor)
     members = np.concatenate([m for m, _, _ in blocks])
     assert np.array_equal(np.sort(members), np.arange(kets.size))
@@ -508,7 +539,7 @@ def test_passive_set_up_is_the_one_per_support():
     one block and holds eigenvectors of the pair's part H of the generator,
     H V = V lam with lam that of its block size.  What evolve applies at an
     angle, W_s^T = conj(V_s) expm1(i theta lam_s) V_s^T per size, is built
-    once per angle, with V_s^T a view of V_s."""
+    once per angle, zero-padded to the cutoff."""
     basis = get_basis(8)
     source = evolve(vacuum(basis), matrix(catalog("K_OM"), basis), 0.4)
     generator = matrix(catalog("J_BS_wv"), basis)  # two pair factors, complex V_s
@@ -544,10 +575,12 @@ def test_passive_set_up_is_the_one_per_support():
         h = matrix(pair, basis).mat[kets][:, kets].toarray()
         assert np.max(np.abs(h @ dense_vecs - dense_vecs * lam)) < 1e-13
         lam_max = max(lam_max, np.max(np.abs(lam)))
+        assert turns[q].shape == (basis.cutoff + 1,) * 3
         for s, turn in enumerate(turns[q]):
             v = vecs[s, :s + 1, :s + 1]
             expected = (v.conj() * np.expm1(1j * lams[s, :s + 1])) @ v.T
-            assert turn.shape == (s + 1, s + 1) and np.max(np.abs(turn - expected)) < 1e-14
+            assert not np.any(turn[s + 1:]) and not np.any(turn[:, s + 1:])
+            assert np.max(np.abs(turn[:s + 1, :s + 1] - expected)) < 1e-14
     assert largest == lam_max
 
 
@@ -647,8 +680,8 @@ def test_passive_block_is_independent_of_its_neighbours():
 def test_every_block_size_is_independent_of_its_neighbours():
     """The same holds at every block size, with any neighbours: a block of
     ``J_a`` (one pair factor) alone gives the bits it gives inside a state on
-    the whole basis.  A lone block is a one-row product, which numpy's gemv
-    rounds unlike gemm's rows at most sizes, so the set-up lists it twice."""
+    the whole basis.  Each block is its own vector-matrix product, so a lone
+    block is not a special case."""
     basis = get_basis(12)
     generator = matrix(catalog("J_a"), basis)
     rng = np.random.default_rng(31)
@@ -658,7 +691,7 @@ def test_every_block_size_is_independent_of_its_neighbours():
         for s in range(basis.cutoff + 1):
             block = basis.indices(np.array([(k, s - k, 0, basis.cutoff - s) for k in range(s + 1)]))
             alone = np.where(np.isin(np.arange(basis.dim), block), amps, 0.0)
-            assert generator.restricted(alone != 0)[1][1][0][1] == ((0, 2 * (s + 1), s),)
+            assert generator.restricted(alone != 0)[1][1][0][1] == ((0, s + 1, s),)
             out = evolve(StateVector(basis, alone), generator, theta).amps
             assert out[block].tobytes() == whole[block].tobytes(), (theta, s)
 
