@@ -37,6 +37,7 @@ from .experiments import (
     ExperimentSpec,
     chsh,
     readout,
+    run,
     scan,
 )
 from .fock import EvolveError
@@ -238,9 +239,9 @@ def cmd_run(args) -> int:
         "degenerate": chosen.degenerate,
         "raw": asdict(raw),
         "conditioned": asdict(cond),
-        "norm": source.state.norm(),
+        "norm": source.moments.norm,
         "leakage": raw.leakage,
-        "state": source.state.to_records() if args.dump_state else None,
+        "state": run(spec).to_records() if args.dump_state else None,
     }
     if payload["state"] is None:
         del payload["state"]

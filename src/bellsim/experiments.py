@@ -22,26 +22,24 @@ invariant under a common shift of both analyzers):
   half-normalized generator J_BS = J_x_13 + J_x_24; a 50/50 splitter is
   theta = pi/2 (pi/4 would be an 85/15 splitter).
 
-Two correlation estimators are provided.  ``raw`` evaluates the
-intensity-difference ratio on the full output state; ``conditioned``
-first applies the one-photon-per-channel projection and renormalizes.
-The two agree as the squeeze parameter gamma -> 0 and their measured
-difference is O(gamma^2); the scan and report tooling makes that
-dependence an observable rather than an assumption.
+Two correlation estimators are provided: ``raw``, the intensity-difference
+ratio on the full output state, and ``conditioned``, the same ratio after the
+one-photon-per-channel projection.  They agree as gamma -> 0; the scans make
+their O(gamma^2) difference an observable rather than an assumption.
 
-The analyzers are never evolved.  Every command reads the stages' final state
-through :func:`readout` (:class:`Readout`): each estimator once, and a setting
-as a numerator contracted from a 2x2 sigma tensor of the state.  A delta scan
-reads every row from one readout; a gamma or phi row is the readout of the
-spec with that value, so it is exactly a :func:`run`.
-Every stage is evolved by :func:`fock.evolve`, on the kets it reaches.
+Every command reads a spec through :func:`readout`: :func:`fock.evolve` runs
+the stages up to the last pair source once, and every number is a contraction
+of that state's :class:`Moments` with the single-photon matrix of the later,
+passive stages, analyzers included, which no command evolves.  A delta or phi
+scan reads all its rows from one source state; every row is exactly the
+readout of its own spec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -54,16 +52,17 @@ from .fock import (
     EvolveError,
     SparseOperator,
     StateVector,
+    check_phase,
     evolve,
     get_basis,
-    leakage,
+    mode_matrix,
     vacuum,
 )
 
 DEFAULT_CUTOFF = 8
-#: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked
-#: at 146 MiB (ou_mandel, any gamma; 223 MiB with an analyzer angle) and 209 MiB
-#: (custom with two sources)
+#: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked at
+#: 94 MiB (any named pipeline, gamma or angle; ou_mandel at theta_a = 0.3 took 0.13 s
+#: after import) and 316 MiB (custom with two sources)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
@@ -137,10 +136,9 @@ class ExperimentSpec:
 
     The named pipelines read ``gamma`` and ``phi`` into their stage list and
     take no ``custom_stages``; ``custom`` applies ``custom_stages`` instead.
-    :func:`readout` reads the analyzer setting ``theta_a``/``theta_b`` off
-    the final state.  ``cutoff`` is the one accuracy input: every stage is
-    exact on the truncated space up to the rounding of its phases
-    (:data:`fock.ACCURACY`).
+    :func:`readout` reads the analyzer setting ``theta_a``/``theta_b``.
+    ``cutoff`` is the one accuracy input: every stage is exact on the
+    truncated space up to the rounding of its phases (:data:`fock.ACCURACY`).
     A spec checks its fields when it is built and raises :class:`ConfigError`
     unless every one is usable.  Settings derived from a spec (scan rows,
     cutoffs) are ``dataclasses.replace`` copies of it, so they are checked too.
@@ -220,18 +218,110 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
     return fock.matrix(op, get_basis(cutoff))
 
 
-def run(spec: ExperimentSpec) -> StateVector:
-    """Apply the stages left to right to the vacuum."""
-    basis = get_basis(spec.cutoff)
-    state = vacuum(basis)
-    for gen_name, parameter in spec.stages:
-        state = evolve(state, _stage_operator(gen_name, spec.cutoff), parameter)
+def _evolve(stages: Sequence[tuple[str, float]], cutoff: int) -> StateVector:
+    state = vacuum(get_basis(cutoff))
+    for gen_name, parameter in stages:
+        state = evolve(state, _stage_operator(gen_name, cutoff), parameter)
     return state
 
 
+def run(spec: ExperimentSpec) -> StateVector:
+    """Apply every stage to the vacuum; :func:`readout` stops at the last pair source."""
+    return _evolve(spec.stages, spec.cutoff)
+
+
+def _split(spec: ExperimentSpec) -> int:
+    """How many stages lead up to the last pair source; all later ones are passive."""
+    return max((k + 1 for k, (name, _) in enumerate(spec.stages)
+                if not _stage_operator(name, spec.cutoff).passive), default=0)
+
+
 # ---------------------------------------------------------------------------
-# correlation estimators
+# passive optics as 4x4 mode matrices, and the moments they act on
 # ---------------------------------------------------------------------------
+
+#: (k, l) of c_k^dagger c_l, entry 4k + l of a raveled 4x4 mode matrix
+_K, _L = np.divmod(np.arange(16), 4)
+
+
+@lru_cache(maxsize=None)
+def _channel_sigmas() -> tuple[np.ndarray, np.ndarray]:
+    """The mode matrices of sigma_z, sigma_y and sigma_0 of channel a, then b,
+    (2, 3, 4, 4), and kron(sigma_p^a, sigma_q^b), p, q in (z, y, 0), on the
+    raveled amplitudes psi[i, j] of the kets |1_i 1_j>, i in a, j in b."""
+    sigmas = np.array([[mode_matrix(catalog(f"sigma_{p}_{c}")) for p in "zy0"] for c in "ab"])
+    return sigmas, np.array([[np.kron(a, b) for b in sigmas[1, :, 2:, 2:]]
+                             for a in sigmas[0, :, :2, :2]])
+
+
+@lru_cache(maxsize=None)
+def _eigenmodes(name: str) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(mode_matrix(catalog(name)))
+
+
+def single_photon_matrix(stages: Sequence[tuple[str, float]], photons: int) -> np.ndarray:
+    """S with U^dagger c U = S c for U the passive ``stages`` applied left to
+    right, e^{i theta h} = W e^{i theta mu} W^dagger per stage.  A stage
+    fails by :func:`fock.check_phase` on photons * max|mu|, the largest
+    phase it gives a ket of ``photons`` photons."""
+    s = np.eye(4, dtype=np.complex128)
+    for name, theta in stages:
+        mu, w = _eigenmodes(name)
+        check_phase(theta, photons * float(np.max(np.abs(mu))))
+        s = (w * np.exp(1j * theta * mu)) @ w.conj().T @ s
+    return s
+
+
+@dataclass(frozen=True)
+class Moments:
+    """What every reported number reads off a state psi, normalized: ``gram``,
+    the Gram matrix of the 16 vectors c_k^dagger c_l psi, so <(c^dagger A c)
+    (c^dagger B c)> = vec(A)^dagger gram vec(B) for hermitian A, and ``pairs``,
+    Z_kl = <0|c_k c_l|psi>.  A passive U with U^dagger c U = S c turns A into
+    S^dagger A S and Z into S Z S^T, and keeps every ket's photon number, hence
+    the norm, the ``leakage`` (on the top two shells) and ``photons``."""
+
+    gram: np.ndarray
+    pairs: np.ndarray
+    norm: float
+    leakage: float
+    photons: int
+
+    @staticmethod
+    def of(state: StateVector) -> "Moments":
+        kets = np.flatnonzero(state.amps.astype(bool))
+        rows, slots, factor, (two, pair_factor), top, photons = _ladder_steps(
+            state.basis.cutoff, kets.tobytes())
+        norm = float(np.linalg.norm(state.amps[kets]))
+        x = state.amps[kets] / norm
+        vectors = np.zeros((rows, 16), dtype=np.complex128)
+        vectors.ravel()[slots] = factor * x[:, None]
+        return Moments(vectors.T.conj() @ vectors, (x[two] @ pair_factor).reshape(4, 4), norm,
+                       float(np.vdot(x[top], x[top]).real), photons)
+
+
+@lru_cache(maxsize=fock.MAX_SUPPORTS)
+def _ladder_steps(cutoff: int, kets: bytes) -> tuple:
+    """For :meth:`Moments.of` on the basis kets with these ascending indices:
+    c_k^dagger c_l takes ket s, times ``factor[s, 4k + l]``, to raveled slot
+    ``slots[s, 4k + l]`` of a matrix with a row per ket reached and a last row
+    for the zero factors; Z's factors on the two-photon kets; the top two
+    shells; the largest photon number.  Kept per kets, as a gamma scan's rows
+    share one: half the moments' cost."""
+    basis = get_basis(cutoff)
+    kets = np.frombuffer(kets, dtype=np.intp)
+    occ, totals = basis.occupations[kets], basis.totals[kets]
+    factor = occ[:, _L] * (occ[:, _K] + (_K != _L))
+    power = (cutoff + 1) ** np.arange(3, -1, -1)  # fock._keys is linear in the occupations
+    targets = basis.keys[kets][:, None] + (power[_K] - power[_L])
+    rows = np.sort(targets[factor > 0])  # the keys of the kets reached, one per row
+    rows = rows[np.diff(rows, prepend=-1) != 0]  # keys are >= 0
+    slots = np.where(factor > 0, np.searchsorted(rows, targets), rows.size) * 16 + np.arange(16)
+    two = totals == 2
+    return (rows.size + 1, slots, np.sqrt(factor),
+            (two, np.sqrt(occ[two][:, _K] * (occ[two][:, _L] - (_K == _L)))),
+            totals >= cutoff - 1, int(totals.max()))
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -245,56 +335,47 @@ class CorrelationReport:
     degenerate: bool = False
 
 
-def _occupation_sums(amps: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """<(n1-n2)(n3-n4)> and <(n1+n2)(n3+n4)> over kets with these
-    ``FockBasis.channel_weights`` columns.
-
-    Coincidence counting is diagonal in the Fock basis, so both are sums of
-    |amplitude|^2 weighted by photon numbers.  The channel-b weight is
-    applied first, as in the sparse product <sigma_a sigma_b>, so on the
-    same vector both sums are bit-identical to :func:`fock.expect_product`.
-    """
-    z_a, z_b, n_a, n_b = weights
-    num = np.vdot(amps, z_a * (z_b * amps))
-    den = np.vdot(amps, n_a * (n_b * amps))
-    return float(num.real), float(den.real)
+def _reports(moments: Moments, s: np.ndarray, gamma: float, delta: float):
+    """Both reports and their (z, y) sigma tensors (:attr:`Readout.tensors`)
+    after passive optics of single-photon matrix ``s``: <sigma_p^a sigma_q^b>,
+    p, q in (z, y, 0), from S^dagger sigma S and the Gram matrix, and on the
+    coincidence amplitudes, the channel-a x channel-b block of S Z S^T, whose
+    weight is the (sigma_0, sigma_0) entry.  A zero numerator is +0, not -0."""
+    sigmas, coincident = _channel_sigmas()
+    sigma_a, sigma_b = (s.conj().T @ sigmas @ s).reshape(2, 3, 16)
+    raw = (sigma_a.conj() @ moments.gram @ sigma_b.T).real
+    amps = (s[:2] @ moments.pairs @ s[2:].T).ravel()
+    cond = (coincident @ amps @ amps.conj()).real
+    num, den, weight = float(raw[0, 0]) + 0.0, float(raw[2, 2]), float(cond[2, 2])
+    common = moments.leakage, gamma, delta
+    raw_report = CorrelationReport("raw", 0.0 if den < DEGENERATE_EPS else num / den, num, den,
+                                   *common, den < DEGENERATE_EPS)
+    if weight < DEGENERATE_EPS:
+        return (raw_report, CorrelationReport("conditioned", 0.0, 0.0, 0.0, *common, True),
+                (raw[:2, :2], None))
+    value = float(cond[0, 0]) / weight
+    return (raw_report, CorrelationReport("conditioned", value, value, 1.0, *common),
+            (raw[:2, :2], cond[:2, :2] / weight))
 
 
 def correlation_raw(state: StateVector, gamma: float = float("nan"),
                     delta: float = float("nan")) -> CorrelationReport:
-    """Intensity-difference correlation on the full state.
-
-    C = <(n1-n2)(n3-n4)> / <(n1+n2)(n3+n4)>; a vanishing denominator is
-    reported as C = 0 with the degenerate flag set (no coincidences).
-    """
-    state = state.normalized()
-    num, den = _occupation_sums(state.amps, state.basis.channel_weights)
-    leak = leakage(state)
-    if den < DEGENERATE_EPS:
-        return CorrelationReport("raw", 0.0, num, den, leak, gamma, delta, degenerate=True)
-    return CorrelationReport("raw", num / den, num, den, leak, gamma, delta)
+    """C = <(n1-n2)(n3-n4)> / <(n1+n2)(n3+n4)> on the normalized state, its
+    :class:`Moments` read at S = I; a vanishing denominator is reported as
+    C = 0 with the degenerate flag set (no coincidences)."""
+    return _reports(Moments.of(state), np.eye(4), gamma, delta)[0]
 
 
 def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
                             delta: float = float("nan")) -> CorrelationReport:
-    """Same ratio after projecting onto one photon per channel.
-
-    On the coincidence kets (n1+n2)(n3+n4) = 1, so the denominator sum is
-    the projection weight and the ratio is the +/-1-weighted coincidence
-    average.  The reported numerator and denominator are those of the
-    renormalized projected state; weight 0 is reported degenerate.
-    """
-    leak = leakage(state)
-    kept = state.basis.coincidence
-    num, weight = _occupation_sums(state.amps[kept] / state.norm(),
-                                   state.basis.channel_weights[:, kept])
-    if weight < DEGENERATE_EPS:
-        return CorrelationReport("conditioned", 0.0, 0.0, 0.0, leak, gamma, delta, degenerate=True)
-    return CorrelationReport("conditioned", num / weight, num / weight, 1.0, leak, gamma, delta)
+    """The same ratio on the renormalized projection onto one photon per
+    channel, where (n1+n2)(n3+n4) = 1: numerator C and denominator 1, and
+    weight 0 is reported degenerate."""
+    return _reports(Moments.of(state), np.eye(4), gamma, delta)[1]
 
 
 # ---------------------------------------------------------------------------
-# one readout of the final state
+# one readout of the source state
 # ---------------------------------------------------------------------------
 
 def _analyzer_vector(theta: float) -> np.ndarray:
@@ -307,63 +388,31 @@ def _analyzer_vector(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Readout:
-    """A spec's final state and both estimators on it, which every analyzer
-    setting (theta_a, theta_b) reads.
-
-    The analyzers are passive rotations inside channel a and channel b.  They
-    keep each channel's photon number, so they commute with the coincidence
-    projection and leave the denominator, the coincidence weight and the
-    leakage unchanged, and they turn sigma_z into a combination of sigma_z
-    and sigma_y (checked by ``sigma_rotation_error`` in tests/oracles.py).  Each
-    estimator's numerator is therefore u(theta_a)^T T u(theta_b) for a 2x2
-    tensor T of the final state (:attr:`tensors`), and everything else in a
-    report at that setting is the state's own report, degenerate flag included.
-    """
+    """Both estimators of a spec, and the sigma tensors every analyzer
+    setting (theta_a, theta_b) reads.  The analyzers are passive rotations
+    inside channel a and channel b: they keep each channel's photon number,
+    so they commute with the coincidence projection and leave the
+    denominator, the coincidence weight and the leakage unchanged, and they
+    turn sigma_z into a combination of sigma_z and sigma_y (checked by
+    ``sigma_rotation_error`` in tests/oracles.py).  So a setting's numerator
+    is u(theta_a)^T T u(theta_b) for a 2x2 tensor T (:attr:`tensors`), and
+    the rest of its report is the spec's own, degenerate flag included."""
 
     spec: ExperimentSpec
-    state: StateVector
-    #: :func:`correlation_raw` and :func:`correlation_conditioned` of the
-    #: state, at the spec's own delta
+    #: of the state after the last pair source
+    moments: Moments
     raw: CorrelationReport
     conditioned: CorrelationReport
-
-    @cached_property
-    def tensors(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of the normalized
-        state, and of its renormalized coincidence projection (None when the
-        coincidence weight is degenerate); computed on first use.
-
-        The channel-a and channel-b observables are hermitian and commute, so
-        T_ij = <sigma_i^a psi|sigma_j^b psi>: two diagonal products and two
-        products with sigma_y (``SparseOperator.apply``).  Each sigma keeps
-        both channels' photon numbers, so the products lie on the kets with
-        the state's pairs (n_a, n_b), and it commutes with the projection, so
-        the coincidence columns of the same products give the projected tensor.
-        """
-        amps, basis = self.state.normalized().amps, self.state.basis
-        z_a, z_b, n_a, n_b = basis.channel_weights
-        pair = n_a * (basis.cutoff + 1) + n_b  # each ket's (n_a, n_b) as one index
-        held = np.zeros((basis.cutoff + 1) ** 2, dtype=bool)
-        held[pair[amps.astype(bool)]] = True
-        kets = np.flatnonzero(held[pair])
-        x, z_a, z_b = amps[kets], z_a[kets], z_b[kets]
-        side_a = np.stack([z_a * x, _stage_operator("sigma_y_a", basis.cutoff).apply(x, kets)])
-        side_b = np.stack([z_b * x, _stage_operator("sigma_y_b", basis.cutoff).apply(x, kets)])
-        raw = (side_a.conj() @ side_b.T).real
-        if self.conditioned.degenerate:
-            return raw, None
-        kept = basis.coincidence
-        weight = np.vdot(amps[kept], amps[kept]).real
-        # the state has weight on a coincidence ket, so kets hold all four (n_a = n_b = 1)
-        coincident = np.searchsorted(kets, kept)
-        return raw, (side_a[:, coincident].conj() @ side_b[:, coincident].T).real / weight
+    #: T_ij = <sigma_i^a sigma_j^b>, i, j in (z, y), of the normalized final
+    #: state, and of its renormalized coincidence projection (None when the
+    #: coincidence weight is degenerate)
+    tensors: tuple[np.ndarray, np.ndarray | None]
 
     def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
-        """One estimator at one setting.  A pipeline without analyzers ignores
-        the angles, and at (0, 0) of a spec with delta 0 the state's own report
-        is the answer; otherwise the numerator contracted from :attr:`tensors`,
-        its value and the setting's delta are swapped into the state's own
-        report."""
+        """One estimator at one setting: the spec's own report for a pipeline
+        without analyzers, or at (0, 0) of a spec with delta 0; otherwise that
+        report with the numerator contracted from :attr:`tensors`, its value
+        and the setting's delta swapped in."""
         own = self.raw if estimator == "raw" else self.conditioned
         delta = theta_a - theta_b
         if self.spec.name not in ANALYZER_PIPELINES or not (theta_a or theta_b or own.delta):
@@ -386,12 +435,19 @@ class Readout:
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
 
+def _source(spec: ExperimentSpec) -> Moments:
+    return Moments.of(_evolve(spec.stages[:_split(spec)], spec.cutoff))
+
+
+def _read(spec: ExperimentSpec, source: Moments) -> Readout:
+    s = single_photon_matrix(spec.stages[_split(spec):], source.photons)
+    return Readout(spec, source, *_reports(source, s, spec.gamma, spec.theta_a - spec.theta_b))
+
+
 def readout(spec: ExperimentSpec) -> Readout:
-    """Run ``spec``'s stages once and read both estimators off the final state."""
-    state = run(spec)
-    delta = spec.theta_a - spec.theta_b
-    return Readout(spec, state, correlation_raw(state, spec.gamma, delta),
-                   correlation_conditioned(state, spec.gamma, delta))
+    """Evolve ``spec``'s stages up to its last pair source once, and read both
+    estimators off that state's moments through the later stages."""
+    return _read(spec, _source(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +531,22 @@ def _failed_row(value: float, exc: EvolveError) -> ScanRow:
 
 
 def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[ScanRow, ...]:
-    """The one row loop of every axis: the axis's shared part is computed
-    once, then each row is read from it.  Only :class:`EvolveError` makes a
-    failed row, every row's when the shared part fails and one row's when
-    reading it fails; a :class:`ConfigError` propagates."""
+    """The one row loop of every axis.  A gamma row is the readout of a copy
+    of ``spec`` at that gamma; delta and phi enter only after the last pair
+    source, so their rows read one source state: a delta row is the spec's
+    readout at (delta, 0), a phi row the readout of the copy at that phi.
+    Only :class:`EvolveError` makes a failed row, every row's when the source
+    fails and one row's when reading it fails; a :class:`ConfigError` propagates."""
+    angles = spec.theta_a, spec.theta_b
     try:
-        read = _row_reader(spec, axis)
+        if axis == "gamma":
+            read = lambda gamma: readout(replace(spec, gamma=gamma)).reports(*angles)
+        elif axis == "delta":
+            source = readout(spec)
+            read = lambda delta: source.reports(delta, 0.0)
+        else:
+            moments = _source(spec)
+            read = lambda phi: _read(replace(spec, phi=phi), moments).reports(*angles)
     except EvolveError as exc:
         return tuple(_failed_row(v, exc) for v in values)
     rows = []
@@ -490,19 +556,6 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
         except EvolveError as exc:
             rows.append(_failed_row(value, exc))
     return tuple(rows)
-
-
-def _row_reader(spec: ExperimentSpec, axis: str):
-    """An axis's shared part, computed once, as a function from a row's value
-    to its (raw, conditioned) reports: the spec's :class:`Readout` for delta,
-    read at (delta, 0), and nothing for gamma and phi, whose rows are the
-    readouts of copies of ``spec`` at its own setting, so each is exactly a
-    :func:`run`."""
-    if axis == "delta":
-        source = readout(spec)
-        return lambda delta: source.reports(delta, 0.0)
-    return lambda value: readout(replace(spec, **{axis: value})).reports(spec.theta_a,
-                                                                         spec.theta_b)
 
 
 def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
@@ -535,15 +588,12 @@ def scan(spec: ExperimentSpec, axis: str, grid: Sequence[float]) -> ScanTable:
 # ---------------------------------------------------------------------------
 
 def conjugated_pipeline_state(spec: ExperimentSpec) -> StateVector:
-    """The Horne pipeline evaluated through conjugated generators.
-
-    U_BS e^{i phi J'} e^{i gamma K'} |0> equals
-    e^{i phi (U_BS J' U_BS^-1)} e^{i gamma (U_BS K' U_BS^-1)} |0> because
-    the splitter leaves the vacuum alone.  The conjugated generators are the
-    exact quarter turns J_y_13 - J_y_24 and -(K_y_12 + K_y_34) from
-    :func:`~bellsim.adjoint.conjugate`, so agreement of the two routes checks
-    the algebra layer against the Fock layer.
-    """
+    """The Horne pipeline through conjugated generators: U_BS e^{i phi J'}
+    e^{i gamma K'} |0> = e^{i phi U_BS J' U_BS^-1} e^{i gamma U_BS K' U_BS^-1}
+    |0>, as the splitter leaves the vacuum alone.  The conjugated generators are
+    the exact quarter turns J_y_13 - J_y_24 and -(K_y_12 + K_y_34) from
+    :func:`~bellsim.adjoint.conjugate`, so the two routes' agreement checks the
+    algebra layer against the Fock layer."""
     if spec.name != "horne":
         raise ConfigError("conjugated form is defined for the horne pipeline")
     state = vacuum(get_basis(spec.cutoff))

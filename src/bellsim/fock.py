@@ -1,40 +1,29 @@
 """Truncated Fock-space engine for the four optical modes.
 
 The basis is every occupation tuple (n1, n2, n3, n4) with total photon
-number at most ``cutoff`` (so dim = C(cutoff+4, 4)), ordered by total
-photon number and then lexicographically.  Each state has one integer key,
-its total and n1..n4 as digits in base cutoff+1, which ascends in basis
-order, so index lookups are binary searches.  An operator's entries, the
+number at most ``cutoff`` (dim = C(cutoff+4, 4)), ordered by total photon
+number and then lexicographically; a state's key, its total and n1..n4 as
+digits in base cutoff+1, ascends in that order.  An operator's entries, the
 standard sqrt(n) matrix elements, are read on the kets it acts on
-(:func:`_entries`); pair creation out of the top shell is dropped, which is
-the sole way truncation enters.  The truncated generator of a hermitian
-operator is still hermitian, so the evolution computed here is exactly
-unitary on the truncated space.  The :func:`leakage` of a state is its
-weight on the top two shells, a truncation diagnostic that does not bound
-the error in C (ROADMAP item 4).
+(:func:`_entries`); pair creation out of the top shell is dropped, the sole
+way truncation enters, so a hermitian generator stays hermitian and the
+evolution is exactly unitary on the truncated space.
 
-:func:`matrix` makes a :class:`SparseOperator` once per (generator,
-cutoff), and no stage builds its whole-basis matrix.  :func:`evolve`
-is the one evolution path, with no series: on the kets the generator
-reaches from the state's support, the smallest set holding it that the
-generator maps into itself, a stage is a phase per ket and then
-commuting factors V e^{i theta Lambda} V^dagger, V block-diagonal and
-unitary with each block's eigenvectors and Lambda their eigenvalues.  A
-passive generator, every coefficient a C_ij (phase shifters, polarization
-rotators, beam splitters), couples the modes in disjoint pairs; a pair
-keeps n_i + n_j, so its blocks are one tridiagonal matrix per block size
-with eigenvectors V_s built once (:class:`PassiveFactors`).  A pair source
-is one factor over the connected components of its entries on the kets
-(from the vacuum one finite su(1,1) ladder), diagonalized by
-``numpy.linalg.eigh``.  The set-up is kept per support
-(:meth:`SparseOperator.restricted`) as dense blocks that :func:`evolve`
-applies with ``numpy.matmul``.  The cutoff is therefore the one
-accuracy input; a stage fails (:class:`EvolveError`) only where its phases
-cannot keep :data:`ACCURACY` or its components would exceed
-:data:`MAX_DENSE`.  The engine imports numpy only; scipy builds the
-whole-basis matrix :attr:`SparseOperator.mat` that the tests read, and the
-dense-exponential cross-check lives in the test suite as an independent
-oracle.
+:func:`evolve` is the one evolution path, with no series: on the kets the
+generator reaches from the state's support, a stage is a phase per ket and
+commuting factors V e^{i theta Lambda} V^dagger, set up once per support
+(:meth:`SparseOperator.restricted`) as dense blocks applied with
+``numpy.matmul``.  A pair source is one factor over the connected components
+of its entries, diagonalized by ``numpy.linalg.eigh``; a passive generator
+(every coefficient a C_ij) has one factor per coupled mode pair, whose
+blocks share eigenvectors per block size (:class:`PassiveFactors`).
+Commands evolve only pair sources and the stages before the last one;
+``experiments`` reads later passive stages through their :func:`mode_matrix`.
+The cutoff is the one accuracy input: a stage fails (:class:`EvolveError`)
+only where its phases cannot keep :data:`ACCURACY` (:func:`check_phase`) or
+its components would exceed :data:`MAX_DENSE`.  The engine imports numpy
+only; scipy builds the whole-basis matrix :attr:`SparseOperator.mat` that
+the tests read.
 """
 
 from __future__ import annotations
@@ -48,14 +37,10 @@ import numpy as np
 
 from .algebra import Kind, QuadOp
 
-Occupation = tuple[int, int, int, int]
-
-#: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
-PI_KEPT: tuple[Occupation, ...] = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-
-#: supports one operator keeps set up or read, and angles a passive one keeps
-#: turns for; a named pipeline's stage sees one support at every parameter where
-#: no amplitude underflows to 0, and its J_BS and J_a stages run at pi/2 only
+#: supports an operator keeps set up, and angles a passive one keeps turns for.
+#: A stage sees one support at every parameter where no amplitude underflows to 0.
+#: turns: all 12 calls of a session_sweep pass (J_BS, J_prime, J_prime@BS in 4
+#: Horne cross-checks) hit after its first pass, in which 8 miss; cli_cold makes none
 MAX_SUPPORTS = 8
 #: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
 ACCURACY = 1e-12
@@ -98,17 +83,6 @@ class FockBasis:
         #: ascending search keys, one per state (see :func:`_keys`)
         self.keys = keys[order]
         self.totals = self.occupations.sum(axis=1)
-        n1, n2, n3, n4 = self.occupations.T
-        #: (4, dim) rows n1-n2, n3-n4, n1+n2, n3+n4: the eigenvalues of
-        #: sigma_z and sigma_0 in channels a and b
-        self.channel_weights = np.stack([n1 - n2, n3 - n4, n1 + n2, n3 + n4])
-        #: basis indices of the PI_KEPT kets, in that order (none below cutoff 2)
-        kept = np.array(PI_KEPT, dtype=np.int64)
-        self.coincidence = self.indices(kept[kept.sum(axis=1) <= cutoff])
-
-    def indices(self, occupations: np.ndarray) -> np.ndarray:
-        """Basis indices of photon-number rows that lie in the basis (unchecked)."""
-        return np.searchsorted(self.keys, _keys(occupations, self.cutoff))
 
     @property
     def dim(self) -> int:
@@ -144,12 +118,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amps / n)
-
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2 for normalized inputs (global-phase blind)."""
         if other.basis != self.basis:
@@ -184,8 +152,6 @@ class SparseOperator:
     op: QuadOp = field(repr=False)
     #: :meth:`restricted` per support, the oldest dropped beyond MAX_SUPPORTS
     _supports: dict = field(default_factory=dict, init=False, repr=False)
-    #: the entries :meth:`apply` reads per kets and support, kept the same way
-    _images: dict = field(default_factory=dict, init=False, repr=False)
     #: :meth:`turns` per angle, kept the same way
     _turns: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -261,36 +227,15 @@ class SparseOperator:
         theta lam_s) V_s^dagger, zero-padded to the cutoff like
         ``PassiveFactors.pairs``, ``turns[s, :s+1, :s+1]``.  Every size is
         its own product of one fixed shape, so its bits depend on theta, s
-        and the cutoff only.  Kept per angle: building them costs a passive
-        stage about as much as applying them, and the named pipelines run
-        J_BS and J_a at pi/2 only (J_prime, which a phi scan runs at each
-        row's phi, couples no pair, so its turns are empty)."""
+        and the cutoff only.  Kept per angle: built per call they made the
+        benchmark's session_sweep cmd_p50_s 34% slower, though its only calls
+        are Horne cross-checks at four recurring phases (hit rates at
+        :data:`MAX_SUPPORTS`; J_prime couples no pair, so its turns are empty)."""
         if theta in self._turns:
             return self._turns[theta]
         return _keep(self._turns, theta, [
             (vecs.conj() * np.expm1(1j * theta * lams)[:, None, :]) @ vecs.swapaxes(1, 2)
             for _, _, lams, vecs in self.factors.pairs])
-
-    def apply(self, x: np.ndarray, kets: np.ndarray) -> np.ndarray:
-        """The operator times the vector that holds ``x`` on the ascending
-        basis indices ``kets`` and 0 elsewhere, read on ``kets``, which must
-        hold its image (``ValueError`` if not); summed in entry order from
-        its entries on the kets where ``x`` is not 0 (:func:`_entries`),
-        which are kept per kets and support like :meth:`restricted`'s."""
-        held = x.astype(bool)
-        key = kets.tobytes() + held.tobytes()
-        if key in self._images:
-            slots, sources, values = self._images[key]
-        else:
-            sources = np.flatnonzero(held)
-            values, (targets, positions) = _entries(self.op, self.basis, kets[sources])
-            rows = np.searchsorted(kets, targets)
-            if not np.array_equal(kets[np.minimum(rows, kets.size - 1)], targets):
-                raise ValueError("the kets do not hold the operator's image of the vector")
-            slots = np.stack([2 * rows, 2 * rows + 1], axis=1).ravel()
-            slots, sources, values = _keep(self._images, key, (slots, sources[positions], values))
-        products = (values * x[sources]).view(np.float64)  # interleaved real, imaginary
-        return np.bincount(slots, products, minlength=2 * kets.size).view(np.complex128)
 
 
 def _keep(cache: dict, key, value):
@@ -375,21 +320,20 @@ class PassiveFactors:
 
     @staticmethod
     def of(op: QuadOp, cutoff: int) -> "PassiveFactors":
-        coeff = {(e.i - 1, e.j - 1): complex(c) for e, c in op.coeffs.items()}
-        coupled = sorted({(min(m), max(m)) for m in coeff if m[0] != m[1]})
+        h = mode_matrix(op)
+        coupled = sorted({(min(i, j), max(i, j)) for i, j in np.argwhere(h).tolist() if i != j})
         modes = [m for pair in coupled for m in pair]
         if len(modes) != len(set(modes)):
             raise ValueError("a passive generator may couple modes only in disjoint pairs, "
                              f"got couplings {[(i + 1, j + 1) for i, j in coupled]}")
         weights = np.zeros(4)
         for m in set(range(4)) - set(modes):
-            weights[m] = coeff.get((m, m), 0.0).real
+            weights[m] = h[m, m].real
         const = complex(op.scalar).real + 0.5 * float(weights.sum())
         pairs = []
         for i, j in coupled:
-            a, b, c = (coeff.get((i, i), 0.0).real, coeff.get((j, j), 0.0).real,
-                       coeff.get((i, j), 0.0))
-            mu, w = np.linalg.eigh(np.array([[a, c], [c.conjugate(), b]]))
+            a, b = h[i, i].real, h[j, j].real
+            mu, w = np.linalg.eigh(h[np.ix_((i, j), (i, j))])
             lams, vecs = np.zeros((cutoff + 1,) * 2), np.zeros((cutoff + 1,) * 3, dtype=complex)
             v = np.ones((1, 1), dtype=complex)
             for s in range(cutoff + 1):
@@ -400,6 +344,16 @@ class PassiveFactors:
                 vecs[s, :s + 1, :s + 1] = v
             pairs.append((i, j, lams, vecs))
         return PassiveFactors(weights, const, tuple(pairs))
+
+
+def mode_matrix(op: QuadOp) -> np.ndarray:
+    """h with op = c^dagger h c + scalar, for a number-keeping op: h[i-1, j-1]
+    is the coefficient of C_ij = c_i^dagger c_j (C_ii = n_i + 1/2)."""
+    h = np.zeros((4, 4), dtype=np.complex128)
+    for elem, coeff in op.coeffs.items():
+        if elem.kind is Kind.MIXED:
+            h[elem.i - 1, elem.j - 1] = complex(coeff)
+    return h
 
 
 def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -504,9 +458,9 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     if not passive and support.tobytes() not in generator._supports:
         # hermitian on the closure, so a column norm is at most its largest |lam|
         values, (targets, sources) = _entries(generator.op, state.basis, np.flatnonzero(support))
-        _check_phase(theta, _largest_column_norm(values, targets, sources))
+        check_phase(theta, _largest_column_norm(values, targets, sources))
     kets, (weights, factors, largest) = generator.restricted(support)
-    _check_phase(theta, largest)
+    check_phase(theta, largest)
     v = state.amps[kets]
     if weights is not None:
         v = np.exp(1j * theta * weights) * v
@@ -549,8 +503,10 @@ def _rotate_components(v: np.ndarray, factor: list, theta: float) -> None:
         v[blocks] = (x + y @ vecs.swapaxes(1, 2))[:, 0]
 
 
-def _check_phase(theta: float, largest: float) -> None:
-    """The phase rule of :func:`evolve`, on Python floats: no numpy warning; inf and nan fail."""
+def check_phase(theta: float, largest: float) -> None:
+    """The phase rule of every stage: :class:`EvolveError` unless the rounding
+    eps*|theta|*largest of its largest phase keeps :data:`ACCURACY`.  On
+    Python floats, so no numpy warning; inf and nan fail."""
     if not sys.float_info.epsilon * abs(float(theta)) * float(largest) <= ACCURACY:
         raise EvolveError("the phase of a stage is too large for double precision; "
                           "reduce the stage parameter")
@@ -568,10 +524,3 @@ def expect_product(state: StateVector, ops: Sequence) -> complex:
     for op in reversed(list(ops)):
         v = matrix(op, state.basis).mat @ v
     return complex(np.vdot(state.amps, v))
-
-
-def leakage(state: StateVector) -> float:
-    """Squared amplitude on the top two total-photon shells: a truncation
-    diagnostic that does not bound the error in C."""
-    top = state.basis.totals >= max(state.basis.cutoff - 1, 0)
-    return float(np.sum(np.abs(state.amps[top]) ** 2))

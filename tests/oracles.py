@@ -17,8 +17,10 @@ matrix it reads off the library's whole matrix.
 estimators, but evolve every analyzer
 setting through its rotation stages, which the library never does.
 :func:`project_pi` is the reference coincidence projection: it zeroes every
-amplitude outside the four ``PI_KEPT`` kets, where the library reads those
-four amplitudes alone.  :func:`expm_conjugate` is the reference conjugation
+amplitude outside the four ``PI_KEPT`` kets, where the library reads them
+off the source state's two-photon amplitude matrix.  :func:`leakage`,
+:func:`coincidence`, :func:`indices` and :func:`normalized` read a state on
+the whole basis, where the library reads it on its own kets.  :func:`expm_conjugate` is the reference conjugation
 at any angle: scipy's Pade exponential of the 37x37 float matrix
 :func:`ad_matrix`, applied to a coefficient vector and returned as a
 :class:`FloatOp`; the library conjugates only by the exact quarter turn
@@ -91,12 +93,22 @@ class FloatOp:
             for e, c in self.coeffs.items())
 
 
+def indices(basis: FockBasis, occupations: np.ndarray) -> np.ndarray:
+    """Basis indices of photon-number rows that lie in the basis (unchecked)."""
+    return np.searchsorted(basis.keys, fock._keys(occupations, basis.cutoff))
+
+
+def normalized(state: StateVector) -> StateVector:
+    """The state divided by its norm."""
+    return StateVector(state.basis, state.amps / state.norm())
+
+
 def index_of(basis: FockBasis, occ: Sequence[int]) -> int:
     """Basis index of one (n1, n2, n3, n4); ``ValueError`` outside the basis."""
     key = tuple(int(n) for n in occ)
     if len(key) != 4 or min(key) < 0 or sum(key) > basis.cutoff:
         raise ValueError(f"occupation {key} outside basis with cutoff {basis.cutoff}")
-    return int(basis.indices(np.array(key)))
+    return int(indices(basis, np.array(key)))
 
 
 def amplitude(state: StateVector, occ: Sequence[int]) -> complex:
@@ -317,12 +329,29 @@ def tmsv_ladder_amplitudes(gamma: float, n_max: int) -> np.ndarray:
     return scipy.linalg.expm(1j * gamma * h) @ e0
 
 
+#: the coincidence kets: one photon in each channel, n1+n2 = 1 and n3+n4 = 1
+PI_KEPT = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+
+
+def coincidence(basis) -> np.ndarray:
+    """Basis indices of the PI_KEPT kets, in that order (none below cutoff 2)."""
+    kept = np.array(PI_KEPT, dtype=np.int64)
+    return indices(basis, kept[kept.sum(axis=1) <= basis.cutoff])
+
+
+def leakage(state: StateVector) -> float:
+    """Squared amplitude on the top two total-photon shells, over the whole
+    basis (the library reads it on the state's kets, normalized)."""
+    top = state.basis.totals >= max(state.basis.cutoff - 1, 0)
+    return float(np.sum(np.abs(state.amps[top]) ** 2))
+
+
 def project_pi(state: StateVector) -> tuple[StateVector, float]:
     """Zero all amplitudes outside the four coincidence kets.
 
     Returns the unnormalized projected state and its squared norm.
     """
-    kept = state.basis.coincidence
+    kept = coincidence(state.basis)
     amps = np.zeros_like(state.amps)
     amps[kept] = state.amps[kept]
     return StateVector(state.basis, amps), float(np.sum(np.abs(amps[kept]) ** 2))

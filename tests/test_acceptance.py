@@ -202,7 +202,7 @@ def test_a09_post_selection_fidelity():
         state = run(ExperimentSpec("ou_mandel", gamma=gamma))
         projected, weight = project_pi(state)
         assert weight > 0
-        infidelity[gamma] = 1.0 - projected.normalized().fidelity(singlet)
+        infidelity[gamma] = 1.0 - oracles.normalized(projected).fidelity(singlet)
     at_ref = infidelity[0.1]
     floor = 1e-12
     if max(infidelity.values()) <= floor:

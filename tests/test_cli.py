@@ -501,9 +501,13 @@ def test_run_equals_delta_scan_row(capsys, name, estimator, gamma, theta):
     assert out == f"C = {c} ({estimator}), leakage = {leakage}\n"
 
 
-def test_no_command_evolves_the_analyzers(capsys, monkeypatch):
-    """The named recipes stop at the source: no command builds or evolves J_b,
-    and J_a is evolved only as ou_mandel's fixed pi/2 polarization rotation."""
+def test_no_command_evolves_the_analyzers(capsys, monkeypatch, tmp_path):
+    """Commands evolve only pair sources and the stages before the last one:
+    the analyzers and every passive stage after a pipeline's last pair source
+    enter its readout as a single-photon matrix, so no command evolves J_a,
+    J_b, J_prime or J_BS for a named pipeline, nor the trailing stage of a
+    custom one, and no command builds J_b.  Only ``--dump-state``, which
+    asks for the final state, evolves the trailing stages."""
     built, evolved, names_by_op = [], [], {}
     stage_operator, evolve = experiments._stage_operator, experiments.evolve
 
@@ -526,9 +530,22 @@ def test_no_command_evolves_the_analyzers(capsys, monkeypatch):
                      ("scan", "--axis", "gamma", "--values", "0.1,0.5", *common),
                      ("convergence", "--cutoffs", "4,6", *common)):
             assert invoke(capsys, *argv)[0] == EXIT_OK
+    common = ("-e", "horne", "--phi", "0.4", "--cutoff", "6")
+    for argv in (("run", *common), ("scan", "--axis", "phi", "--values", "0.1,0.5", *common),
+                 ("scan", "--axis", "gamma", "--values", "0.1,0.5", *common),
+                 ("convergence", "--cutoffs", "4,6", *common)):
+        assert invoke(capsys, *argv)[0] == EXIT_OK
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({"experiment": "custom", "cutoff": 6,
+                                  "stages": [["J_a", 0.2], ["K", 0.1], ["J_BS", 0.4]]}))
+    assert invoke(capsys, "run", "--config", str(config))[0] == EXIT_OK
     assert "J_b" not in built
-    assert {name for name, _ in evolved} == {"K", "K_OM", "J_a", "J_BS"}
-    assert {theta for name, theta in evolved if name == "J_a"} == {math.pi / 2}
+    assert {name for name, _ in evolved} == {"K", "K_OM", "K_prime", "J_a"}
+    assert {theta for name, theta in evolved if name == "J_a"} == {0.2}
+    evolved.clear()
+    assert invoke(capsys, "run", "-e", "ou_mandel", "--cutoff", "6", "--dump-state",
+                  "--output", str(tmp_path / "run.json"))[0] == EXIT_OK
+    assert evolved == [("K_OM", 0.1), ("K_OM", 0.1), ("J_a", math.pi / 2), ("J_BS", math.pi / 2)]
 
 
 # ---------------------------------------------------------------------------

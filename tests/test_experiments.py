@@ -154,8 +154,8 @@ def test_horne_leakage_is_the_source_leakage(cutoff):
         source = fock.evolve(vacuum(get_basis(cutoff)),
                              experiments._stage_operator("K_prime", cutoff), gamma)
         for phi in (0.0, 0.3, 3.0, -1.7):
-            leak = fock.leakage(run(replace(spec, phi=phi)))
-            assert leak == pytest.approx(fock.leakage(source), rel=1e-12, abs=1e-30)
+            leak = oracles.leakage(run(replace(spec, phi=phi)))
+            assert leak == pytest.approx(oracles.leakage(source), rel=1e-12, abs=1e-30)
 
 
 @pytest.mark.parametrize("cutoff", [8, 16, 30])
@@ -170,7 +170,7 @@ def test_leakage_is_the_su11_chain(name, k, cutoff):
     gamma = 0.1)."""
     for gamma in (1e-3, 0.1, 0.3, 1.0):
         exact = oracles.chain_leakage(k, gamma, cutoff)
-        leak = fock.leakage(run(ExperimentSpec(name, gamma=gamma, cutoff=cutoff)))
+        leak = oracles.leakage(run(ExperimentSpec(name, gamma=gamma, cutoff=cutoff)))
         assert abs(leak - exact) <= 2e-15 * math.sqrt(exact) + 1e-32, gamma
 
 
@@ -331,7 +331,7 @@ def test_raw_close_to_conditioned_at_small_gamma():
 def test_raw_against_diagonal_oracle():
     state = oracles.run_with_analyzers(ExperimentSpec("ideal", gamma=0.3), 0.4, 0.1)
     report = correlation_raw(state, 0.3, 0.3)
-    num, den = oracles.correlation_oracle(state.normalized())
+    num, den = oracles.correlation_oracle(oracles.normalized(state))
     assert report.numerator == pytest.approx(num, abs=1e-12)
     assert report.denominator == pytest.approx(den, abs=1e-12)
     assert report.value == pytest.approx(num / den, abs=1e-12)
@@ -351,12 +351,12 @@ def test_estimators_match_sparse_products_and_oracle(name, cutoff):
     for gamma in (0.1, 0.5, 1.0):
         for angle in (0.3, math.pi / 4, 1.1):
             spec = ExperimentSpec(name, gamma=gamma, phi=angle, cutoff=cutoff)
-            state = (oracles.run_with_analyzers(spec, angle, 0.0) if name in ANALYZER_PIPELINES
-                     else run(spec)).normalized()
+            state = oracles.normalized(oracles.run_with_analyzers(spec, angle, 0.0)
+                                       if name in ANALYZER_PIPELINES else run(spec))
             raw = correlation_raw(state)
             cond = correlation_conditioned(state)
             assert not (raw.degenerate or cond.degenerate)
-            projected = project_pi(state)[0].normalized()
+            projected = oracles.normalized(project_pi(state)[0])
             for report, ref_state in ((raw, state), (cond, projected)):
                 for num, den in references(ref_state):
                     assert report.numerator == pytest.approx(num, abs=1e-12)
@@ -523,8 +523,8 @@ def test_sigma_tensors_match_sparse_products(name):
     projection."""
     spec = ExperimentSpec(name, gamma=0.4, cutoff=8)
     raw_tensor, cond_tensor = experiments.readout(spec).tensors
-    state = run(spec).normalized()
-    projected = project_pi(state)[0].normalized()
+    state = oracles.normalized(run(spec))
+    projected = oracles.normalized(project_pi(state)[0])
     for i, sigma_a in enumerate(("sigma_z_a", "sigma_y_a")):
         for j, sigma_b in enumerate(("sigma_z_b", "sigma_y_b")):
             ops = [catalog(sigma_a), catalog(sigma_b)]
@@ -537,49 +537,65 @@ def test_sigma_tensors_match_sparse_products(name):
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
 @pytest.mark.parametrize("cutoff", [8, 16])
 def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
-    """``Readout.tensors`` reads sigma_y on the state's kets; both tensors
-    equal those of the whole-basis products ``sigma_y.mat @ amps`` within
-    1e-15, at a small and a large gamma.  Those states, and a third one,
-    share one support, on whose kets each sigma_y reads its entries once."""
-    sigma_y = [experiments._stage_operator(name, cutoff) for name in ("sigma_y_a", "sigma_y_b")]
-    for operator in sigma_y:
-        operator._images.clear()
+    """``Readout.tensors`` contracts S^dagger sigma S with the Gram matrix of
+    the source state; both tensors equal those of the whole-basis products
+    ``sigma_y.mat @ amps`` on the final state of ``run`` within 1e-15, at a
+    small and a large gamma.  Those sources, and a third one, share one
+    support, whose ladder steps are found once."""
+    experiments._ladder_steps.cache_clear()
     for gamma in (0.05, 0.9):
-        source = experiments.readout(ExperimentSpec(name, gamma=gamma, cutoff=cutoff))
-        amps, basis = source.state.normalized().amps, source.state.basis
-        sides = [np.stack([basis.channel_weights[k] * amps,
-                           fock.matrix(catalog(sigma), basis).mat @ amps])
-                 for k, sigma in enumerate(("sigma_y_a", "sigma_y_b"))]
-        kept = basis.coincidence
+        spec = ExperimentSpec(name, gamma=gamma, cutoff=cutoff)
+        source = experiments.readout(spec)
+        state = oracles.normalized(run(spec))
+        amps, basis = state.amps, state.basis
+        n1, n2, n3, n4 = basis.occupations.T
+        sides = [np.stack([sigma_z * amps, fock.matrix(catalog(sigma_y), basis).mat @ amps])
+                 for sigma_z, sigma_y in ((n1 - n2, "sigma_y_a"), (n3 - n4, "sigma_y_b"))]
+        kept = oracles.coincidence(basis)
         weight = np.vdot(amps[kept], amps[kept]).real
         expected = ((sides[0].conj() @ sides[1].T).real,
                     (sides[0][:, kept].conj() @ sides[1][:, kept].T).real / weight)
         for tensor, reference in zip(source.tensors, expected):
             assert np.max(np.abs(tensor - reference)) < 1e-15, (gamma, tensor - reference)
-    experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff)).tensors
-    assert [len(operator._images) for operator in sigma_y] == [1, 1]
+    experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff))
+    assert experiments._ladder_steps.cache_info().misses == 1
+
+
+def _assert_same_report(report, expected, tol):
+    """Equal labels and flags, and numbers within ``tol``."""
+    assert (report.estimator, report.gamma, report.delta, report.degenerate) == (
+        expected.estimator, expected.gamma, expected.delta, expected.degenerate)
+    for field in ("value", "numerator", "denominator", "leakage"):
+        assert getattr(report, field) == pytest.approx(getattr(expected, field), rel=0, abs=tol)
 
 
 @pytest.mark.parametrize("name", PIPELINES)
 def test_readout_reads_the_setting(name):
-    """``readout`` keeps the final state and reads both estimators at a
-    setting: the state's own reports when there is no analyzer to apply, and
+    """``readout`` keeps the moments of the state after the last pair source
+    and reads both estimators at a setting: its own reports when there is no
+    analyzer to apply, which are those of ``run``'s final state, and
     otherwise those reports with the numerator, value and delta of the
-    setting contracted from the state's tensors."""
+    setting contracted from its tensors."""
     custom = (("K", 0.2), ("J_a", 0.6)) if name == "custom" else ()
     for theta_a, theta_b in ((0.0, 0.0), (0.3, -0.2)):
         spec = ExperimentSpec(name, custom, gamma=0.2, theta_a=theta_a, theta_b=theta_b,
                               phi=0.4)
         source = experiments.readout(spec)
-        state = source.state
-        assert np.array_equal(state.amps, run(spec).amps)
+        expected = experiments.Moments.of(run(replace(spec, name="custom",
+                                                      custom_stages=spec.stages[:1])))
+        assert source.moments.norm == expected.norm and source.moments.leakage == expected.leakage
+        assert np.array_equal(source.moments.gram, expected.gram)
+        assert np.array_equal(source.moments.pairs, expected.pairs)
+        state = run(spec)
         raw, cond = source.reports(theta_a, theta_b)
         delta = theta_a - theta_b
         own = (correlation_raw(state, 0.2, delta), correlation_conditioned(state, 0.2, delta))
         if name in ANALYZER_PIPELINES and (theta_a or theta_b):
             for report, unrotated in zip((raw, cond), own):
-                assert (report.denominator, report.leakage, report.degenerate) == (
-                    unrotated.denominator, unrotated.leakage, unrotated.degenerate)
+                assert report.degenerate == unrotated.degenerate
+                for field in ("denominator", "leakage"):
+                    assert getattr(report, field) == pytest.approx(getattr(unrotated, field),
+                                                                   rel=0, abs=1e-12)
                 reference = oracles.correlation_by_run(
                     replace(spec, estimator=report.estimator), theta_a, theta_b)
                 assert report.delta == reference.delta
@@ -587,7 +603,8 @@ def test_readout_reads_the_setting(name):
                     assert getattr(report, field) == pytest.approx(getattr(reference, field),
                                                                    abs=1e-10)
         else:
-            assert (raw, cond) == own
+            for report, expected_report in zip((raw, cond), own):
+                _assert_same_report(report, expected_report, 1e-12)
         if name in ANALYZER_PIPELINES:  # (0, 0) reads the unrotated state
             for report, unrotated in zip(source.reports(0.0, 0.0), own):
                 assert report.delta == 0.0
@@ -605,23 +622,23 @@ _READOUT_SPECS = [
 @pytest.mark.parametrize("spec", _READOUT_SPECS, ids=lambda s: s.name)
 def test_readout_at_no_setting_is_the_estimators_of_run(spec):
     """At (0, 0), and at any setting of a pipeline without analyzers, the
-    readout's reports are ``correlation_raw`` and ``correlation_conditioned``
-    of ``run`` at the spec's delta, field for field and bit for bit, and no
-    sigma tensor is computed for them."""
+    readout's reports are its own two reports, and those are
+    ``correlation_raw`` and ``correlation_conditioned`` of ``run`` at the
+    spec's delta: the same labels and flags, and numbers within 1e-12 (the
+    readout reads the passive stages that ``run`` evolves through their
+    single-photon matrix)."""
     state = run(spec)
     delta = spec.theta_a - spec.theta_b
     expected = (correlation_raw(state, spec.gamma, delta),
                 correlation_conditioned(state, spec.gamma, delta))
     source = experiments.readout(spec)
-    assert source.state.amps.tobytes() == state.amps.tobytes()
     settings = [(0.0, 0.0)] if spec.name in ANALYZER_PIPELINES else [
         (0.0, 0.0), (0.3, -0.2), (spec.theta_a, spec.theta_b)]
     for theta_a, theta_b in settings:
-        assert repr(source.reports(theta_a, theta_b)) == repr(expected)
-    assert "tensors" not in vars(source)
-    if spec.name in ANALYZER_PIPELINES:
-        source.reports(0.3, -0.2)
-        assert "tensors" in vars(source)
+        raw, cond = source.reports(theta_a, theta_b)
+        assert raw is source.raw and cond is source.conditioned
+        for report, reference in zip((raw, cond), expected):
+            _assert_same_report(report, reference, 1e-12)
 
 
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
@@ -635,9 +652,13 @@ def test_chsh_grid_matches_full_runs(name):
 
 
 def test_analyzer_settings_run_the_source_once(monkeypatch):
+    """Every setting of a chsh, a delta scan and the oracles' grid search and
+    refinement is read from one readout: each evolves the pair source once
+    and no other stage."""
     calls = []
-    original = experiments.run
-    monkeypatch.setattr(experiments, "run", lambda spec: calls.append(spec) or original(spec))
+    original = experiments.evolve
+    monkeypatch.setattr(experiments, "evolve",
+                        lambda state, op, theta: calls.append(op) or original(state, op, theta))
     spec = ExperimentSpec("ou_mandel", gamma=0.1)
     chsh(spec, ChshAngles(*CHSH_MAXIMIZER))
     assert len(calls) == 1
@@ -647,7 +668,30 @@ def test_analyzer_settings_run_the_source_once(monkeypatch):
     assert len(calls) == 3
     oracles.refine_chsh_maximizer(spec, ChshAngles(*CHSH_MAXIMIZER),
                                   initial_step=0.01, min_step=0.005)
-    assert len(calls) == 4
+    assert calls == [experiments._stage_operator("K_OM", spec.cutoff)] * 4
+
+
+def test_phi_scan_evolves_the_source_once(monkeypatch):
+    """A phi scan reads all its rows from one source state: it evolves
+    K_prime once, and J_prime and J_BS never."""
+    calls = []
+    original = experiments.evolve
+    monkeypatch.setattr(experiments, "evolve",
+                        lambda state, op, theta: calls.append(op) or original(state, op, theta))
+    table = scan(horne_spec(0.3, 0.0, cutoff=10), "phi", np.linspace(0.0, math.pi, 33))
+    assert len(table.rows) == 33 and not any(row.failed for row in table.rows)
+    assert calls == [experiments._stage_operator("K_prime", 10)]
+
+
+@pytest.mark.parametrize("name", _RECIPES)
+def test_raw_and_conditioned_carry_one_leakage(name):
+    """Both reports of a readout carry the leakage of its moments, bit for
+    bit, over gamma in [0.05, 2] and three cutoffs."""
+    for cutoff in (6, 10, 16):
+        for gamma in np.linspace(0.05, 2.0, 40):
+            source = experiments.readout(ExperimentSpec(name, gamma=float(gamma), cutoff=cutoff))
+            assert source.raw.leakage == source.conditioned.leakage, (cutoff, gamma)
+            assert source.raw.leakage == source.moments.leakage
 
 
 def test_chsh_at_huge_angles():
@@ -869,6 +913,30 @@ def test_sigma_rotation_quarter_turn():
     assert oracles.sigma_rotation_error(math.pi / 2) < 1e-10
 
 
+@pytest.mark.parametrize("stage", ["J_BS", "J_a"])
+def test_single_photon_matrix_is_the_exact_quarter_turn(stage):
+    """A passive stage at pi/2 is a quarter turn of the exact layer: reading
+    sigma after U = e^{i pi/2 g} is U^dagger sigma U = conjugate(-g, sigma).
+    The float S^dagger sigma S of ``single_photon_matrix`` equals the C_ij
+    coefficients of that rational operator within 1e-15, for sigma_z and
+    sigma_0 of both channels; the rational operator creates no pairs and
+    keeps sigma's scalar."""
+    s = experiments.single_photon_matrix(((stage, math.pi / 2),), 1)
+    for name in ("sigma_z_a", "sigma_0_a", "sigma_z_b", "sigma_0_b"):
+        sigma, exact = catalog(name), conjugate(-catalog(stage), catalog(name))
+        coefficients = []
+        for op in (sigma, exact):
+            matrix = np.zeros((4, 4), dtype=complex)
+            for elem, coeff in op.coeffs.items():
+                assert elem.kind.value == "C", (name, elem)
+                matrix[elem.i - 1, elem.j - 1] = complex(coeff)
+            coefficients.append(matrix)
+        assert exact.scalar == sigma.scalar
+        error = np.max(np.abs(s.conj().T @ coefficients[0] @ s - coefficients[1]))
+        assert error <= 1e-15, (name, error)
+    assert not np.allclose(s, np.eye(4))
+
+
 def test_horne_staged_equals_conjugated():
     spec = horne_spec(0.15, 0.6)
     staged = run(spec)
@@ -907,4 +975,4 @@ def test_ou_mandel_projection_is_singlet():
         state = run(ExperimentSpec("ou_mandel", gamma=gamma))
         projected, weight = project_pi(state)
         assert weight > 0
-        assert projected.normalized().fidelity(singlet) >= 1.0 - 1e-12
+        assert oracles.normalized(projected).fidelity(singlet) >= 1.0 - 1e-12
