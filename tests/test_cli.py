@@ -900,11 +900,11 @@ MEASURE = ("import resource, sys, time; from bellsim.cli import main; start = ti
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_high_cutoff_analyzer_run_budget():
-    """``run -e ideal --cutoff 60 --theta-a 0.3`` reads sigma_y on the
-    state's kets, not through two whole-basis matrices: in a fresh process
-    it stays within 2 s of work after import and 250 MiB peak RSS (about
-    0.25 s and 134 MiB on a 2-vCPU box; 0.55 s and 318 MiB with the whole-basis
-    matrices).  The time budget only catches a gross regression."""
+    """``run -e ideal --cutoff 60 --theta-a 0.3`` reads its analyzer setting
+    off the source state's moments, not through whole-basis matrices: in a
+    fresh process it stays within 2 s of work after import and 250 MiB peak
+    RSS (about 0.3 s and 94 MiB on a 2-vCPU box; 0.55 s and 318 MiB with the
+    whole-basis matrices).  The time budget only catches a gross regression."""
     src = str(Path(experiments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", MEASURE, "run", "-e", "ideal", "--cutoff", "60",
