@@ -37,7 +37,6 @@ from .experiments import (
     ExperimentSpec,
     chsh,
     readout,
-    run,
     scan,
 )
 from .fock import EvolveError
@@ -241,7 +240,7 @@ def cmd_run(args) -> int:
         "conditioned": asdict(cond),
         "norm": source.moments.norm,
         "leakage": raw.leakage,
-        "state": run(spec).to_records() if args.dump_state else None,
+        "state": source.final_state().to_records() if args.dump_state else None,
     }
     if payload["state"] is None:
         del payload["state"]

@@ -61,8 +61,8 @@ from .fock import (
 
 DEFAULT_CUTOFF = 8
 #: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked at
-#: 94 MiB (any named pipeline, gamma or angle; ou_mandel at theta_a = 0.3 took 0.13 s
-#: after import) and 316 MiB (custom with two sources)
+#: 95 MiB (any named pipeline, gamma or angle; ou_mandel at theta_a = 0.3 took
+#: 0.13-0.21 s after import) and 162 MiB (custom with two sources, 1.0-1.6 s)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
@@ -218,16 +218,15 @@ def _stage_operator(name: str, cutoff: int) -> SparseOperator:
     return fock.matrix(op, get_basis(cutoff))
 
 
-def _evolve(stages: Sequence[tuple[str, float]], cutoff: int) -> StateVector:
-    state = vacuum(get_basis(cutoff))
+def _evolve(stages: Sequence[tuple[str, float]], state: StateVector) -> StateVector:
     for gen_name, parameter in stages:
-        state = evolve(state, _stage_operator(gen_name, cutoff), parameter)
+        state = evolve(state, _stage_operator(gen_name, state.basis.cutoff), parameter)
     return state
 
 
 def run(spec: ExperimentSpec) -> StateVector:
     """Apply every stage to the vacuum; :func:`readout` stops at the last pair source."""
-    return _evolve(spec.stages, spec.cutoff)
+    return _evolve(spec.stages, vacuum(get_basis(spec.cutoff)))
 
 
 def _split(spec: ExperimentSpec) -> int:
@@ -240,7 +239,7 @@ def _split(spec: ExperimentSpec) -> int:
 # passive optics as 4x4 mode matrices, and the moments they act on
 # ---------------------------------------------------------------------------
 
-#: (k, l) of c_k^dagger c_l, entry 4k + l of a raveled 4x4 mode matrix
+#: (k, l) of entry 4k + l of a raveled 4x4 mode matrix
 _K, _L = np.divmod(np.arange(16), 4)
 
 
@@ -289,38 +288,23 @@ class Moments:
 
     @staticmethod
     def of(state: StateVector) -> "Moments":
-        kets = np.flatnonzero(state.amps.astype(bool))
-        rows, slots, factor, (two, pair_factor), top, photons = _ladder_steps(
-            state.basis.cutoff, kets.tobytes())
+        basis, kets = state.basis, np.flatnonzero(state.amps.astype(bool))
         norm = float(np.linalg.norm(state.amps[kets]))
-        x = state.amps[kets] / norm
-        vectors = np.zeros((rows, 16), dtype=np.complex128)
-        vectors.ravel()[slots] = factor * x[:, None]
-        return Moments(vectors.T.conj() @ vectors, (x[two] @ pair_factor).reshape(4, 4), norm,
-                       float(np.vdot(x[top], x[top]).real), photons)
-
-
-@lru_cache(maxsize=fock.MAX_SUPPORTS)
-def _ladder_steps(cutoff: int, kets: bytes) -> tuple:
-    """For :meth:`Moments.of` on the basis kets with these ascending indices:
-    c_k^dagger c_l takes ket s, times ``factor[s, 4k + l]``, to raveled slot
-    ``slots[s, 4k + l]`` of a matrix with a row per ket reached and a last row
-    for the zero factors; Z's factors on the two-photon kets; the top two
-    shells; the largest photon number.  Kept per kets, as a gamma scan's rows
-    share one: half the moments' cost."""
-    basis = get_basis(cutoff)
-    kets = np.frombuffer(kets, dtype=np.intp)
-    occ, totals = basis.occupations[kets], basis.totals[kets]
-    factor = occ[:, _L] * (occ[:, _K] + (_K != _L))
-    power = (cutoff + 1) ** np.arange(3, -1, -1)  # fock._keys is linear in the occupations
-    targets = basis.keys[kets][:, None] + (power[_K] - power[_L])
-    rows = np.sort(targets[factor > 0])  # the keys of the kets reached, one per row
-    rows = rows[np.diff(rows, prepend=-1) != 0]  # keys are >= 0
-    slots = np.where(factor > 0, np.searchsorted(rows, targets), rows.size) * 16 + np.arange(16)
-    two = totals == 2
-    return (rows.size + 1, slots, np.sqrt(factor),
-            (two, np.sqrt(occ[two][:, _K] * (occ[two][:, _L] - (_K == _L)))),
-            totals >= cutoff - 1, int(totals.max()))
+        x, totals = state.amps[kets] / norm, basis.totals[kets]
+        # no c_k^dagger c_l leaves a shell: sum the Gram matrix over groups of whole
+        # shells of about fock.HOPPING_KETS kets, never holding a large state's vectors
+        starts = sorted(set(np.searchsorted(totals, totals[::fock.HOPPING_KETS]).tolist()))
+        gram = 0
+        for start, stop in zip(starts, [*starts[1:], kets.size]):
+            rows, slots, factors = fock.hopping(basis, kets[start:stop])
+            vectors = np.zeros((rows, 16), dtype=np.complex128)
+            vectors.ravel()[slots] = factors * x[start:stop, None]
+            gram = gram + vectors.T.conj() @ vectors
+        two, top = totals == 2, totals >= basis.cutoff - 1
+        occ = basis.occupations[kets[two]]
+        pairs = x[two] @ np.sqrt(occ[:, _K] * (occ[:, _L] - (_K == _L)))
+        return Moments(gram, pairs.reshape(4, 4), norm, float(np.vdot(x[top], x[top]).real),
+                       int(totals.max()))
 
 
 @dataclass(frozen=True)
@@ -399,7 +383,8 @@ class Readout:
     the rest of its report is the spec's own, degenerate flag included."""
 
     spec: ExperimentSpec
-    #: of the state after the last pair source
+    #: the state after the last pair source, and its moments
+    source_state: StateVector
     moments: Moments
     raw: CorrelationReport
     conditioned: CorrelationReport
@@ -434,20 +419,26 @@ class Readout:
         reports = tuple(self.report(spec.estimator, ta, tb) for ta, tb in angles.settings())
         return ChshReport(spec.estimator, spec.gamma, spec.cutoff, angles, reports)
 
+    def final_state(self) -> StateVector:
+        """:func:`run`'s state: the later stages evolved on the source state."""
+        return _evolve(self.spec.stages[_split(self.spec):], self.source_state)
 
-def _source(spec: ExperimentSpec) -> Moments:
-    return Moments.of(_evolve(spec.stages[:_split(spec)], spec.cutoff))
+
+def _source(spec: ExperimentSpec) -> tuple[StateVector, Moments]:
+    state = _evolve(spec.stages[:_split(spec)], vacuum(get_basis(spec.cutoff)))
+    return state, Moments.of(state)
 
 
-def _read(spec: ExperimentSpec, source: Moments) -> Readout:
-    s = single_photon_matrix(spec.stages[_split(spec):], source.photons)
-    return Readout(spec, source, *_reports(source, s, spec.gamma, spec.theta_a - spec.theta_b))
+def _read(spec: ExperimentSpec, state: StateVector, moments: Moments) -> Readout:
+    s = single_photon_matrix(spec.stages[_split(spec):], moments.photons)
+    return Readout(spec, state, moments,
+                   *_reports(moments, s, spec.gamma, spec.theta_a - spec.theta_b))
 
 
 def readout(spec: ExperimentSpec) -> Readout:
     """Evolve ``spec``'s stages up to its last pair source once, and read both
     estimators off that state's moments through the later stages."""
-    return _read(spec, _source(spec))
+    return _read(spec, *_source(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +536,8 @@ def _scan_rows(spec: ExperimentSpec, axis: str, values: list[float]) -> tuple[Sc
             source = readout(spec)
             read = lambda delta: source.reports(delta, 0.0)
         else:
-            moments = _source(spec)
-            read = lambda phi: _read(replace(spec, phi=phi), moments).reports(*angles)
+            source = _source(spec)
+            read = lambda phi: _read(replace(spec, phi=phi), *source).reports(*angles)
     except EvolveError as exc:
         return tuple(_failed_row(v, exc) for v in values)
     rows = []

@@ -18,12 +18,12 @@ of its entries, diagonalized by ``numpy.linalg.eigh``; a passive generator
 (every coefficient a C_ij) has one factor per coupled mode pair, whose
 blocks share eigenvectors per block size (:class:`PassiveFactors`).
 Commands evolve only pair sources and the stages before the last one;
-``experiments`` reads later passive stages through their :func:`mode_matrix`.
-The cutoff is the one accuracy input: a stage fails (:class:`EvolveError`)
-only where its phases cannot keep :data:`ACCURACY` (:func:`check_phase`) or
-its components would exceed :data:`MAX_DENSE`.  The engine imports numpy
-only; scipy builds the whole-basis matrix :attr:`SparseOperator.mat` that
-the tests read.
+``experiments`` reads later passive stages through their :func:`mode_matrix`
+and a source state through :func:`hopping`.  The cutoff is the one accuracy
+input: a stage fails (:class:`EvolveError`) only where its phases cannot keep
+:data:`ACCURACY` (:func:`check_phase`) or its components would exceed
+:data:`MAX_DENSE`.  The engine imports numpy only; scipy builds the
+whole-basis matrix :attr:`SparseOperator.mat` that the tests read.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ import numpy as np
 
 from .algebra import Kind, QuadOp
 
-#: supports an operator keeps set up, and angles a passive one keeps turns for.
-#: A stage sees one support at every parameter where no amplitude underflows to 0.
-#: turns: all 12 calls of a session_sweep pass (J_BS, J_prime, J_prime@BS in 4
-#: Horne cross-checks) hit after its first pass, in which 8 miss; cli_cold makes none
+#: supports an operator keeps set up, angles a passive one keeps turns for, and
+#: ket sets kept by :func:`hopping`.  A stage sees one support at every parameter
+#: where no amplitude underflows to 0.  Of a session_sweep pass, all 12 turns (4
+#: Horne cross-checks) hit after its first pass, in which 8 miss, and all 84
+#: hopping calls hit after its warm-up; cli_cold makes no turns, 9 hopping misses
 MAX_SUPPORTS = 8
 #: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
 ACCURACY = 1e-12
@@ -239,8 +240,8 @@ class SparseOperator:
 
 
 def _keep(cache: dict, key, value):
-    """Store ``value`` in a per-support or per-angle cache, dropping the
-    oldest entry beyond MAX_SUPPORTS; return it."""
+    """Store ``value`` in a per-support, per-angle or per-kets cache, dropping
+    the oldest entry beyond MAX_SUPPORTS; return it."""
     if len(cache) >= MAX_SUPPORTS:
         del cache[next(iter(cache))]
     cache[key] = value
@@ -383,26 +384,31 @@ def _next_shell(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 _LADDER_STEPS = {Kind.PAIR_CREATE: (1, 1), Kind.MIXED: (1, -1), Kind.PAIR_ANNIHILATE: (-1, -1)}
 
 
+def _moves(kind: Kind, i, j, occ: np.ndarray, base: int) -> tuple:
+    """(factor, offset): the element of ``kind`` on the 0-based modes (i, j),
+    ints or arrays, takes a ket of occupations ``occ`` to sqrt(factor) times
+    the ket whose key is its own plus offset (:func:`_keys` is linear).  Right
+    to left, a ladder operator multiplies the factor by n+1 or n."""
+    step_i, step_j = _LADDER_STEPS[kind]
+    n_j = occ[..., j]
+    n_i = occ[..., i] + step_j * np.equal(i, j)
+    factor = (n_j + 1 if step_j > 0 else n_j) * (n_i + 1 if step_i > 0 else n_i)
+    offset = (step_i + step_j) * base ** 4 + step_i * base ** (3 - i) + step_j * base ** (3 - j)
+    return factor, offset
+
+
 def _entries(op: QuadOp, basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(values, (target basis indices, source positions in ``kets``)), the
     coordinate form of the entries of ``op`` on the basis kets ``kets``:
     coefficient order, then ket order, with the scalar last on the diagonal,
     unsummed.  An element moves every ket by the same photon-number steps, so
-    a target's search key is its source's plus one offset (:func:`_keys` is
-    linear in the occupations)."""
+    a target's search key is its source's plus one offset (:func:`_moves`)."""
     occ, keys, positions = basis.occupations[kets], basis.keys[kets], np.arange(len(kets))
-    base = basis.cutoff + 1
     parts = [(np.zeros(0, dtype=np.intp), positions[:0], np.zeros(0, dtype=np.complex128))]
     for elem, coeff in op.coeffs.items():
-        i, j = elem.i - 1, elem.j - 1
         step_i, step_j = _LADDER_STEPS[elem.kind]
-        # right to left: the ladder operator on mode j, then the one on mode i;
-        # each multiplies the integer factor by n+1 (creation) or n (annihilation)
-        n_j = occ[:, j]
-        n_i = occ[:, i] + step_j if i == j else occ[:, i]
-        factor = (n_j + 1 if step_j > 0 else n_j) * (n_i + 1 if step_i > 0 else n_i)
-        offset = (step_i + step_j) * base ** 4 + step_i * base ** (3 - i) + step_j * base ** (3 - j)
-        shift = 0.5 if elem.kind is Kind.MIXED and i == j else 0.0  # C_ii = c_i^dagger c_i + 1/2
+        factor, offset = _moves(elem.kind, elem.i - 1, elem.j - 1, occ, basis.cutoff + 1)
+        shift = 0.5 if elem.kind is Kind.MIXED and elem.i == elem.j else 0.0  # C_ii = n_i + 1/2
         keep = ((factor != 0) | (shift != 0)) & (basis.totals[kets] + step_i + step_j <= basis.cutoff)
         parts.append((np.searchsorted(basis.keys, keys[keep] + offset), positions[keep],
                       complex(coeff) * (np.sqrt(factor[keep]) + shift)))
@@ -410,6 +416,32 @@ def _entries(op: QuadOp, basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray
         parts.append((kets, positions, np.full(len(kets), complex(op.scalar))))
     targets, sources, values = map(np.concatenate, zip(*parts))
     return values, (targets, sources)
+
+
+#: (k, l) of the hopping c_k^dagger c_l, entry 4k + l of a raveled 4x4 mode matrix
+_K, _L = np.divmod(np.arange(16), 4)
+#: :func:`hopping` kept per kets, for at most HOPPING_KETS kets (1 MiB of tables)
+_HOPPING: dict = {}
+HOPPING_KETS = 4096
+
+
+def hopping(basis: FockBasis, kets: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rows, slots, factors): the images c_k^dagger c_l |n> of the basis kets
+    ``kets`` (ascending), entry 4k + l: ket s goes, times factors[s, 4k + l],
+    to slot slots[s, 4k + l] of a raveled (rows, 16) matrix, a row per ket
+    reached and a last one for vanishing images.  No image leaves its shell.
+    Kept (:func:`_keep`) as gamma scans and chsh calls share one support:
+    ``experiments.Moments.of`` of a 45-ket source drops from 120 to 50 us."""
+    key = basis.cutoff, kets.tobytes()
+    if key in _HOPPING:
+        return _HOPPING[key]
+    factor, offset = _moves(Kind.MIXED, _K, _L, basis.occupations[kets], basis.cutoff + 1)
+    hit = factor > 0
+    rows, row = np.unique((basis.keys[kets][:, None] + offset)[hit], return_inverse=True)
+    slots = np.full(factor.shape, rows.size)
+    slots[hit] = row
+    images = rows.size + 1, slots * 16 + np.arange(16), np.sqrt(factor)
+    return _keep(_HOPPING, key, images) if kets.size <= HOPPING_KETS else images
 
 
 def _largest_column_norm(values: np.ndarray, targets: np.ndarray, sources: np.ndarray) -> float:

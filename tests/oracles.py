@@ -239,11 +239,11 @@ def reached_dense_evolve(state: StateVector, generator, theta: float) -> StateVe
 
 def chain_leakage(k: float, gamma: float, cutoff: int) -> float:
     """Leakage of a pair source of Bargmann index ``k`` (1 for ``K``, 1/2 for
-    ``K_OM``) run for ``gamma`` from the vacuum, for an even ``cutoff``, in
-    60-digit mpmath.  From the vacuum the truncated source spans one unit
-    vector per 2n-photon shell, n = 0..cutoff/2, with the Jacobi matrix T of
-    off-diagonal beta_n = sqrt((n+1)(n+2k))/2; the state is c = e^{i gamma T}
-    e_0, and the top two shells hold |c_{cutoff/2}|^2."""
+    ``K_OM``) run for ``gamma`` from the vacuum, in 60-digit mpmath.  From the
+    vacuum the truncated source spans one unit vector per 2n-photon shell,
+    n = 0..cutoff//2, with the Jacobi matrix T of off-diagonal
+    beta_n = sqrt((n+1)(n+2k))/2; the state is c = e^{i gamma T} e_0, and the
+    top two shells hold |c_{cutoff//2}|^2 (for an odd cutoff, on the lower one)."""
     with mpmath.workdps(60):
         size = cutoff // 2 + 1
         t = mpmath.zeros(size, size)

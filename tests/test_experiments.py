@@ -148,17 +148,22 @@ def test_diagonal_custom_stage_is_an_exact_phase():
 @pytest.mark.parametrize("cutoff", [4, 8, 12, 16])
 def test_horne_leakage_is_the_source_leakage(cutoff):
     """J' and J_BS keep every total-photon shell, so the Horne state has its
-    pair source's weight on the top two shells, to rounding."""
+    pair source's weight on the top two shells, to rounding; the leakage
+    that the readout reports at every phi is that weight of the normalized
+    source, and so is the one ``correlation_raw`` reads off the final state."""
     for gamma in (0.1, 0.4, 1.0):
         spec = horne_spec(gamma, 0.0, cutoff=cutoff)
         source = fock.evolve(vacuum(get_basis(cutoff)),
                              experiments._stage_operator("K_prime", cutoff), gamma)
+        expected = oracles.leakage(oracles.normalized(source))
         for phi in (0.0, 0.3, 3.0, -1.7):
-            leak = oracles.leakage(run(replace(spec, phi=phi)))
-            assert leak == pytest.approx(oracles.leakage(source), rel=1e-12, abs=1e-30)
+            state = run(replace(spec, phi=phi))
+            for leak in (oracles.leakage(state), correlation_raw(state).leakage,
+                         experiments.readout(replace(spec, phi=phi)).raw.leakage):
+                assert leak == pytest.approx(expected, rel=1e-12, abs=1e-30), phi
 
 
-@pytest.mark.parametrize("cutoff", [8, 16, 30])
+@pytest.mark.parametrize("cutoff", [8, 9, 16, 30])
 @pytest.mark.parametrize("name, k", [("ideal", 1.0), ("ou_mandel", 0.5)])
 def test_leakage_is_the_su11_chain(name, k, cutoff):
     """The leakage of a one-source pipeline is the top-shell weight of its
@@ -170,8 +175,9 @@ def test_leakage_is_the_su11_chain(name, k, cutoff):
     gamma = 0.1)."""
     for gamma in (1e-3, 0.1, 0.3, 1.0):
         exact = oracles.chain_leakage(k, gamma, cutoff)
-        leak = oracles.leakage(run(ExperimentSpec(name, gamma=gamma, cutoff=cutoff)))
-        assert abs(leak - exact) <= 2e-15 * math.sqrt(exact) + 1e-32, gamma
+        spec = ExperimentSpec(name, gamma=gamma, cutoff=cutoff)
+        for leak in (oracles.leakage(run(spec)), experiments.readout(spec).raw.leakage):
+            assert abs(leak - exact) <= 2e-15 * math.sqrt(exact) + 1e-32, gamma
 
 
 @pytest.mark.parametrize("name, phi, k", [("ideal", 0.0, 1.0), ("horne", 0.0, 1.0),
@@ -511,9 +517,10 @@ def test_analyzer_settings_match_full_runs(name, cutoff, gamma):
             reference = oracles.correlation_by_run(spec, theta_a, theta_b)
             assert report.degenerate == reference.degenerate
             assert report.delta == reference.delta
-            for field in ("value", "numerator", "denominator", "leakage"):
+            for field in ("value", "numerator", "denominator"):
                 assert getattr(report, field) == pytest.approx(getattr(reference, field),
                                                                abs=1e-10)
+            assert report.leakage == pytest.approx(reference.leakage, rel=1e-12, abs=1e-30)
 
 
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
@@ -541,8 +548,8 @@ def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
     the source state; both tensors equal those of the whole-basis products
     ``sigma_y.mat @ amps`` on the final state of ``run`` within 1e-15, at a
     small and a large gamma.  Those sources, and a third one, share one
-    support, whose ladder steps are found once."""
-    experiments._ladder_steps.cache_clear()
+    support, whose hopping images ``fock.hopping`` finds once."""
+    fock._HOPPING.clear()
     for gamma in (0.05, 0.9):
         spec = ExperimentSpec(name, gamma=gamma, cutoff=cutoff)
         source = experiments.readout(spec)
@@ -558,15 +565,17 @@ def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
         for tensor, reference in zip(source.tensors, expected):
             assert np.max(np.abs(tensor - reference)) < 1e-15, (gamma, tensor - reference)
     experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff))
-    assert experiments._ladder_steps.cache_info().misses == 1
+    assert len(fock._HOPPING) == 1
 
 
 def _assert_same_report(report, expected, tol):
-    """Equal labels and flags, and numbers within ``tol``."""
+    """Equal labels and flags, numbers within ``tol``, and the leakage, far
+    below ``tol``, within 1e-12 of its size."""
     assert (report.estimator, report.gamma, report.delta, report.degenerate) == (
         expected.estimator, expected.gamma, expected.delta, expected.degenerate)
-    for field in ("value", "numerator", "denominator", "leakage"):
+    for field in ("value", "numerator", "denominator"):
         assert getattr(report, field) == pytest.approx(getattr(expected, field), rel=0, abs=tol)
+    assert report.leakage == pytest.approx(expected.leakage, rel=1e-12, abs=1e-30)
 
 
 @pytest.mark.parametrize("name", PIPELINES)
@@ -593,9 +602,9 @@ def test_readout_reads_the_setting(name):
         if name in ANALYZER_PIPELINES and (theta_a or theta_b):
             for report, unrotated in zip((raw, cond), own):
                 assert report.degenerate == unrotated.degenerate
-                for field in ("denominator", "leakage"):
-                    assert getattr(report, field) == pytest.approx(getattr(unrotated, field),
-                                                                   rel=0, abs=1e-12)
+                assert report.denominator == pytest.approx(unrotated.denominator,
+                                                           rel=0, abs=1e-12)
+                assert report.leakage == pytest.approx(unrotated.leakage, rel=1e-12, abs=1e-30)
                 reference = oracles.correlation_by_run(
                     replace(spec, estimator=report.estimator), theta_a, theta_b)
                 assert report.delta == reference.delta
@@ -681,6 +690,38 @@ def test_phi_scan_evolves_the_source_once(monkeypatch):
     table = scan(horne_spec(0.3, 0.0, cutoff=10), "phi", np.linspace(0.0, math.pi, 33))
     assert len(table.rows) == 33 and not any(row.failed for row in table.rows)
     assert calls == [experiments._stage_operator("K_prime", 10)]
+
+
+@pytest.mark.parametrize("group", [fock.HOPPING_KETS, 20])
+def test_moments_match_dense_ladder_products(monkeypatch, group):
+    """``Moments.of`` of a two-source state at cutoff 7 (not normalized, 130
+    kets on the even shells) against dense ladder matrices built by occupation loops
+    (``oracles._dense_mode_ops``): the Gram matrix of the 16 vectors
+    c_k^dagger c_l psi and Z_kl = <0|c_k c_l|psi> of the normalized state
+    within 1e-15, its top-shell weight within 1e-15 of its size, the norm and
+    the largest photon number (so the top two shells are 6 and 7).  The Gram matrix is summed over groups of whole
+    shells of about ``fock.HOPPING_KETS`` kets; at 20 the state spans several
+    groups, and fock keeps the images of none larger than that."""
+    monkeypatch.setattr(fock, "HOPPING_KETS", group)
+    fock._HOPPING.clear()
+    stages = (("K", 0.3), ("J_BS", 1.0), ("K_OM", 0.2), ("J_BS_wv", 0.7))
+    state = run(ExperimentSpec("custom", stages, cutoff=7))
+    state = StateVector(state.basis, 1.5 * state.amps)
+    kets = np.flatnonzero(state.amps)
+    psi = state.amps / state.norm()
+    a = oracles._dense_mode_ops(7)
+    vectors = np.array([a[k].conj().T @ a[l] @ psi for k in range(4) for l in range(4)])
+    moments = experiments.Moments.of(state)
+    assert np.max(np.abs(moments.gram - vectors.conj() @ vectors.T)) <= 1e-15
+    pairs = np.array([[(a[k] @ a[l] @ psi)[0] for l in range(4)] for k in range(4)])
+    assert np.max(np.abs(moments.pairs - pairs)) <= 1e-15
+    assert moments.leakage == pytest.approx(oracles.leakage(StateVector(state.basis, psi)),
+                                            rel=1e-15)
+    assert moments.norm == pytest.approx(1.5, rel=1e-15)
+    assert moments.photons == state.basis.totals[kets].max() == 6
+    # at 20: shells 0 and 2 (11 kets), 4 (35) and 6 (84); only the first is kept
+    kept = [len(key[1]) // kets.itemsize for key in fock._HOPPING]
+    assert kept == ([130] if group > kets.size else [11])
 
 
 @pytest.mark.parametrize("name", _RECIPES)
