@@ -27,21 +27,25 @@ ratio on the full output state, and ``conditioned``, the same ratio after the
 one-photon-per-channel projection.  They agree as gamma -> 0; the scans make
 their O(gamma^2) difference an observable rather than an assumption.
 
-Every command reads a spec through :func:`readout`: :func:`fock.evolve` runs
-the stages up to the last pair source once, and every number is a contraction
-of that state's :class:`Moments` with the single-photon matrix of the later,
-passive stages, analyzers included, which no command evolves.  A delta or phi
-scan reads all its rows from one source state; every row is exactly the
+Every command reads a spec through :func:`readout`, and every number is a
+contraction of the :class:`Moments` of the state after the last pair source
+with the single-photon matrix of the later, passive stages, analyzers
+included, which no command evolves.  When that source is the first stage, as
+in every named pipeline, it acts on the vacuum and its state is
+sum_n c_n(gamma) phi_n on its ladder (:class:`fock.Ladder`): the moments are
+the weights |c_n|^2 on each shell's own, so a readout evolves nothing.  Any
+other spec runs :func:`fock.evolve` up to its last pair source once.  A delta
+or phi scan reads all its rows from one source; every row is exactly the
 readout of its own spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property, lru_cache, partial
 from numbers import Integral, Real
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,8 +65,10 @@ from .fock import (
 
 DEFAULT_CUTOFF = 8
 #: the largest cutoff: its basis holds C(64, 4) = 635376 kets; a run there peaked at
-#: 95 MiB (any named pipeline, gamma or angle; ou_mandel at theta_a = 0.3 took
-#: 0.13-0.21 s after import) and 162 MiB (custom with two sources, 1.0-1.6 s)
+#: 94 MiB (any named pipeline, gamma or angle, and custom K_OM_prime alone; after
+#: import ideal took 0.13-0.18 s, horne at phi = 0.7 0.13-0.18 s, ou_mandel at
+#: theta_a = 0.3 0.12-0.18 s and K_OM_prime 0.23-0.31 s) and 155 MiB (custom
+#: with two sources, 0.85-0.92 s)
 MAX_CUTOFF = 60
 ESTIMATORS = ("raw", "conditioned")
 
@@ -239,10 +245,6 @@ def _split(spec: ExperimentSpec) -> int:
 # passive optics as 4x4 mode matrices, and the moments they act on
 # ---------------------------------------------------------------------------
 
-#: (k, l) of entry 4k + l of a raveled 4x4 mode matrix
-_K, _L = np.divmod(np.arange(16), 4)
-
-
 @lru_cache(maxsize=None)
 def _channel_sigmas() -> tuple[np.ndarray, np.ndarray]:
     """The mode matrices of sigma_z, sigma_y and sigma_0 of channel a, then b,
@@ -291,20 +293,26 @@ class Moments:
         basis, kets = state.basis, np.flatnonzero(state.amps.astype(bool))
         norm = float(np.linalg.norm(state.amps[kets]))
         x, totals = state.amps[kets] / norm, basis.totals[kets]
-        # no c_k^dagger c_l leaves a shell: sum the Gram matrix over groups of whole
-        # shells of about fock.HOPPING_KETS kets, never holding a large state's vectors
-        starts = sorted(set(np.searchsorted(totals, totals[::fock.HOPPING_KETS]).tolist()))
-        gram = 0
-        for start, stop in zip(starts, [*starts[1:], kets.size]):
-            rows, slots, factors = fock.hopping(basis, kets[start:stop])
-            vectors = np.zeros((rows, 16), dtype=np.complex128)
-            vectors.ravel()[slots] = factors * x[start:stop, None]
-            gram = gram + vectors.T.conj() @ vectors
-        two, top = totals == 2, totals >= basis.cutoff - 1
-        occ = basis.occupations[kets[two]]
-        pairs = x[two] @ np.sqrt(occ[:, _K] * (occ[:, _L] - (_K == _L)))
-        return Moments(gram, pairs.reshape(4, 4), norm, float(np.vdot(x[top], x[top]).real),
+        grams, pairs = fock.second_moments(basis, kets, x)
+        top = totals >= basis.cutoff - 1
+        return Moments(grams.sum(axis=0), pairs, norm, float(np.vdot(x[top], x[top]).real),
                        int(totals.max()))
+
+    @staticmethod
+    def of_ladder(ladder: fock.Ladder, c: np.ndarray) -> "Moments":
+        """The moments of the state Q c of a :class:`fock.Ladder`, with no
+        vector on its kets: no c_k^dagger c_l leaves a shell and each phi_n
+        is a unit vector on its own, so the Gram matrix is the |c_n|^2
+        weighted sum of each phi_n's, Z is c_n Z(phi_n) of the two-photon
+        shell, and the leakage is the weight of the top two shells."""
+        grams, pairs = ladder.moments
+        weights = np.abs(c) ** 2
+        total = float(np.sum(weights))
+        norm = math.sqrt(total)
+        top = ladder.shells >= ladder.basis.cutoff - 1
+        return Moments(((weights / total) @ grams).reshape(16, 16),
+                       ((c / norm) @ pairs).reshape(4, 4), norm,
+                       float(np.sum(weights[top])) / total, int(ladder.shells[c != 0].max()))
 
 
 @dataclass(frozen=True)
@@ -362,12 +370,12 @@ def correlation_conditioned(state: StateVector, gamma: float = float("nan"),
 # one readout of the source state
 # ---------------------------------------------------------------------------
 
-def _analyzer_vector(theta: float) -> np.ndarray:
+def _analyzer_vector(theta: float) -> tuple[float, float]:
     """u(theta): an analyzer at theta, the rotation e^{i 2 theta J}, turns
     sigma_z into cos(2 theta) sigma_z - sin(2 theta) sigma_y."""
     if not math.isfinite(2.0 * theta):
         raise ConfigError(f"analyzer angle {theta!r} is too large: 2*theta overflows")
-    return np.array([math.cos(2.0 * theta), -math.sin(2.0 * theta)])
+    return math.cos(2.0 * theta), -math.sin(2.0 * theta)
 
 
 @dataclass(frozen=True)
@@ -383,8 +391,7 @@ class Readout:
     the rest of its report is the spec's own, degenerate flag included."""
 
     spec: ExperimentSpec
-    #: the state after the last pair source, and its moments
-    source_state: StateVector
+    #: the moments of the state after the last pair source
     moments: Moments
     raw: CorrelationReport
     conditioned: CorrelationReport
@@ -392,23 +399,40 @@ class Readout:
     #: state, and of its renormalized coincidence projection (None when the
     #: coincidence weight is degenerate)
     tensors: tuple[np.ndarray, np.ndarray | None]
+    #: forms the state after the last pair source
+    form_source: Callable[[], StateVector] = field(repr=False, compare=False)
+
+    @cached_property
+    def source_state(self) -> StateVector:
+        """The state after the last pair source, formed on first use: a
+        ladder readout places Q c on its kets only here."""
+        return self.form_source()
+
+    @cached_property
+    def _tensor_rows(self) -> tuple[list, list | None]:
+        """:attr:`tensors` as nested lists of Python floats, for :meth:`report`."""
+        return tuple(None if t is None else t.tolist() for t in self.tensors)
 
     def report(self, estimator: str, theta_a: float, theta_b: float) -> CorrelationReport:
         """One estimator at one setting: the spec's own report for a pipeline
         without analyzers, or at (0, 0) of a spec with delta 0; otherwise that
-        report with the numerator contracted from :attr:`tensors`, its value
-        and the setting's delta swapped in."""
+        report with the numerator u(theta_a)^T T u(theta_b), contracted from
+        :attr:`tensors` on Python floats, its value and the setting's delta
+        swapped in."""
         own = self.raw if estimator == "raw" else self.conditioned
-        delta = theta_a - theta_b
         if self.spec.name not in ANALYZER_PIPELINES or not (theta_a or theta_b or own.delta):
             return own
-        u_a, u_b = _analyzer_vector(theta_a), _analyzer_vector(theta_b)
+        (a0, a1), (b0, b1) = _analyzer_vector(theta_a), _analyzer_vector(theta_b)
+        delta = theta_a - theta_b
         if estimator == "conditioned" and own.degenerate:
-            return replace(own, delta=delta)
+            return CorrelationReport(own.estimator, own.value, own.numerator, own.denominator,
+                                     own.leakage, own.gamma, delta, True)
+        (t00, t01), (t10, t11) = self._tensor_rows[estimator == "conditioned"]
+        num = (a0 * t00 + a1 * t10) * b0 + (a0 * t01 + a1 * t11) * b1
         # a conditioned report's denominator is 1, so its value is the numerator
-        num = float(u_a @ self.tensors[estimator == "conditioned"] @ u_b)
         value = 0.0 if own.degenerate else num / own.denominator
-        return replace(own, value=value, numerator=num, delta=delta)
+        return CorrelationReport(own.estimator, value, num, own.denominator, own.leakage,
+                                 own.gamma, delta, own.degenerate)
 
     def reports(self, theta_a: float, theta_b: float) -> tuple[CorrelationReport, CorrelationReport]:
         """The raw and the conditioned :meth:`report` at one setting."""
@@ -424,20 +448,31 @@ class Readout:
         return _evolve(self.spec.stages[_split(self.spec):], self.source_state)
 
 
-def _source(spec: ExperimentSpec) -> tuple[StateVector, Moments]:
-    state = _evolve(spec.stages[:_split(spec)], vacuum(get_basis(spec.cutoff)))
-    return state, Moments.of(state)
+def _source(spec: ExperimentSpec) -> tuple[Moments, Callable[[], StateVector]]:
+    """The moments of the state after the last pair source, and how to form
+    that state.  When the source is the first stage, its set-up on the vacuum
+    is a ladder (:meth:`fock.SparseOperator.ladder`) and the moments are read
+    off its amplitudes c; otherwise the stages up to it are evolved."""
+    split = _split(spec)
+    if split == 1:
+        name, gamma = spec.stages[0]
+        ladder = _stage_operator(name, spec.cutoff).ladder(gamma)
+        if ladder is not None:
+            c = ladder.amplitudes(gamma)
+            return Moments.of_ladder(ladder, c), partial(ladder.state, c)
+    state = _evolve(spec.stages[:split], vacuum(get_basis(spec.cutoff)))
+    return Moments.of(state), lambda: state
 
 
-def _read(spec: ExperimentSpec, state: StateVector, moments: Moments) -> Readout:
+def _read(spec: ExperimentSpec, moments: Moments, form_source) -> Readout:
     s = single_photon_matrix(spec.stages[_split(spec):], moments.photons)
-    return Readout(spec, state, moments,
-                   *_reports(moments, s, spec.gamma, spec.theta_a - spec.theta_b))
+    return Readout(spec, moments, *_reports(moments, s, spec.gamma, spec.theta_a - spec.theta_b),
+                   form_source)
 
 
 def readout(spec: ExperimentSpec) -> Readout:
-    """Evolve ``spec``'s stages up to its last pair source once, and read both
-    estimators off that state's moments through the later stages."""
+    """Read both estimators of ``spec`` off the moments of its state after
+    the last pair source (:func:`_source`), through the later stages."""
     return _read(spec, *_source(spec))
 
 

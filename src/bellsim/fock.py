@@ -13,17 +13,21 @@ evolution is exactly unitary on the truncated space.
 generator reaches from the state's support, a stage is a phase per ket and
 commuting factors V e^{i theta Lambda} V^dagger, set up once per support
 (:meth:`SparseOperator.restricted`) as dense blocks applied with
-``numpy.matmul``.  A pair source is one factor over the connected components
-of its entries, diagonalized by ``numpy.linalg.eigh``; a passive generator
-(every coefficient a C_ij) has one factor per coupled mode pair, whose
-blocks share eigenvectors per block size (:class:`PassiveFactors`).
-Commands evolve only pair sources and the stages before the last one;
-``experiments`` reads later passive stages through their :func:`mode_matrix`
-and a source state through :func:`hopping`.  The cutoff is the one accuracy
-input: a stage fails (:class:`EvolveError`) only where its phases cannot keep
-:data:`ACCURACY` (:func:`check_phase`) or its components would exceed
-:data:`MAX_DENSE`.  The engine imports numpy only; scipy builds the
-whole-basis matrix :attr:`SparseOperator.mat` that the tests read.
+``numpy.matmul``.  A pair source on the vacuum ket is its su(1,1) ladder
+(:class:`Ladder`): Lanczos from the vacuum gives one vector per photon-number
+shell, and the factor is the eigenpairs of its small Jacobi matrix.  Any
+other pair source is one factor over the connected components of its
+entries, diagonalized by ``numpy.linalg.eigh``; a passive generator (every
+coefficient a C_ij) has one factor per coupled mode pair, whose blocks share
+eigenvectors per block size (:class:`PassiveFactors`).  Commands evolve only
+the stages up to the last pair source, and none when that is the first
+stage: ``experiments`` reads such a source off its ladder's per-shell
+:func:`second_moments`, and later passive stages through their
+:func:`mode_matrix`.  The cutoff is the one accuracy input: a stage fails
+(:class:`EvolveError`) only where its phases cannot keep :data:`ACCURACY`
+(:func:`check_phase`) or its set-up would exceed :data:`MAX_DENSE`.  The
+engine imports numpy only; scipy builds the whole-basis matrix
+:attr:`SparseOperator.mat` that the tests read.
 """
 
 from __future__ import annotations
@@ -37,21 +41,21 @@ import numpy as np
 
 from .algebra import Kind, QuadOp
 
-#: supports an operator keeps set up, angles a passive one keeps turns for, and
-#: ket sets kept by :func:`hopping`.  A stage sees one support at every parameter
-#: where no amplitude underflows to 0.  Of a session_sweep pass, all 12 turns (4
-#: Horne cross-checks) hit after its first pass, in which 8 miss, and all 84
-#: hopping calls hit after its warm-up; cli_cold makes no turns, 9 hopping misses
+#: supports an operator keeps set up, and angles a passive one keeps turns for.
+#: A stage sees one support at every parameter where no amplitude underflows to
+#: 0.  Of a session_sweep pass, all 12 turns (4 Horne cross-checks) hit after its
+#: first pass, in which 8 miss, and cli_cold makes none
 MAX_SUPPORTS = 8
 #: the rounding a phase theta*lam may carry, eps*|theta*lam|: the 12th printed digit
 ACCURACY = 1e-12
-#: dense entries a pair source's components may hold on one support (64 MiB)
+#: dense entries a pair source's set-up may hold on one support (64 MiB): its
+#: components, or its ladder's kets times its shells
 MAX_DENSE = 2 ** 22
 
 
 class EvolveError(RuntimeError):
     """Evolution failed: the stage parameter is too large for its phases to
-    keep :data:`ACCURACY`, or a pair source's components exceed :data:`MAX_DENSE`."""
+    keep :data:`ACCURACY`, or a pair source's set-up exceeds :data:`MAX_DENSE`."""
 
 
 def _keys(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -190,10 +194,12 @@ class SparseOperator:
         lists the positions in ``kets`` of its blocks (n_i = 0..s,
         n_j = s-n_i) as rows of s+1 slots, slot k at n_i = k, for each
         (start, stop, s) in ``segments`` (:func:`_pair_blocks`).  An active
-        operator has no weights and one factor over the connected components
-        of its entries among the kets: per component size, (blocks, V, lam)
-        of :func:`_components`."""
-        key = support.tobytes()
+        operator has no weights and one factor: on the vacuum ket its
+        :class:`Ladder` when Lanczos keeps every vector on one shell, else
+        the connected components of its entries among the kets, per
+        component size (blocks, V, lam) of :func:`_components`.  Kept per
+        support, keyed by its indices' bytes."""
+        key = np.flatnonzero(support).tobytes()
         if key in self._supports:
             return self._supports[key]
         reached, new = support.copy(), np.flatnonzero(support)
@@ -215,12 +221,30 @@ class SparseOperator:
                 phases.append(lams[[size for *_, size in segments]])
         else:
             values, (targets, sources) = _entries(self.op, self.basis, kets)
-            groups = _components(np.searchsorted(kets, targets), sources, values, kets.size)
-            weights, products = None, [groups]
-            phases = [lam for *_, lam in groups]
+            rows = np.searchsorted(kets, targets)
+            ladder = _ladder(self.basis, kets, rows, sources, values) if key == _VACUUM else None
+            if ladder is None:
+                groups = _components(rows, sources, values, kets.size)
+                products, phases = [groups], [lam for *_, lam in groups]
+            else:
+                products, phases = [ladder], [ladder.lam]
+            weights = None
         phases += [] if weights is None else [weights]
         set_up = weights, products, max((float(np.max(np.abs(x))) for x in phases), default=0.0)
         return _keep(self._supports, key, (kets, set_up))
+
+    def ladder(self, theta: float) -> "Ladder | None":
+        """This pair source's set-up on the vacuum ket if it is a
+        :class:`Ladder`, else None, under :func:`evolve`'s phase rule at
+        theta; read from :meth:`restricted`'s entry for that support, with no
+        basis-long array once it is kept."""
+        kept = self._supports.get(_VACUUM)
+        if kept is None:
+            kept = _set_up(self, np.arange(self.basis.dim) == 0, theta)
+        else:
+            check_phase(theta, kept[1][2])
+        factor = kept[1][1][0]
+        return factor if isinstance(factor, Ladder) else None
 
     def turns(self, theta: float) -> list[np.ndarray]:
         """Per pair factor of a passive operator, what :func:`evolve` applies
@@ -240,12 +264,95 @@ class SparseOperator:
 
 
 def _keep(cache: dict, key, value):
-    """Store ``value`` in a per-support, per-angle or per-kets cache, dropping
+    """Store ``value`` in a per-support or per-angle cache, dropping
     the oldest entry beyond MAX_SUPPORTS; return it."""
     if len(cache) >= MAX_SUPPORTS:
         del cache[next(iter(cache))]
     cache[key] = value
     return value
+
+
+#: :meth:`SparseOperator.restricted`'s key of the vacuum ket, basis index 0
+_VACUUM = np.zeros(1, dtype=np.intp).tobytes()
+
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """A pair source G on the vacuum ket as its su(1,1) ladder.  Lanczos from
+    the vacuum gives orthonormal vectors phi_n, each on one photon-number
+    shell, and the Jacobi matrix T = V diag(lam) V^dagger of G on them, so
+    e^{i theta G}|0> = Q c with c = e^{i theta T} e_0 (:meth:`amplitudes`).
+    For a catalog source phi_n holds 2n photons and m = cutoff//2 + 1."""
+
+    basis: FockBasis
+    #: ascending basis indices of the kets G reaches from the vacuum
+    kets: np.ndarray
+    #: (kets, m): phi_n in column n, zero off its shell; phi_0 is the vacuum
+    q: np.ndarray
+    #: (m,) the photon number of the shell of each phi_n
+    shells: np.ndarray
+    #: eigenvalues and eigenvectors of T
+    lam: np.ndarray
+    vecs: np.ndarray
+
+    def amplitudes(self, theta: float) -> np.ndarray:
+        """c = e_0 + V expm1(i theta lam) V^dagger e_0, so small amplitudes
+        keep their relative digits."""
+        c = self.vecs @ (np.expm1(1j * theta * self.lam) * self.vecs[0].conj())
+        c[0] += 1.0
+        return c
+
+    def state(self, c: np.ndarray) -> StateVector:
+        """Q c placed on the kets: the state of ladder amplitudes ``c``."""
+        amps = np.zeros(self.basis.dim, dtype=np.complex128)
+        amps[self.kets] = self.q @ c
+        return StateVector(self.basis, amps)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(grams, pairs), raveled to (m, 256) and (m, 16): the Gram matrix
+        and Z of each phi_n, read once by :func:`second_moments` of the sum
+        of the phi_n, which holds each on its own shell."""
+        grams, pairs = second_moments(self.basis, self.kets, self.q.sum(axis=1))
+        return grams[self.shells].reshape(-1, 256), np.outer(self.shells == 2, pairs)
+
+
+def _ladder(basis: FockBasis, kets: np.ndarray, rows, cols, data) -> Ladder | None:
+    """The :class:`Ladder` of the hermitian matrix of the entries (rows,
+    cols, data) on the kets G reaches from the vacuum, by Lanczos with full
+    reorthogonalization, applying G through its entries; it stops when beta
+    falls to rounding.  None when a vector leaves its shell, or meets a shell
+    twice.  :class:`EvolveError` if one vector per shell would hold more than
+    :data:`MAX_DENSE` entries, before any is built."""
+    n, totals = kets.size, basis.totals[kets]
+    size = np.count_nonzero(np.bincount(totals))
+    if n * size > MAX_DENSE:
+        raise EvolveError(f"a pair source needs {n * size} dense entries on its {n} kets "
+                          f"(limit {MAX_DENSE}); lower the cutoff")
+    q = np.zeros((n, size), dtype=np.complex128)
+    q[0, 0] = 1.0
+    alpha, beta, shells = [], [], [0]
+    for j in range(size):
+        x = data * q[cols, j]
+        w = np.bincount(rows, x.real, n) + 1j * np.bincount(rows, x.imag, n)
+        alpha.append(np.vdot(q[:, j], w).real)
+        for _ in range(2):
+            w -= q[:, :j + 1] @ (q[:, :j + 1].conj().T @ w)
+        b = float(np.linalg.norm(w))
+        if b <= ACCURACY * max(map(abs, alpha + beta)):
+            break
+        weights = np.bincount(totals, np.abs(w) ** 2)
+        shell = int(np.argmax(weights))
+        weights[shell] = 0.0
+        if shell in shells or np.sum(weights) > (ACCURACY * b) ** 2:
+            return None
+        w[totals != shell] = 0.0
+        q[:, j + 1] = w / np.linalg.norm(w)
+        beta.append(b)
+        shells.append(shell)
+    m = len(alpha)
+    lam, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return Ladder(basis, kets, q[:, :m], np.array(shells), lam, vecs)
 
 
 def _pair_blocks(occ: np.ndarray, i: int, j: int) -> tuple[np.ndarray, tuple]:
@@ -420,28 +527,51 @@ def _entries(op: QuadOp, basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray
 
 #: (k, l) of the hopping c_k^dagger c_l, entry 4k + l of a raveled 4x4 mode matrix
 _K, _L = np.divmod(np.arange(16), 4)
-#: :func:`hopping` kept per kets, for at most HOPPING_KETS kets (1 MiB of tables)
-_HOPPING: dict = {}
+#: kets per group of whole shells over which :func:`second_moments` sums
 HOPPING_KETS = 4096
 
 
-def hopping(basis: FockBasis, kets: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def hopping(basis: FockBasis, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, slots, factors): the images c_k^dagger c_l |n> of the basis kets
     ``kets`` (ascending), entry 4k + l: ket s goes, times factors[s, 4k + l],
-    to slot slots[s, 4k + l] of a raveled (rows, 16) matrix, a row per ket
-    reached and a last one for vanishing images.  No image leaves its shell.
-    Kept (:func:`_keep`) as gamma scans and chsh calls share one support:
-    ``experiments.Moments.of`` of a 45-ket source drops from 120 to 50 us."""
-    key = basis.cutoff, kets.tobytes()
-    if key in _HOPPING:
-        return _HOPPING[key]
+    to slot slots[s, 4k + l] of a raveled (rows.size + 1, 16) matrix, a row
+    per key in ``rows`` (ascending, the kets reached) and a last one for
+    vanishing images.  No image leaves its shell.  Built per call, as no
+    table of them would pay: a session_sweep pass makes no call after its
+    warm-up, whose three ladders make one each, and a cli_cold pass makes 9,
+    one per readout, each in a fresh process."""
     factor, offset = _moves(Kind.MIXED, _K, _L, basis.occupations[kets], basis.cutoff + 1)
     hit = factor > 0
     rows, row = np.unique((basis.keys[kets][:, None] + offset)[hit], return_inverse=True)
     slots = np.full(factor.shape, rows.size)
     slots[hit] = row
-    images = rows.size + 1, slots * 16 + np.arange(16), np.sqrt(factor)
-    return _keep(_HOPPING, key, images) if kets.size <= HOPPING_KETS else images
+    return rows, slots * 16 + np.arange(16), np.sqrt(factor)
+
+
+def second_moments(basis: FockBasis, kets: np.ndarray,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grams, pairs) of the amplitudes ``x`` on the ascending basis kets
+    ``kets``: grams[t], t = 0..cutoff, is the Gram matrix of the 16 vectors
+    c_k^dagger c_l x_t for x_t the part of x on the t-photon shell, and
+    pairs is Z_kl = <0|c_k c_l|x>.  No c_k^dagger c_l leaves a shell, so
+    the Gram matrix of x is their sum.  They are read over groups of whole
+    shells of about HOPPING_KETS kets, never holding a large state's
+    vectors."""
+    base, totals = basis.cutoff + 1, basis.totals[kets]
+    grams = np.zeros((base, 16, 16), dtype=np.complex128)
+    starts = sorted(set(np.searchsorted(totals, totals[::HOPPING_KETS]).tolist()))
+    for start, stop in zip(starts, [*starts[1:], kets.size]):
+        rows, slots, factors = hopping(basis, kets[start:stop])
+        vectors = np.zeros((rows.size + 1, 16), dtype=np.complex128)
+        vectors.ravel()[slots] = factors * x[start:stop, None]
+        # an image's key leads with its photon number (_keys)
+        bounds = np.searchsorted(rows // base ** 4, np.arange(base + 1))
+        for t in range(totals[start], totals[stop - 1] + 1):
+            shell = vectors[bounds[t]:bounds[t + 1]]
+            grams[t] = shell.T.conj() @ shell
+    occ = basis.occupations[kets[totals == 2]]
+    pairs = x[totals == 2] @ np.sqrt(occ[:, _K] * (occ[:, _L] - (_K == _L)))
+    return grams, pairs.reshape(4, 4)
 
 
 def _largest_column_norm(values: np.ndarray, targets: np.ndarray, sources: np.ndarray) -> float:
@@ -471,11 +601,12 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     into itself, so every other amplitude stays 0.  There it is the phase
     e^{i theta w} on each ket, then each factor V e^{i theta lam} V^dagger
     of :meth:`SparseOperator.restricted` as v + V expm1(i theta lam)
-    V^dagger v, so small amplitudes keep their relative digits.
-    :class:`EvolveError` when eps*|theta| times the largest |w| or |lam| on
-    the kets, the rounding of the phases, exceeds :data:`ACCURACY` (for a pair
-    source first on its column norms at the support), or its components
-    exceed :data:`MAX_DENSE`.
+    V^dagger v, so small amplitudes keep their relative digits; on the
+    vacuum ket a pair source's factor is its :class:`Ladder`, and the state
+    is the vacuum amplitude times Q c.  :class:`EvolveError` when eps*|theta|
+    times the largest |w| or |lam| on the kets, the rounding of the phases,
+    exceeds :data:`ACCURACY` (for a pair source first on its column norms at
+    the support), or its set-up exceeds :data:`MAX_DENSE`.
     """
     if generator.basis != state.basis:
         raise ValueError("operator built on a different basis")
@@ -487,23 +618,35 @@ def evolve(state: StateVector, generator: SparseOperator, theta: float) -> State
     support = state.amps.astype(bool)
     if theta == 0.0 or not support.any():
         return StateVector(state.basis, state.amps.copy())
-    if not passive and support.tobytes() not in generator._supports:
-        # hermitian on the closure, so a column norm is at most its largest |lam|
-        values, (targets, sources) = _entries(generator.op, state.basis, np.flatnonzero(support))
-        check_phase(theta, _largest_column_norm(values, targets, sources))
-    kets, (weights, factors, largest) = generator.restricted(support)
-    check_phase(theta, largest)
+    kets, (weights, factors, _) = _set_up(generator, support, theta)
     v = state.amps[kets]
     if weights is not None:
         v = np.exp(1j * theta * weights) * v
     if passive:
         for factor, turn in zip(factors, generator.turns(theta)):
             _rotate_pair(v, factor, turn)
+    elif isinstance(factors[0], Ladder):
+        v = v[0] * (factors[0].q @ factors[0].amplitudes(theta))
     else:
         _rotate_components(v, factors[0], theta)
     amps = np.zeros(state.basis.dim, dtype=np.complex128)
     amps[kets] = v
     return StateVector(state.basis, amps)
+
+
+def _set_up(generator: SparseOperator, support: np.ndarray,
+            theta: float) -> tuple[np.ndarray, tuple]:
+    """:meth:`SparseOperator.restricted` on ``support`` under the phase rule at
+    theta.  A pair source on a new support meets it first on its largest
+    column norm there, a lower bound of its largest |lam| (it is hermitian on
+    the closure), so it fails before any set-up."""
+    indices = np.flatnonzero(support)
+    if not generator.passive and indices.tobytes() not in generator._supports:
+        values, (targets, sources) = _entries(generator.op, generator.basis, indices)
+        check_phase(theta, _largest_column_norm(values, targets, sources))
+    kets, set_up = generator.restricted(support)
+    check_phase(theta, set_up[2])
+    return kets, set_up
 
 
 def _rotate_pair(v: np.ndarray, factor: tuple, turn: np.ndarray) -> None:

@@ -35,6 +35,8 @@ CONFIGS = {
     "two_sources": {"experiment": "custom",
                     "stages": [["K", 0.3], ["J_BS", 1.0], ["K_OM", 0.2], ["J_BS_wv", 0.7]]},
 }
+#: config documents run only at a high cutoff
+HIGH_CUTOFF_CONFIGS = {"k_om_prime": {"experiment": "custom", "stages": [["K_OM_prime", 0.1]]}}
 #: config documents that ``run`` rejects with exit code 2
 REJECTED_CONFIGS = {
     "tol": {"tol": 1e-12},
@@ -61,9 +63,13 @@ REPORT = "REPORT"
 NUMBER = re.compile(r"(?<![\w.+-])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|nan|inf)(?![\w.])")
 
 
-def invocations(configs: list[str], rejected: list[str]) -> list[list[str]]:
+def invocations(configs: list[str], rejected: list[str], high: list[str]) -> list[list[str]]:
     calls = [["verify-algebra"], ["verify-algebra", "--json"], ["list-generators"],
              *map(list, EDGE_CASES), *(["run", "--config", path] for path in rejected),
+             # a first source whose one component would exceed fock.MAX_DENSE: its ladder
+             ["run", "--config", high[0], "--cutoff", "40"],
+             # gamma rows, each the readout of its own source
+             ["scan", "--axis", "gamma", "--cutoff", "30"],
              ["run", "-e", "horne", "--phi", "0.7", "--cutoff", "30"],
              # passive stages where blocks are largest and J_a has one block per size
              ["chsh", "-e", "ou_mandel", "--cutoff", "30"],
@@ -197,13 +203,13 @@ def compare_reports(old: str | None, new: str | None) -> tuple[dict[str, float],
 def main(old_src: str, new_src: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, document in {**CONFIGS, **REJECTED_CONFIGS}.items():
+        for name, document in {**CONFIGS, **REJECTED_CONFIGS, **HIGH_CUTOFF_CONFIGS}.items():
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(document))
         report = str(Path(tmp) / "report.json")
         calls = [[report if arg == REPORT else arg for arg in argv]
-                 for argv in invocations([paths[name] for name in CONFIGS],
-                                         [paths[name] for name in REJECTED_CONFIGS])]
+                 for argv in invocations(*([paths[name] for name in group] for group in (
+                     CONFIGS, REJECTED_CONFIGS, HIGH_CUTOFF_CONFIGS)))]
         old, new = (json.loads(subprocess.run(
             [sys.executable, __file__, "--child"], input=json.dumps(calls), text=True,
             capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout)

@@ -391,18 +391,20 @@ def test_passive_stage_at_huge_angle(tmp_path, capsys, theta, code, err):
 
 
 def test_oversized_pair_source_fails_before_eigh(tmp_path, capsys, monkeypatch):
-    """``K_OM_prime`` pairs across all four a-b mode pairs, so from the vacuum
-    it is one component of sum_{k <= N/2} (k+1)^2 kets: 2109 at cutoff 34,
-    whose 4.4e6 dense entries exceed ``fock.MAX_DENSE``.  The run ends with
-    one line before any dense block is diagonalized."""
-    def no_eigh(*_):
-        raise AssertionError("eigh ran on an oversized source")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    """``K_OM_prime`` pairs across all four a-b mode pairs, so after ``K``
+    (whose kets keep n1 + n2 = n3 + n4, as the vacuum does) it is one
+    component of sum_{k <= N/2} (k+1)^2 kets: 2109 at cutoff 34, whose 4.4e6
+    dense entries exceed ``fock.MAX_DENSE``.  The run ends with one line
+    before that component is diagonalized; the one eigh is of the first
+    source's 18 x 18 Jacobi matrix (its ladder)."""
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    experiments._stage_operator.cache_clear()
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"experiment": "custom", "stages": [["K_OM_prime", 0.1]]}))
+    config.write_text(json.dumps({"experiment": "custom",
+                                  "stages": [["K", 0.1], ["K_OM_prime", 0.1]]}))
     code, out, err = invoke(capsys, "run", "--config", str(config), "--cutoff", "34")
-    assert (code, out) == (EXIT_NUMERIC, "")
+    assert (code, out) == (EXIT_NUMERIC, "") and shapes == [(18, 18)]
     assert err == ("numerical error: a pair source needs 4447881 dense entries on its 2109 "
                    "kets (limit 4194304); lower the cutoff\n")
 
@@ -506,9 +508,12 @@ def test_no_command_evolves_the_analyzers(capsys, monkeypatch, tmp_path):
     the analyzers and every passive stage after a pipeline's last pair source
     enter its readout as a single-photon matrix, so no command evolves J_a,
     J_b, J_prime or J_BS for a named pipeline, nor the trailing stage of a
-    custom one, and no command builds J_b.  Only ``--dump-state``, which
-    asks for the final state, evolves the trailing stages, on the source
-    state of the readout."""
+    custom one, and no command builds J_b.  A pair source that is the first
+    stage, as in every named pipeline, is read off its ladder and not
+    evolved either: only the custom [J_a, K, J_BS] evolves, J_a and then K.
+    Only ``--dump-state``, which asks for the final state, evolves the
+    trailing stages, on the source state of the readout, formed from its
+    ladder."""
     built, evolved, names_by_op = [], [], {}
     stage_operator, evolve = experiments._stage_operator, experiments.evolve
 
@@ -541,12 +546,11 @@ def test_no_command_evolves_the_analyzers(capsys, monkeypatch, tmp_path):
                                   "stages": [["J_a", 0.2], ["K", 0.1], ["J_BS", 0.4]]}))
     assert invoke(capsys, "run", "--config", str(config))[0] == EXIT_OK
     assert "J_b" not in built
-    assert {name for name, _ in evolved} == {"K", "K_OM", "K_prime", "J_a"}
-    assert {theta for name, theta in evolved if name == "J_a"} == {0.2}
+    assert evolved == [("J_a", 0.2), ("K", 0.1)]
     evolved.clear()
     assert invoke(capsys, "run", "-e", "ou_mandel", "--cutoff", "6", "--dump-state",
                   "--output", str(tmp_path / "run.json"))[0] == EXIT_OK
-    assert evolved == [("K_OM", 0.1), ("J_a", math.pi / 2), ("J_BS", math.pi / 2)]
+    assert evolved == [("J_a", math.pi / 2), ("J_BS", math.pi / 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +894,29 @@ def test_parser_is_built_once_and_reused(capsys):
             reused.append((exc.code, captured.out, captured.err))
     assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
     assert reused == fresh
+
+
+def test_k_om_prime_first_source_runs_to_the_largest_cutoff(tmp_path):
+    """``custom [["K_OM_prime", 0.1]]`` is a first source, so it runs its
+    ladder, kets times shells entries (10416 x 31 at cutoff 60), where its
+    one component would hold 1.1e8: at cutoff 60 a fresh process exits 0
+    within 3 s of work after import and 250 MiB peak RSS (about 0.3 s and
+    95 MiB on a 2-vCPU box).  Its amplitudes at cutoff 30 match scipy's
+    exponential of its 1496-ket component within 1e-13 in
+    ``test_fock.py::test_pair_source_on_the_vacuum_is_its_ladder``: a child's
+    peak RSS counts its parent's at the spawn, so no test before the
+    budgets here holds that dense matrix."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "custom", "stages": [["K_OM_prime", 0.1]]}))
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MEASURE, "run", "--config", str(config),
+                           "--cutoff", "60"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    code, seconds, rss_kib = proc.stderr.split()
+    assert proc.stdout.startswith("C = ") and int(code) == EXIT_OK
+    if sys.platform.startswith("linux"):  # ru_maxrss is in KiB on Linux
+        assert float(seconds) < 3.0 and int(rss_kib) / 1024 < 250
 
 
 #: a fresh process that times a command after its import and reports its

@@ -220,6 +220,38 @@ def test_raw_correlation_closed_form(name, phi, exact, tol):
     assert correlation_raw(state).value == pytest.approx(exact, rel=0, abs=tol)
 
 
+_SIN2 = math.sin(0.7) ** 2
+
+
+@pytest.mark.parametrize("name, table", [
+    ("ideal", lambda n: (-(n * n + 2 * n) / 3, n * n)),
+    ("ou_mandel", lambda n: (-n / 4, (3 * n * n - 2 * n) / 4)),
+    ("horne", lambda n: (-_SIN2 * (n * n + 2 * n) / 3,
+                         ((2 + _SIN2) * n * n - 2 * (1 - _SIN2) * n) / 3)),
+])
+def test_per_shell_sums_are_the_closed_forms(name, table):
+    """On each shell vector phi_n of a named pipeline's ladder, after the
+    later stages (horne at phi = 0.7, the analyzers at Delta = 0),
+    A_n = <(n1-n2)(n3-n4)> and B_n = <(n1+n2)(n3+n4)> are the sigma
+    contractions of its Gram matrix that the readout makes, and they are
+    the table's closed forms for n = 0..8 at cutoff 16 within 1e-12: the
+    raw C of the pipeline is sum |c_n|^2 A_n / sum |c_n|^2 B_n."""
+    spec = ExperimentSpec(name, gamma=0.3, phi=0.7, cutoff=16)
+    (source, gamma), later = spec.stages[0], spec.stages[1:]
+    ladder = experiments._stage_operator(source, spec.cutoff).ladder(gamma)
+    s = experiments.single_photon_matrix(later, spec.cutoff)
+    sigma_a, sigma_b = (s.conj().T @ experiments._channel_sigmas()[0] @ s).reshape(2, 3, 16)
+    grams = ladder.moments[0].reshape(-1, 16, 16)
+    for n, gram in enumerate(grams):
+        raw = (sigma_a.conj() @ gram @ sigma_b.T).real
+        assert (raw[0, 0], raw[2, 2]) == pytest.approx(table(n), rel=0, abs=1e-12), n
+    c = ladder.amplitudes(gamma)
+    weights = np.abs(c) ** 2
+    a_n, b_n = np.array([table(n) for n in range(len(grams))]).T
+    assert experiments.readout(replace(spec, estimator="raw")).raw.value == pytest.approx(
+        (weights @ a_n) / (weights @ b_n), rel=0, abs=1e-14)
+
+
 #: the named pipelines at two cutoffs, and custom lists with a zero-parameter
 #: stage, a diagonal stage and two pair sources
 WHOLE_BASIS_CASES = [ExperimentSpec(name, gamma=0.7, phi=1.3 if name == "horne" else 0.0,
@@ -541,15 +573,26 @@ def test_sigma_tensors_match_sparse_products(name):
                 expect_product(projected, ops).real, abs=1e-12)
 
 
+def _record_hopping(monkeypatch) -> list[np.ndarray]:
+    """The photon numbers of the kets of every ``fock.hopping`` call, in order."""
+    calls, hopping = [], fock.hopping
+    monkeypatch.setattr(fock, "hopping", lambda basis, kets: calls.append(basis.totals[kets])
+                        or hopping(basis, kets))
+    return calls
+
+
 @pytest.mark.parametrize("name", ANALYZER_PIPELINES)
 @pytest.mark.parametrize("cutoff", [8, 16])
-def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
+def test_sigma_tensors_match_whole_basis_matrices(name, cutoff, monkeypatch):
     """``Readout.tensors`` contracts S^dagger sigma S with the Gram matrix of
     the source state; both tensors equal those of the whole-basis products
     ``sigma_y.mat @ amps`` on the final state of ``run`` within 1e-15, at a
     small and a large gamma.  Those sources, and a third one, share one
-    support, whose hopping images ``fock.hopping`` finds once."""
-    fock._HOPPING.clear()
+    ladder, whose shells' moments are read once: one ``fock.hopping`` call
+    on the ladder's kets, one group of whole shells within the group bound
+    ``fock.HOPPING_KETS``."""
+    experiments._stage_operator.cache_clear()
+    calls = _record_hopping(monkeypatch)
     for gamma in (0.05, 0.9):
         spec = ExperimentSpec(name, gamma=gamma, cutoff=cutoff)
         source = experiments.readout(spec)
@@ -565,7 +608,8 @@ def test_sigma_tensors_match_whole_basis_matrices(name, cutoff):
         for tensor, reference in zip(source.tensors, expected):
             assert np.max(np.abs(tensor - reference)) < 1e-15, (gamma, tensor - reference)
     experiments.readout(ExperimentSpec(name, gamma=0.3, cutoff=cutoff))
-    assert len(fock._HOPPING) == 1
+    assert [np.unique(totals).tolist() for totals in calls] == [list(range(0, cutoff + 1, 2))]
+    assert calls[0].size <= fock.HOPPING_KETS
 
 
 def _assert_same_report(report, expected, tol):
@@ -584,17 +628,29 @@ def test_readout_reads_the_setting(name):
     and reads both estimators at a setting: its own reports when there is no
     analyzer to apply, which are those of ``run``'s final state, and
     otherwise those reports with the numerator, value and delta of the
-    setting contracted from its tensors."""
+    setting contracted from its tensors.  The source is the first stage, so
+    the moments are read off its ladder's shells: the Gram matrix and Z
+    agree within 1e-15 with ``Moments.of`` the evolved source and with
+    dense ladder matrices built by occupation loops
+    (``oracles._dense_mode_ops``), the leakage within 1e-14 of its size."""
     custom = (("K", 0.2), ("J_a", 0.6)) if name == "custom" else ()
+    a = oracles._dense_mode_ops(8)
     for theta_a, theta_b in ((0.0, 0.0), (0.3, -0.2)):
         spec = ExperimentSpec(name, custom, gamma=0.2, theta_a=theta_a, theta_b=theta_b,
                               phi=0.4)
         source = experiments.readout(spec)
-        expected = experiments.Moments.of(run(replace(spec, name="custom",
-                                                      custom_stages=spec.stages[:1])))
-        assert source.moments.norm == expected.norm and source.moments.leakage == expected.leakage
-        assert np.array_equal(source.moments.gram, expected.gram)
-        assert np.array_equal(source.moments.pairs, expected.pairs)
+        evolved = run(replace(spec, name="custom", custom_stages=spec.stages[:1]))
+        expected = experiments.Moments.of(evolved)
+        psi = oracles.normalized(evolved).amps
+        vectors = np.array([a[k].conj().T @ (a[l] @ psi) for k in range(4) for l in range(4)])
+        dense_pairs = np.array([[(a[k] @ (a[l] @ psi))[0] for l in range(4)] for k in range(4)])
+        for gram, pairs in ((expected.gram, expected.pairs),
+                            (vectors.conj() @ vectors.T, dense_pairs)):
+            assert np.max(np.abs(source.moments.gram - gram)) <= 1e-15
+            assert np.max(np.abs(source.moments.pairs - pairs)) <= 1e-15
+        assert source.moments.norm == pytest.approx(expected.norm, rel=1e-15)
+        assert source.moments.leakage == pytest.approx(expected.leakage, rel=1e-14, abs=1e-30)
+        assert source.moments.photons == expected.photons
         state = run(spec)
         raw, cond = source.reports(theta_a, theta_b)
         delta = theta_a - theta_b
@@ -660,36 +716,42 @@ def test_chsh_grid_matches_full_runs(name):
         assert np.max(np.abs(c - reference)) < 1e-10
 
 
+def _record_set_ups(monkeypatch) -> tuple[list, list]:
+    """The operators ``experiments`` evolves, and the ladders fock builds."""
+    evolved, built = [], []
+    evolve, ladder = experiments.evolve, fock._ladder
+    monkeypatch.setattr(experiments, "evolve",
+                        lambda state, op, theta: evolved.append(op) or evolve(state, op, theta))
+    monkeypatch.setattr(fock, "_ladder", lambda *args: built.append(ladder(*args)) or built[-1])
+    experiments._stage_operator.cache_clear()
+    return evolved, built
+
+
 def test_analyzer_settings_run_the_source_once(monkeypatch):
     """Every setting of a chsh, a delta scan and the oracles' grid search and
-    refinement is read from one readout: each evolves the pair source once
-    and no other stage."""
-    calls = []
-    original = experiments.evolve
-    monkeypatch.setattr(experiments, "evolve",
-                        lambda state, op, theta: calls.append(op) or original(state, op, theta))
+    refinement is read from the pair source's ladder, set up once per
+    (source, cutoff): no readout evolves any stage."""
+    evolved, built = _record_set_ups(monkeypatch)
     spec = ExperimentSpec("ou_mandel", gamma=0.1)
     chsh(spec, ChshAngles(*CHSH_MAXIMIZER))
-    assert len(calls) == 1
+    assert len(built) == 1
     table = scan(spec, "delta", np.linspace(0.0, math.pi, 65))
-    assert len(table.rows) == 65 and len(calls) == 2
+    assert len(table.rows) == 65
     oracles.chsh_grid_search(spec, 4)
-    assert len(calls) == 3
     oracles.refine_chsh_maximizer(spec, ChshAngles(*CHSH_MAXIMIZER),
                                   initial_step=0.01, min_step=0.005)
-    assert calls == [experiments._stage_operator("K_OM", spec.cutoff)] * 4
+    assert built == [experiments._stage_operator("K_OM", spec.cutoff).ladder(0.1)]
+    assert evolved == []
 
 
 def test_phi_scan_evolves_the_source_once(monkeypatch):
-    """A phi scan reads all its rows from one source state: it evolves
-    K_prime once, and J_prime and J_BS never."""
-    calls = []
-    original = experiments.evolve
-    monkeypatch.setattr(experiments, "evolve",
-                        lambda state, op, theta: calls.append(op) or original(state, op, theta))
+    """A phi scan reads all its rows from one source: K_prime's ladder, set
+    up once; it evolves no stage, K_prime, J_prime and J_BS included."""
+    evolved, built = _record_set_ups(monkeypatch)
     table = scan(horne_spec(0.3, 0.0, cutoff=10), "phi", np.linspace(0.0, math.pi, 33))
     assert len(table.rows) == 33 and not any(row.failed for row in table.rows)
-    assert calls == [experiments._stage_operator("K_prime", 10)]
+    assert built == [experiments._stage_operator("K_prime", 10).ladder(0.3)]
+    assert evolved == []
 
 
 @pytest.mark.parametrize("group", [fock.HOPPING_KETS, 20])
@@ -700,10 +762,10 @@ def test_moments_match_dense_ladder_products(monkeypatch, group):
     c_k^dagger c_l psi and Z_kl = <0|c_k c_l|psi> of the normalized state
     within 1e-15, its top-shell weight within 1e-15 of its size, the norm and
     the largest photon number (so the top two shells are 6 and 7).  The Gram matrix is summed over groups of whole
-    shells of about ``fock.HOPPING_KETS`` kets; at 20 the state spans several
-    groups, and fock keeps the images of none larger than that."""
+    shells of about ``fock.HOPPING_KETS`` kets, one ``fock.hopping`` call per
+    group; at 20 the state spans three groups."""
     monkeypatch.setattr(fock, "HOPPING_KETS", group)
-    fock._HOPPING.clear()
+    calls = _record_hopping(monkeypatch)
     stages = (("K", 0.3), ("J_BS", 1.0), ("K_OM", 0.2), ("J_BS_wv", 0.7))
     state = run(ExperimentSpec("custom", stages, cutoff=7))
     state = StateVector(state.basis, 1.5 * state.amps)
@@ -719,9 +781,10 @@ def test_moments_match_dense_ladder_products(monkeypatch, group):
                                             rel=1e-15)
     assert moments.norm == pytest.approx(1.5, rel=1e-15)
     assert moments.photons == state.basis.totals[kets].max() == 6
-    # at 20: shells 0 and 2 (11 kets), 4 (35) and 6 (84); only the first is kept
-    kept = [len(key[1]) // kets.itemsize for key in fock._HOPPING]
-    assert kept == ([130] if group > kets.size else [11])
+    # at 20: shells 0 and 2 (11 kets), 4 (35) and 6 (84)
+    groups = [np.unique(totals).tolist() for totals in calls]
+    assert groups == ([[0, 2, 4, 6]] if group > kets.size else [[0, 2], [4], [6]])
+    assert [totals.size for totals in calls] == ([130] if group > kets.size else [11, 35, 84])
 
 
 @pytest.mark.parametrize("name", _RECIPES)

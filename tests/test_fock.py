@@ -547,7 +547,10 @@ def test_set_up_products_match_scipy_csr(cutoff):
     """What ``evolve`` applies on each stage of the named pipelines equals
     scipy CSR products with the same set-up: the phases, then per factor
     v + V expm1(i theta lam) V^dagger v with V the block-diagonal eigenvectors
-    on the kets, within 1e-15."""
+    on the kets, within 1e-15.  The pair source acts on the vacuum, so its
+    factor is a ladder: Q^dagger G Q on the CSR matrix is the Jacobi matrix
+    V lam V^dagger within 1e-14, and the state is v_0 Q V e^{i theta lam}
+    V^dagger e_0."""
     for name in ("ideal", "horne", "ou_mandel"):
         spec = experiments.ExperimentSpec(name, gamma=0.3, phi=0.7, cutoff=cutoff)
         state = vacuum(get_basis(cutoff))
@@ -557,6 +560,14 @@ def test_set_up_products_match_scipy_csr(cutoff):
             v = state.amps[kets]
             if weights is not None:
                 v = np.exp(1j * theta * weights) * v
+            if products and isinstance(products[0], fock.Ladder):
+                ladder = products[0]
+                jacobi = (ladder.vecs * ladder.lam) @ ladder.vecs.conj().T
+                product = ladder.q.conj().T @ (generator.mat[kets][:, kets] @ ladder.q)
+                assert np.max(np.abs(product - jacobi)) < 1e-14, (name, stage)
+                c = ladder.vecs @ (np.exp(1j * theta * ladder.lam) * ladder.vecs[0].conj())
+                v = v[0] * (ladder.q @ c)
+                products = []
             for q, factor in enumerate(products):
                 vecs, lam = _set_up_matrix(kets.size, _set_up_blocks(generator, factor, q))
                 v = v + vecs @ (np.expm1(1j * theta * lam) * (vecs.conj().T @ v))
@@ -571,9 +582,11 @@ PAIR_SOURCES = [name for name in HAMILTONIAN_GENERATORS if name not in PASSIVE_G
 
 @pytest.mark.parametrize("cutoff", [6, 12])
 def test_pair_source_blocks_are_the_matrix_on_the_kets(cutoff, monkeypatch):
-    """The dense blocks a pair source's set-up diagonalizes, summed from the
-    entries it reads on the reached kets, are the whole-basis matrix on those
-    kets bit for bit, from the vacuum and from a two-source state."""
+    """The dense blocks a pair source's components diagonalize, summed from
+    the entries it reads on the reached kets, are the whole-basis matrix on
+    those kets bit for bit, from the vacuum and from a two-source state.  On
+    the vacuum ket the set-up itself is a ladder, whose one eigh is of its
+    Jacobi matrix; from the two-source state it is those components."""
     assert len(PAIR_SOURCES) == 30
     basis = get_basis(cutoff)
     two_sources = experiments.run(experiments.ExperimentSpec(
@@ -584,20 +597,103 @@ def test_pair_source_blocks_are_the_matrix_on_the_kets(cutoff, monkeypatch):
         generator = matrix(catalog(name), basis)
         for state in (vacuum(basis), two_sources):
             seen.clear()
-            kets, _ = generator.restricted(state.amps != 0)
+            kets, (_, (factor,), _) = generator.restricted(state.amps != 0)
+            on_vacuum = isinstance(factor, fock.Ladder)
+            assert on_vacuum == (state is not two_sources), name
+            assert len(seen) == (1 if on_vacuum else len(factor)), name
+            if on_vacuum:
+                assert seen[0].shape == (cutoff // 2 + 1,) * 2, name
+            seen.clear()
             whole = generator.mat[kets][:, kets].toarray()
             values, (targets, sources) = fock._entries(generator.op, basis, kets)
             groups = fock._components(np.searchsorted(kets, targets), sources, values, kets.size)
-            assert len(seen) == 2 * len(groups), name
+            assert len(seen) == len(groups), name
             for dense, (blocks, _, _) in zip(seen, groups):
                 for block, members in zip(dense, blocks):
                     assert block.tobytes() == whole[np.ix_(members, members)].tobytes(), name
 
 
+def _su11_constants(op: QuadOp) -> tuple[float, float]:
+    """(d, c) of a pair source G from the exact layer, for its
+    pair-annihilating and pair-creating parts G_- and G_+: D = [G_-, G_+]
+    reads d = <0|D|0> on the vacuum (C_ii = n_i + 1/2 reads 1/2), and
+    [D, G_+] = c G_+ exactly."""
+    plus = QuadOp({e: v for e, v in op.coeffs.items() if e.kind is Kind.PAIR_CREATE})
+    minus = QuadOp({e: v for e, v in op.coeffs.items() if e.kind is Kind.PAIR_ANNIHILATE})
+    d_op = commutator(minus, plus)
+    d = d_op.scalar + sum((v * Fraction(1, 2) for e, v in d_op.coeffs.items()
+                           if e.kind is Kind.MIXED and e.i == e.j), Fraction(0))
+    elem, first = plus.terms()[0]
+    c = commutator(d_op, plus).coeffs[elem] / first
+    assert commutator(d_op, plus) == plus * c
+    return complex(d).real, complex(c).real
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 30])
+def test_pair_source_on_the_vacuum_is_its_ladder(cutoff):
+    """Every catalog pair source's set-up on the vacuum ket is its su(1,1)
+    ladder: m = cutoff//2 + 1 Lanczos vectors, vector n on the 2n-photon
+    shell and 0 off it, orthonormal within 1e-14, with a zero diagonal and
+    beta_n = sqrt((n+1)(d + c n/2)) within 1e-14 relative, d and c from the
+    exact layer (:func:`_su11_constants`).  At c = 1/2 that is
+    beta_n = sqrt((n+1)(n+2k))/2 with k = 2d, for 28 of the 30 names: 1 for
+    K, 1/2 for K_OM; K_OM_1 and K_OM_2, whose coefficients are 1/4, have
+    c = d = 1/8.  Its amplitudes match ``oracles.component_dense_evolve``
+    within 1e-13, at cutoff 30 at the one angle 0.1 (for ``K_OM_prime`` a
+    1496-ket exponential; its cutoff-60 run is
+    ``test_cli.py::test_k_om_prime_first_source_runs_to_the_largest_cutoff``),
+    and the phase rule reads the largest |lam| of T."""
+    basis = get_basis(cutoff)
+    m = cutoff // 2 + 1
+    scales = []
+    for name in PAIR_SOURCES:
+        generator = matrix(catalog(name), basis)
+        kets, (weights, (ladder,), largest) = generator.restricted(vacuum(basis).amps != 0)
+        assert isinstance(ladder, fock.Ladder) and weights is None, name
+        assert ladder.q.shape == (kets.size, m) and ladder.kets is kets, name
+        assert np.array_equal(ladder.shells, 2 * np.arange(m)), name
+        totals = basis.totals[kets]
+        assert not np.any(ladder.q[totals[:, None] != ladder.shells]), name
+        assert np.max(np.abs(ladder.q.conj().T @ ladder.q - np.eye(m))) < 1e-14, name
+        jacobi = (ladder.vecs * ladder.lam) @ ladder.vecs.conj().T
+        assert np.max(np.abs(np.diag(jacobi))) < 1e-14, name
+        d, c = _su11_constants(catalog(name))
+        scales.append(c)
+        n = np.arange(m - 1)
+        beta = np.sqrt((n + 1) * (d + c * n / 2))
+        assert np.max(np.abs(np.abs(np.diag(jacobi, 1)) / beta - 1)) < 1e-14, name
+        assert largest == np.max(np.abs(ladder.lam)), name
+        for theta in (0.1,) if cutoff == 30 else (0.3, -1.1):
+            state = evolve(vacuum(basis), generator, theta)
+            reference = oracles.component_dense_evolve(vacuum(basis), catalog(name), theta)
+            assert np.max(np.abs(state.amps - reference.amps)) < 1e-13, (name, theta)
+    assert scales.count(0.5) == 28 and scales.count(0.125) == 2
+
+
+def test_ladder_set_up_is_bounded_and_kept_per_cutoff(monkeypatch):
+    """A ladder holds its kets times its shells in dense entries, bounded by
+    ``fock.MAX_DENSE`` before Lanczos runs (``K_OM_prime`` at cutoff 60:
+    10416 kets on 31 shells, against 4.4e6 entries for its one component at
+    cutoff 34), and it is the vacuum's entry of the per-support cache:
+    ``ladder`` reads it there, checks the phase rule at each angle, and
+    builds it once."""
+    generator = matrix(catalog("K_OM_prime"), get_basis(12))
+    ladder = generator.ladder(0.1)
+    assert generator.ladder(-2.0) is ladder and list(generator._supports) == [fock._VACUUM]
+    assert generator.restricted(vacuum(get_basis(12)).amps != 0)[1][1][0] is ladder
+    with pytest.raises(EvolveError, match=PHASE_TOO_LARGE):
+        generator.ladder(1e308)
+    assert (ladder.kets.size, ladder.shells.size) == (140, 7)
+    monkeypatch.setattr(fock, "MAX_DENSE", 979)
+    with pytest.raises(EvolveError, match="needs 980 dense entries on its 140 kets"):
+        matrix(catalog("K_OM_prime"), get_basis(12)).ladder(0.1)
+
+
 def test_active_operator_with_number_terms_and_scalar():
     """An active operator with number terms and a scalar, K + K_z + 7/10, is
-    one factor whose components carry the summed diagonal: it matches the
-    dense exponential of its matrix, which matches the independent oracle."""
+    one factor that carries the summed diagonal, its ladder on the vacuum and
+    its components elsewhere: it matches the dense exponential of its
+    matrix, which matches the independent oracle."""
     basis = get_basis(6)
     op = catalog("K") + catalog("K_z") + QuadOp.make({}, Fraction(7, 10))
     generator = matrix(op, basis)
